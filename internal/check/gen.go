@@ -17,7 +17,7 @@ var genApps = []string{
 func Generate(seed uint64) Scenario {
 	r := rng.New(seed)
 	sc := Scenario{Seed: seed}
-	sc.PCPUs = 2 + r.Intn(5)      // 2..6
+	sc.PCPUs = 2 + r.Intn(5)        // 2..6
 	sc.DurationMs = 10 + r.Intn(31) // 10..40 ms
 
 	// Mode weights: 40% dynamic so the adaptive controller's decision paths

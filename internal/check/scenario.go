@@ -67,19 +67,19 @@ type VMSpec struct {
 
 // FaultSpec is the scenario's fault-injection plan (nil: fault-free).
 type FaultSpec struct {
-	Seed            uint64  `json:"seed"`
-	OfflinePCPUs    int     `json:"offline_pcpus,omitempty"`
-	PermanentOffPCPUs int   `json:"permanent_off_pcpus,omitempty"`
-	IPIDelayProb    float64 `json:"ipi_delay_prob,omitempty"`
-	IPIDelayMaxUs   int     `json:"ipi_delay_max_us,omitempty"`
-	IPIDropProb     float64 `json:"ipi_drop_prob,omitempty"`
-	LoseIPIs        bool    `json:"lose_ipis,omitempty"`
-	TickJitterUs    int     `json:"tick_jitter_us,omitempty"`
-	LockStallProb   float64 `json:"lock_stall_prob,omitempty"`
-	LockStallFactor float64 `json:"lock_stall_factor,omitempty"`
-	Storms          int     `json:"storms,omitempty"`
-	StormLenMs      int     `json:"storm_len_ms,omitempty"`
-	QuiesceAtMs     int     `json:"quiesce_at_ms,omitempty"`
+	Seed              uint64  `json:"seed"`
+	OfflinePCPUs      int     `json:"offline_pcpus,omitempty"`
+	PermanentOffPCPUs int     `json:"permanent_off_pcpus,omitempty"`
+	IPIDelayProb      float64 `json:"ipi_delay_prob,omitempty"`
+	IPIDelayMaxUs     int     `json:"ipi_delay_max_us,omitempty"`
+	IPIDropProb       float64 `json:"ipi_drop_prob,omitempty"`
+	LoseIPIs          bool    `json:"lose_ipis,omitempty"`
+	TickJitterUs      int     `json:"tick_jitter_us,omitempty"`
+	LockStallProb     float64 `json:"lock_stall_prob,omitempty"`
+	LockStallFactor   float64 `json:"lock_stall_factor,omitempty"`
+	Storms            int     `json:"storms,omitempty"`
+	StormLenMs        int     `json:"storm_len_ms,omitempty"`
+	QuiesceAtMs       int     `json:"quiesce_at_ms,omitempty"`
 }
 
 // RecoverySpec configures the supervisor for a recovery-conformance run.

@@ -28,7 +28,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"strings"
 
 	"github.com/microslicedcore/microsliced/internal/hv"
 	"github.com/microslicedcore/microsliced/internal/ksym"
@@ -204,17 +203,11 @@ type Controller struct {
 	cfg      Config
 	Counters *metrics.Set
 
-	// symtabs holds each domain's parsed System.map. The controller only
+	// doms holds each domain's detector view, indexed by domain ID (IDs
+	// are a permutation of 0..n-1, relabelled or not). The controller only
 	// ever reads (RIP, symtab) — never guest state — preserving
 	// transparency.
-	symtabs map[int]*ksym.Table
-	// userRegions is the per-domain table of registered user-level
-	// critical regions (§4.4 extension; empty unless Config.UserCS).
-	userRegions map[int][]ksym.UserRegion
-
-	// SymbolHits histograms the critical symbols observed at detection
-	// time (reproduces the paper's Table 3 methodology).
-	SymbolHits map[string]uint64
+	doms []domSyms
 
 	// MicroGauge integrates the micro pool size over time.
 	MicroGauge metrics.Gauge
@@ -240,6 +233,18 @@ type Controller struct {
 	decisionTotal uint64
 
 	hot ctrlHot // interned counters for the per-yield/per-relay hooks
+}
+
+// domSyms is one domain's detector view: its parsed System.map with every
+// symbol's class, its registered user-level critical regions (§4.4
+// extension; empty unless Config.UserCS), and the detection hit counts of
+// both, indexed like the tables they count.
+type domSyms struct {
+	tab         *ksym.Table
+	classes     []ksym.Class
+	hits        []uint64
+	userRegions []ksym.UserRegion
+	userHits    []uint64
 }
 
 // ctrlHot holds the controller counters incremented on every detection
@@ -268,13 +273,11 @@ func Attach(h *hv.Hypervisor, cfg Config) (*Controller, error) {
 		cfg.DecisionDepth = defaultDecisionDepth
 	}
 	c := &Controller{
-		h:           h,
-		cfg:         cfg,
-		Counters:    metrics.NewSet(),
-		symtabs:     make(map[int]*ksym.Table),
-		userRegions: make(map[int][]ksym.UserRegion),
-		SymbolHits:  make(map[string]uint64),
-		urEvents:    make([]eventStats, cfg.MaxMicroCores+1),
+		h:        h,
+		cfg:      cfg,
+		Counters: metrics.NewSet(),
+		doms:     make([]domSyms, len(h.Domains())),
+		urEvents: make([]eventStats, cfg.MaxMicroCores+1),
 	}
 	c.hot = ctrlHot{
 		triggerPLE:  c.Counters.Handle("trigger.ple"),
@@ -292,7 +295,7 @@ func Attach(h *hv.Hypervisor, cfg Config) (*Controller, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: parsing System.map of %s: %v", d.Name, err)
 		}
-		c.symtabs[d.ID] = tab
+		c.doms[d.ID] = domSyms{tab: tab, classes: tab.Classes(), hits: make([]uint64, tab.Len())}
 	}
 	if cfg.Mode == ModeOff {
 		return c, nil
@@ -334,38 +337,38 @@ func (c *Controller) Start() {
 // MicroCount returns the current micro pool size.
 func (c *Controller) MicroCount() int { return c.h.MicroCount() }
 
-// Symtab returns the parsed symbol table of a domain (tests, tools).
-func (c *Controller) Symtab(domID int) *ksym.Table { return c.symtabs[domID] }
-
 // RegisterUserRegions installs a domain's user-level critical regions
 // (the §4.4 interface). Ignored unless Config.UserCS is enabled.
 func (c *Controller) RegisterUserRegions(domID int, regions []ksym.UserRegion) {
-	if !c.cfg.UserCS {
+	if !c.cfg.UserCS || domID < 0 || domID >= len(c.doms) {
 		return
 	}
-	c.userRegions[domID] = append(c.userRegions[domID], regions...)
+	d := &c.doms[domID]
+	d.userRegions = append(d.userRegions, regions...)
+	d.userHits = append(d.userHits, make([]uint64, len(regions))...)
 }
 
 // classify resolves a vCPU's RIP against its domain's symbol table — or,
 // for user-space addresses, against the domain's registered user-level
-// critical regions.
-func (c *Controller) classify(v *hv.VCPU) (string, ksym.Class) {
+// critical regions — and returns the index of the matching symbol (user
+// region for ClassUserCS) with its class, or -1 and ClassNone.
+func (c *Controller) classify(v *hv.VCPU) (int, ksym.Class) {
+	if v.DomID >= len(c.doms) {
+		return -1, ksym.ClassNone // domain created after Attach
+	}
+	d := &c.doms[v.DomID]
 	rip := v.Guest.RIP()
 	if !ksym.IsKernelAddr(rip) {
-		if r, ok := ksym.LookupUserRegion(c.userRegions[v.DomID], rip); ok {
-			return "user:" + r.Name, ksym.ClassUserCS
+		if i := ksym.UserRegionIndex(d.userRegions, rip); i >= 0 {
+			return i, ksym.ClassUserCS
 		}
-		return "", ksym.ClassNone
+		return -1, ksym.ClassNone
 	}
-	tab := c.symtabs[v.DomID]
-	if tab == nil {
-		return "", ksym.ClassNone
+	i := d.tab.Index(rip)
+	if i < 0 {
+		return -1, ksym.ClassNone
 	}
-	sym, ok := tab.Lookup(rip)
-	if !ok {
-		return "", ksym.ClassNone
-	}
-	return sym.Name, ksym.Classify(sym.Name)
+	return i, d.classes[i]
 }
 
 // ---------------------------------------------------------------------------
@@ -377,8 +380,8 @@ func (c *Controller) onYield(v *hv.VCPU, reason hv.YieldReason) {
 	switch reason {
 	case hv.YieldPLE:
 		c.hot.triggerPLE.Inc()
-		name, _ := c.classify(v)
-		c.hit(name)
+		i, cls := c.classify(v)
+		c.hit(v, i, cls)
 		// The yielder spins on a lock: accelerate preempted siblings
 		// caught inside critical sections (the likely lock holder). The
 		// spinner itself stays in the normal pool — running a waiter on a
@@ -386,8 +389,8 @@ func (c *Controller) onYield(v *hv.VCPU, reason hv.YieldReason) {
 		c.accelerateSiblings(v, false)
 	case hv.YieldIPIWait:
 		c.hot.triggerIPI.Inc()
-		name, cls := c.classify(v)
-		c.hit(name)
+		i, cls := c.classify(v)
+		c.hit(v, i, cls)
 		if cls == ksym.ClassIPI || cls == ksym.ClassTLB {
 			// One-to-many IPI (TLB shootdown): every preempted sibling
 			// must run to acknowledge — accelerate them all (§4.2).
@@ -417,7 +420,7 @@ func (c *Controller) accelerateSiblings(v *hv.VCPU, all bool) {
 		if w == v || w.State() != hv.StateRunnable || w.OnMicro() {
 			continue
 		}
-		name, cls := c.classify(w)
+		i, cls := c.classify(w)
 		take := all
 		if !take {
 			if c.cfg.PreciseSelection {
@@ -429,7 +432,7 @@ func (c *Controller) accelerateSiblings(v *hv.VCPU, all bool) {
 		if !take {
 			continue
 		}
-		c.hit(name)
+		c.hit(w, i, cls)
 		c.migrate(w)
 	}
 }
@@ -464,14 +467,37 @@ func (c *Controller) onVIPIRelay(src, target *hv.VCPU, vec hv.Vector) {
 	}
 }
 
-func (c *Controller) hit(name string) {
-	if name == "" {
-		return
+// hit counts one detection of the symbol (or user region) classify
+// resolved for v; unclassified RIPs are not counted.
+func (c *Controller) hit(v *hv.VCPU, i int, cls ksym.Class) {
+	switch cls {
+	case ksym.ClassNone:
+	case ksym.ClassUserCS:
+		c.doms[v.DomID].userHits[i]++
+	default:
+		c.doms[v.DomID].hits[i]++
 	}
-	if !strings.HasPrefix(name, "user:") && ksym.Classify(name) == ksym.ClassNone {
-		return
+}
+
+// SymbolHits histograms the critical symbols observed at detection time
+// (reproduces the paper's Table 3 methodology), summed across domains by
+// name; user regions appear as "user:<name>". It builds a new map on every
+// call.
+func (c *Controller) SymbolHits() map[string]uint64 {
+	out := make(map[string]uint64)
+	for _, d := range c.doms {
+		for i, n := range d.hits {
+			if n > 0 {
+				out[d.tab.At(i).Name] += n
+			}
+		}
+		for i, n := range d.userHits {
+			if n > 0 {
+				out["user:"+d.userRegions[i].Name] += n
+			}
+		}
 	}
-	c.SymbolHits[name]++
+	return out
 }
 
 // ---------------------------------------------------------------------------

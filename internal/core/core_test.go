@@ -154,11 +154,12 @@ func TestLockHolderAcceleration(t *testing.T) {
 
 func TestSymbolHitsRecorded(t *testing.T) {
 	_, c, _ := runLockScenario(t, StaticConfig(1), simtime.Second)
-	if len(c.SymbolHits) == 0 {
+	hits := c.SymbolHits()
+	if len(hits) == 0 {
 		t.Fatal("no symbol hits recorded")
 	}
 	found := false
-	for name := range c.SymbolHits {
+	for name := range hits {
 		if name == "get_page_from_freelist" {
 			found = true
 		}
@@ -167,7 +168,7 @@ func TestSymbolHitsRecorded(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatalf("critical-section symbol missing from hits: %v", c.SymbolHits)
+		t.Fatalf("critical-section symbol missing from hits: %v", hits)
 	}
 }
 

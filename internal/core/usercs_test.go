@@ -88,7 +88,7 @@ func TestUserRegionsDeclared(t *testing.T) {
 		}
 	}
 	// Regions must not contain the spin-wait sentinel.
-	if _, ok := ksym.LookupUserRegion(regions, guest.UserSpinRIP); ok {
+	if ksym.UserRegionIndex(regions, guest.UserSpinRIP) >= 0 {
 		t.Fatal("spin RIP inside a registered region — waiters would be migrated")
 	}
 }
@@ -99,13 +99,13 @@ func TestUserCSExtensionAccelerates(t *testing.T) {
 
 	// Without the extension the detector cannot classify user-space RIPs:
 	// no user-region hits, and essentially no rescues of the user locks.
-	for name := range offCtrl.SymbolHits {
+	for name := range offCtrl.SymbolHits() {
 		if strings.HasPrefix(name, "user:") {
 			t.Fatalf("user hit %q recorded without the extension", name)
 		}
 	}
 	userHits := uint64(0)
-	for name, n := range onCtrl.SymbolHits {
+	for name, n := range onCtrl.SymbolHits() {
 		if strings.HasPrefix(name, "user:") {
 			userHits += n
 		}
@@ -132,7 +132,7 @@ func TestRegisterIgnoredWhenDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.RegisterUserRegions(0, []ksym.UserRegion{{Name: "x", Lo: 1, Hi: 2}})
-	if len(c.userRegions[0]) != 0 {
+	if len(c.doms[0].userRegions) != 0 {
 		t.Fatal("regions registered while the extension is disabled")
 	}
 }

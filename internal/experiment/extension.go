@@ -109,7 +109,7 @@ func ExtensionUserCS(dur simtime.Duration) (*ExtensionResult, error) {
 		return nil, err
 	}
 	var userHits uint64
-	for name, n := range ctrl.SymbolHits {
+	for name, n := range ctrl.SymbolHits() {
 		if len(name) > 5 && name[:5] == "user:" {
 			userHits += n
 		}

@@ -572,7 +572,7 @@ func collect(s Setup, h *hv.Hypervisor, ctrl *core.Controller, kernels []*guest.
 	res := &Result{
 		HV:         h.Counters.Snapshot(),
 		Core:       ctrl.Counters.Snapshot(),
-		SymbolHits: ctrl.SymbolHits,
+		SymbolHits: ctrl.SymbolHits(),
 		MicroAvg:   ctrl.MicroGauge.TimeAverage(int64(h.Clock.Now())),
 		Duration:   s.Duration,
 
@@ -658,4 +658,3 @@ func corunSetup(app string, cc core.Config, dur simtime.Duration) Setup {
 		StaggerStart: true,
 	}
 }
-

@@ -327,7 +327,7 @@ func (v *VCPU) preemptible() bool {
 	if t == nil {
 		return true
 	}
-	if t.lock != nil || t.shoot != nil {
+	if t.lock != nil || t.shoot.active {
 		return false
 	}
 	return t.ph == phaseOp && t.op.Kind == OpCompute
@@ -732,7 +732,7 @@ func (v *VCPU) initiateShootdown(t *Thread) {
 		return
 	}
 	t.opStage = 2
-	t.shoot = &shootdown{pendingAcks: targets, start: v.now()}
+	t.shoot = shootdown{active: true, pendingAcks: targets, start: v.now()}
 	t.ph = phaseAcks
 	// Sending the IPIs can wake a blocked sibling whose boost preempts
 	// this very vCPU; arm the ack spin only if we are still on a pCPU.
@@ -744,7 +744,7 @@ func (v *VCPU) initiateShootdown(t *Thread) {
 // finishShootdown completes the TLB flush op after all acks arrived,
 // releasing the address-space lock if the flush ran under one.
 func (v *VCPU) finishShootdown(t *Thread) {
-	t.shoot = nil
+	t.shoot = shootdown{}
 	// Commit completion before the release: a sleeping-lock release wakes
 	// the grantee through a reschedule IPI, which can boost-preempt this
 	// very vCPU and synchronously re-dispatch it. With ph still phaseAcksDone
@@ -764,7 +764,7 @@ func (v *VCPU) finishShootdown(t *Thread) {
 func (k *Kernel) ackShootdown(initIdx int) {
 	v := k.VCPUs[initIdx]
 	t := v.cur
-	if t == nil || t.shoot == nil {
+	if t == nil || !t.shoot.active {
 		return // initiator already satisfied (stale ack); nothing to do
 	}
 	t.shoot.pendingAcks--

@@ -132,6 +132,7 @@ const (
 
 // shootdown tracks an in-flight TLB shootdown initiated by a thread.
 type shootdown struct {
+	active      bool // from initiateShootdown until finishShootdown
 	pendingAcks int
 	start       simtime.Time
 }
@@ -151,7 +152,7 @@ type Thread struct {
 	remaining simtime.Duration
 
 	lock      *SpinLock // lock being waited for or held
-	shoot     *shootdown
+	shoot     shootdown // embedded: a TLB flush allocates nothing
 	spinStart simtime.Time
 	lockSpan  obs.SpanRef // open lock_acquire span while contending
 
@@ -165,6 +166,9 @@ type Thread struct {
 
 // State returns the thread's scheduler state.
 func (t *Thread) State() ThreadState { return t.state }
+
+// Program returns the thread's operation source.
+func (t *Thread) Program() Program { return t.prog }
 
 // VCPUIndex returns the index of the thread's home vCPU.
 func (t *Thread) VCPUIndex() int { return t.vc.idx }

@@ -587,6 +587,10 @@ type Hypervisor struct {
 	lostIPIs []LostIPI
 	lostSeq  uint64
 
+	// freeInject is the free list of interrupt records waiting out the
+	// injection latency to a running vCPU (see deliver).
+	freeInject *pendingInject
+
 	stoleNext bool // pickNext→dispatch handoff: the pick came from a steal
 
 	// microSince/microArea integrate the micro pool's size over time
@@ -618,6 +622,9 @@ type hvHot struct {
 	vipiDropped *metrics.Counter
 	vipiRetried *metrics.Counter
 	vipiLost    *metrics.Counter
+	// microFull is resolved on its first fire, not in New: an eager handle
+	// would add a zero-valued key to every counter snapshot.
+	microFull *metrics.Counter
 }
 
 // yieldName maps a YieldReason to its counter name (matches YieldReason.String).

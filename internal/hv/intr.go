@@ -190,9 +190,15 @@ func (h *Hypervisor) deliver(dst *VCPU, vec Vector, data uint64, span obs.SpanRe
 	}
 	switch dst.state {
 	case StateRunning:
-		h.Clock.AfterLabeled(h.Cfg.IPILatency, "inject", func() {
-			h.injectOrQueue(dst, vec, data, span)
-		})
+		pi := h.freeInject
+		if pi == nil {
+			pi = &pendingInject{h: h}
+			pi.fire = pi.inject
+		} else {
+			h.freeInject = pi.next
+		}
+		pi.dst, pi.vec, pi.data, pi.span = dst, vec, data, span
+		h.Clock.AfterLabeled(h.Cfg.IPILatency, "inject", pi.fire)
 	case StateBlocked:
 		dst.pending = append(dst.pending, PendingIRQ{Vec: vec, Data: data, Span: span})
 		h.Wake(dst, true)
@@ -202,6 +208,30 @@ func (h *Hypervisor) deliver(dst *VCPU, vec Vector, data uint64, span obs.SpanRe
 		h.hot.irqDeferred.Inc()
 		dst.Dom.hot.irqDeferred.Inc()
 	}
+}
+
+// pendingInject is an interrupt waiting out the injection latency to a
+// running vCPU. Records live on the hypervisor's free list with their fire
+// callback bound once, so delivering an IPI allocates nothing in steady
+// state.
+type pendingInject struct {
+	h    *Hypervisor
+	dst  *VCPU
+	vec  Vector
+	data uint64
+	span obs.SpanRef
+	next *pendingInject // free-list link
+	fire func()         // pi.inject, bound at allocation
+}
+
+// inject copies the interrupt out and returns the record to the free list
+// before injecting: injectOrQueue can re-enter deliver, which then reuses
+// this record instead of allocating another.
+func (pi *pendingInject) inject() {
+	h, dst, vec, data, span := pi.h, pi.dst, pi.vec, pi.data, pi.span
+	pi.dst = nil
+	pi.next, h.freeInject = h.freeInject, pi
+	h.injectOrQueue(dst, vec, data, span)
 }
 
 // injectOrQueue fires OnInterrupt if dst is still running with the guest

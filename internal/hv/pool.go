@@ -41,7 +41,10 @@ func (h *Hypervisor) MigrateToMicro(v *VCPU) bool {
 		}
 	}
 	if idle == nil && queued == nil {
-		h.count("migrate.micro_full")
+		if h.hot.microFull == nil {
+			h.hot.microFull = h.Counters.Handle("migrate.micro_full")
+		}
+		h.hot.microFull.Inc()
 		return false
 	}
 	if v.state == StateRunnable {

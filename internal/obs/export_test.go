@@ -101,14 +101,14 @@ func TestWriteChromeTraceEmpty(t *testing.T) {
 
 func TestValidateChromeTraceRejects(t *testing.T) {
 	cases := map[string]string{
-		"not json":        "][",
-		"no unit":         `{"traceEvents":[{"ph":"X","pid":0,"tid":0,"ts":1,"dur":1}]}`,
-		"no events":       `{"displayTimeUnit":"ns","traceEvents":[]}`,
-		"event sans ph":   `{"displayTimeUnit":"ns","traceEvents":[{"pid":0,"tid":0,"ts":1}]}`,
-		"X sans dur":      `{"displayTimeUnit":"ns","traceEvents":[{"ph":"X","pid":0,"tid":0,"ts":1}]}`,
-		"no X at all":     `{"displayTimeUnit":"ns","traceEvents":[{"ph":"i","pid":0,"tid":0,"ts":1}]}`,
-		"M sans pid":      `{"displayTimeUnit":"ns","traceEvents":[{"ph":"M","name":"process_name"}]}`,
-		"i sans ts":       `{"displayTimeUnit":"ns","traceEvents":[{"ph":"i","pid":0,"tid":0}]}`,
+		"not json":      "][",
+		"no unit":       `{"traceEvents":[{"ph":"X","pid":0,"tid":0,"ts":1,"dur":1}]}`,
+		"no events":     `{"displayTimeUnit":"ns","traceEvents":[]}`,
+		"event sans ph": `{"displayTimeUnit":"ns","traceEvents":[{"pid":0,"tid":0,"ts":1}]}`,
+		"X sans dur":    `{"displayTimeUnit":"ns","traceEvents":[{"ph":"X","pid":0,"tid":0,"ts":1}]}`,
+		"no X at all":   `{"displayTimeUnit":"ns","traceEvents":[{"ph":"i","pid":0,"tid":0,"ts":1}]}`,
+		"M sans pid":    `{"displayTimeUnit":"ns","traceEvents":[{"ph":"M","name":"process_name"}]}`,
+		"i sans ts":     `{"displayTimeUnit":"ns","traceEvents":[{"ph":"i","pid":0,"tid":0}]}`,
 	}
 	for name, doc := range cases {
 		if _, err := ValidateChromeTrace(strings.NewReader(doc)); err == nil {

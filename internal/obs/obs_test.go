@@ -59,11 +59,11 @@ func TestStateAccountingBoostAndMicro(t *testing.T) {
 	o := New(Config{})
 	o.EnsureVCPU(3, 0, 3)
 
-	o.Transition(3, StateBoosted, 10*us)  // blocked 10us
-	o.SetMicro(3, true, 20*us)            // boosted 10us in the normal pool
-	o.Transition(3, StateRunning, 25*us)  // boosted 5us in the micro pool
-	o.Transition(3, StateBlocked, 65*us)  // running 40us in the micro pool
-	o.SetMicro(3, false, 70*us)           // blocked 5us in the micro pool
+	o.Transition(3, StateBoosted, 10*us) // blocked 10us
+	o.SetMicro(3, true, 20*us)           // boosted 10us in the normal pool
+	o.Transition(3, StateRunning, 25*us) // boosted 5us in the micro pool
+	o.Transition(3, StateBlocked, 65*us) // running 40us in the micro pool
+	o.SetMicro(3, false, 70*us)          // blocked 5us in the micro pool
 
 	r, ok := o.VCPUResidencyOf(3, 100*us)
 	if !ok {

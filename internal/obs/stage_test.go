@@ -156,9 +156,9 @@ func BenchmarkStageRecord(b *testing.B) {
 // percent and always sum to exactly 100.0 for any nonzero budget.
 func TestSharesPct(t *testing.T) {
 	cases := [][]int64{
-		{1, 1, 1},          // 33.3/33.3/33.3 + leftover tenth
-		{997, 2, 1},        // tiny stages must not round to a 99.9 total
-		{1, 0, 0, 0},       // single stage takes all
+		{1, 1, 1},    // 33.3/33.3/33.3 + leftover tenth
+		{997, 2, 1},  // tiny stages must not round to a 99.9 total
+		{1, 0, 0, 0}, // single stage takes all
 		{7, 11, 13, 100003},
 	}
 	for _, totals := range cases {
