@@ -23,6 +23,7 @@ package fault
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"github.com/microslicedcore/microsliced/internal/guest"
 	"github.com/microslicedcore/microsliced/internal/hv"
@@ -422,7 +423,7 @@ func (p *Plan) applyHotplug(h *hv.Hypervisor, a hotplugAction) {
 		p.HotplugErrs = append(p.HotplugErrs, err)
 		return
 	}
-	p.noteFault(fmt.Sprintf("%s p%d", verb, a.pcpu))
+	p.noteFault(verb + " p" + strconv.Itoa(a.pcpu))
 }
 
 // AttachGuest installs the guest-side lock-stall injector on one kernel.

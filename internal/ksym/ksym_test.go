@@ -2,6 +2,7 @@ package ksym
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -189,6 +190,33 @@ func TestFormatParseRoundTrip(t *testing.T) {
 		ps, _ := parsed.Lookup(addr)
 		if ps.Size < s.Size && ps.Name != tab.Symbols()[tab.Len()-1].Name {
 			t.Fatalf("parsed size of %s shrank: %d < %d", s.Name, ps.Size, s.Size)
+		}
+	}
+}
+
+// TestFormatMatchesFmt checks Format's hand-built lines against the
+// "%016x %c %s\n" form it replaces, on generated maps and on addresses
+// with leading zeros and all sixteen digits set.
+func TestFormatMatchesFmt(t *testing.T) {
+	tabs := []*Table{newTable([]Symbol{
+		{Addr: 0, Type: 't', Name: "zero"},
+		{Addr: 0xabc, Type: 'd', Name: "short"},
+		{Addr: 0x0123456789abcdef, Type: 'R', Name: "digits"},
+		{Addr: 1<<64 - 1, Type: 'T', Name: "max"},
+	})}
+	for seed := uint64(1); seed <= 5; seed++ {
+		tabs = append(tabs, Generate(seed))
+	}
+	for _, tab := range tabs {
+		var got, want bytes.Buffer
+		if err := tab.Format(&got); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range tab.Symbols() {
+			fmt.Fprintf(&want, "%016x %c %s\n", s.Addr, s.Type, s.Name)
+		}
+		if got.String() != want.String() {
+			t.Fatalf("Format:\n%s\nfmt:\n%s", got.String(), want.String())
 		}
 	}
 }

@@ -34,6 +34,7 @@ package recovery
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/microslicedcore/microsliced/internal/hv"
 	"github.com/microslicedcore/microsliced/internal/metrics"
@@ -317,8 +318,8 @@ func (s *Supervisor) checkStarvation(now simtime.Time) {
 			if s.h.Obs != nil {
 				e.span = s.h.Obs.Begin(obs.SpanRecover, int16(v.DomID), int16(v.Idx), 0, now)
 			}
-			s.event(now, DetectStarve, v, fmt.Sprintf("runnable for %v (> bound %v)",
-				now-v.RunnableSince(), s.cfg.StarveBound))
+			s.event(now, DetectStarve, v, "runnable for "+(now-v.RunnableSince()).String()+
+				" (> bound "+s.cfg.StarveBound.String()+")")
 		}
 		if e.repairs < s.cfg.MaxEpisodeRepairs {
 			s.repairStarved(now, v, e)
@@ -355,7 +356,7 @@ func (s *Supervisor) repairStarved(now simtime.Time, v *hv.VCPU, e *episode) {
 			if target.Offline() || target.Pool() != v.Pool() {
 				s.h.RePin(v, -1)
 				e.repairs++
-				s.event(now, RepairUnpin, v, fmt.Sprintf("unpinned from unreachable p%d", pin))
+				s.event(now, RepairUnpin, v, "unpinned from unreachable p"+strconv.Itoa(pin))
 				return
 			}
 		}
@@ -369,7 +370,7 @@ func (s *Supervisor) repairStarved(now simtime.Time, v *hv.VCPU, e *episode) {
 		for _, p := range pool.PCPUs() {
 			if s.h.ForceDispatch(p, v) {
 				e.repairs++
-				s.event(now, RepairForceDispatch, v, fmt.Sprintf("forced onto p%d", p.ID))
+				s.event(now, RepairForceDispatch, v, "forced onto p"+strconv.Itoa(p.ID))
 				return
 			}
 		}
@@ -389,7 +390,7 @@ func (s *Supervisor) checkLostIPIs(now simtime.Time) {
 			if e.Redrives == 0 {
 				// Announce each interrupt once; re-losses of the same one
 				// only grow their backoff.
-				s.event(now, DetectLostIPI, e.Dst, fmt.Sprintf("vec %d lost at %v", e.Vec, e.Time))
+				s.event(now, DetectLostIPI, e.Dst, "vec "+strconv.Itoa(int(e.Vec))+" lost at "+e.Time.String())
 			}
 		}
 		if now >= e.Time+simtime.Time(s.backoff(e.Redrives)) {
@@ -408,10 +409,15 @@ func (s *Supervisor) checkLostIPIs(now simtime.Time) {
 			}
 		}
 		if s.h.RedriveLostIPI(seq) {
-			s.event(now, RepairIPIRedrive, dst, fmt.Sprintf("redrive #%d", redrives+1))
+			s.event(now, RepairIPIRedrive, dst, "redrive #"+strconv.Itoa(redrives+1))
 		}
 		lost = s.h.LostIPIs()
 	}
+}
+
+// microResize is the detail of a micro-pool repair.
+func microResize(before, after int) string {
+	return "micro " + strconv.Itoa(before) + " -> " + strconv.Itoa(after)
 }
 
 // backoff returns the redrive delay after the given number of completed
@@ -433,8 +439,8 @@ func (s *Supervisor) checkCapacity(now simtime.Time) {
 	case online < s.baselineOnline:
 		if !s.capLost {
 			s.capLost = true
-			s.event(now, DetectCapacityLoss, nil, fmt.Sprintf("%d of %d pCPUs online",
-				online, s.baselineOnline))
+			s.event(now, DetectCapacityLoss, nil, strconv.Itoa(online)+" of "+
+				strconv.Itoa(s.baselineOnline)+" pCPUs online")
 		}
 		// Auto-shrink: under capacity loss the micro pool must not out-size
 		// the normal pool (micro cores are reserved for sub-ms critical
@@ -445,7 +451,7 @@ func (s *Supervisor) checkCapacity(now simtime.Time) {
 			s.poolBudget--
 			if got := s.h.SetMicroCount(before - 1); got < before {
 				s.shrunk++
-				s.event(now, RepairShrinkMicro, nil, fmt.Sprintf("micro %d -> %d", before, got))
+				s.event(now, RepairShrinkMicro, nil, microResize(before, got))
 			}
 		}
 	default:
@@ -456,7 +462,7 @@ func (s *Supervisor) checkCapacity(now simtime.Time) {
 			s.poolBudget--
 			if got := s.h.SetMicroCount(before + 1); got > before {
 				s.shrunk--
-				s.event(now, RepairRegrowMicro, nil, fmt.Sprintf("micro %d -> %d", before, got))
+				s.event(now, RepairRegrowMicro, nil, microResize(before, got))
 			} else {
 				s.shrunk = 0 // cannot regrow (pool constraints); stop trying
 			}

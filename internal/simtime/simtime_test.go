@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -302,6 +303,41 @@ func TestTimeString(t *testing.T) {
 	for _, tc := range cases {
 		if got := tc.t.String(); got != tc.want {
 			t.Errorf("Time(%d).String()=%q, want %q", int64(tc.t), got, tc.want)
+		}
+	}
+}
+
+// TestTimeStringMatchesFmt checks String against the fmt verbs it replaces
+// at every unit boundary, its neighbours and 10k random times per unit.
+func TestTimeStringMatchesFmt(t *testing.T) {
+	ref := func(t Time) string {
+		switch {
+		case t == Infinity:
+			return "inf"
+		case t >= Second:
+			return fmt.Sprintf("%.6fs", float64(t)/float64(Second))
+		case t >= Millisecond:
+			return fmt.Sprintf("%.3fms", float64(t)/float64(Millisecond))
+		case t >= Microsecond:
+			return fmt.Sprintf("%.3fus", float64(t)/float64(Microsecond))
+		default:
+			return fmt.Sprintf("%dns", int64(t))
+		}
+	}
+	times := []Time{Infinity, Infinity - 1, 0, -1, -Second}
+	for _, u := range []Time{Microsecond, Millisecond, Second} {
+		times = append(times, u-1, u, u+1, 999*u+999, 1000*u-1)
+	}
+	x := uint64(1)
+	for _, span := range []uint64{1000, 1e6, 1e9, 1e12, 1 << 62} {
+		for i := 0; i < 10000; i++ {
+			x = x*6364136223846793005 + 1442695040888963407
+			times = append(times, Time(x>>1%span))
+		}
+	}
+	for _, tm := range times {
+		if got, want := tm.String(), ref(tm); got != want {
+			t.Fatalf("Time(%d).String() = %q, fmt gives %q", int64(tm), got, want)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/microslicedcore/microsliced/internal/guest"
 	"github.com/microslicedcore/microsliced/internal/rng"
@@ -108,7 +109,7 @@ func RequestServer(a *App, sink RequestSink, prof ServeProfile, seed uint64) (*S
 		}
 		p.doneFn = p.replyDone
 		sock.OnAppConsume = p.consume
-		k.NewThread(i, fmt.Sprintf("server-%d", i), p)
+		k.NewThread(i, "server-"+strconv.Itoa(i), p)
 		sp.Sockets[i] = sock
 		sp.progs[i] = p
 	}
