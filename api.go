@@ -594,7 +594,7 @@ func Simulate(s Scenario) (*Results, error) {
 		out.Repairs = append(out.Repairs, e.String())
 	}
 	if res.Telemetry != nil {
-		out.Telemetry = publicTelemetry(res.Telemetry)
+		out.Telemetry = publicTelemetry(res)
 	}
 	for _, vm := range res.VMs {
 		st := VMStats{
@@ -638,10 +638,11 @@ func Simulate(s Scenario) (*Results, error) {
 	return out, nil
 }
 
-// publicTelemetry converts the internal observability summary to the
-// exported shape (nanoseconds become microseconds, residency collapses to
-// headline figures).
-func publicTelemetry(sum *obs.Summary) *Telemetry {
+// publicTelemetry converts the run's observability summary and decision
+// trail to the exported shape (nanoseconds become microseconds, residency
+// collapses to headline figures).
+func publicTelemetry(res *experiment.Result) *Telemetry {
+	sum := res.Telemetry
 	t := &Telemetry{
 		Spans:       make(map[string]SpanStats, len(sum.Spans)),
 		FlightDumps: len(sum.Flights),
@@ -691,11 +692,11 @@ func publicTelemetry(sum *obs.Summary) *Telemetry {
 		t.Dispatches += p.Dispatches
 		t.Steals += p.Steals
 	}
-	for _, d := range sum.Decisions {
+	for _, d := range res.Decisions {
 		t.Decisions = append(t.Decisions, ControllerDecision{
 			TimeMs:     float64(d.Time) / 1e6,
 			Epoch:      d.Epoch,
-			Reason:     d.Reason,
+			Reason:     d.Reason.String(),
 			MicroCores: d.Chosen,
 			Ceiling:    d.Ceiling,
 			IPIs:       d.IPIs,
@@ -703,7 +704,7 @@ func publicTelemetry(sum *obs.Summary) *Telemetry {
 			IRQs:       d.IRQs,
 		})
 	}
-	t.DecisionCount = sum.DecisionCount
+	t.DecisionCount = res.DecisionCount
 	return t
 }
 

@@ -271,7 +271,7 @@ func decisionLines(s experiment.Setup, r *experiment.Result) []string {
 	parts := make([]string, 0, len(decs))
 	for _, d := range decs {
 		parts = append(parts, fmt.Sprintf("t=%v %s→%d (ipi %d/ple %d/irq %d)",
-			simtime.Duration(d.Time), d.Reason, d.Chosen, d.Run.IPIs, d.Run.PLEs, d.Run.IRQs))
+			simtime.Duration(d.Time), d.Reason, d.Chosen, d.IPIs, d.PLEs, d.IRQs))
 	}
 	return []string{fmt.Sprintf("  decisions [%s] %d total: %s",
 		strings.Join(names, "+"), r.DecisionCount, strings.Join(parts, "; "))}

@@ -96,12 +96,12 @@ func main() {
 	fmt.Printf("\npool resizes over the run: %d (profiling probes and epoch decisions)\n", resizes)
 	fmt.Printf("time-averaged micro cores: %.2f\n", ctrl.MicroGauge.TimeAverage(int64(clock.Now())))
 
-	decs := ctrl.Decisions()
-	fmt.Printf("\ndecision trail (%d epochs, newest %d retained):\n", ctrl.DecisionTotal(), len(decs))
+	decs := ctrl.Decisions.All()
+	fmt.Printf("\ndecision trail (%d epochs, newest %d retained):\n", ctrl.Decisions.Total(), len(decs))
 	for _, d := range decs {
 		fmt.Printf("  t=%-7v epoch %-2d %-14s -> %d cores (ceiling %d; ipi %d / ple %d / irq %d)\n",
 			simtime.Duration(d.Time), d.Epoch, d.Reason, d.Chosen, d.Ceiling,
-			d.Run.IPIs, d.Run.PLEs, d.Run.IRQs)
+			d.IPIs, d.PLEs, d.IRQs)
 	}
 	fmt.Println("\nreading: one core while spinlocks dominate, zero once the load")
 	fmt.Println("turns compute-only, and an iterative IPI search (up to the 3-core")

@@ -33,6 +33,7 @@ import (
 	"github.com/microslicedcore/microsliced/internal/ksym"
 	"github.com/microslicedcore/microsliced/internal/metrics"
 	"github.com/microslicedcore/microsliced/internal/simtime"
+	"github.com/microslicedcore/microsliced/internal/trace"
 )
 
 // Mode selects how the micro pool is sized.
@@ -122,81 +123,6 @@ func StaticConfig(n int) Config {
 	return c
 }
 
-// eventStats is one profiling sample of urgent-event counts.
-type eventStats struct {
-	ipis uint64 // IPI-wait yields
-	ples uint64 // pause-loop exits
-	irqs uint64 // relayed device vIRQs
-}
-
-func (e eventStats) zero() bool { return e.ipis == 0 && e.ples == 0 && e.irqs == 0 }
-
-func (e eventStats) total() uint64 { return e.ipis + e.ples + e.irqs }
-
-// DecisionReason classifies why the controller chose a pool size.
-type DecisionReason uint8
-
-// Decision reasons (Algorithm 1 paths plus the v2 hardening paths).
-const (
-	// DecisionIdle: no urgent events in the classified sample — zero cores.
-	DecisionIdle DecisionReason = iota
-	// DecisionSingle: PLE- or IRQ-dominant phase — early-terminate at one.
-	DecisionSingle
-	// DecisionIPISearch: IPI-dominant phase — the iterative search begins.
-	DecisionIPISearch
-	// DecisionBestPick: the search finished and the profiled minimum won.
-	DecisionBestPick
-	// DecisionStabilitySkip: the search was skipped because its winner has
-	// been stable for Config.StabilityEpochs consecutive epochs.
-	DecisionStabilitySkip
-	// DecisionCapacityClamp: the live online-pCPU ceiling, not the profile,
-	// bounded the answer (capacity loss mid-run).
-	DecisionCapacityClamp
-)
-
-// String names the reason (matches the flight-dump and trace encodings).
-func (r DecisionReason) String() string {
-	switch r {
-	case DecisionIdle:
-		return "idle"
-	case DecisionSingle:
-		return "single"
-	case DecisionIPISearch:
-		return "ipi-search"
-	case DecisionBestPick:
-		return "best-pick"
-	case DecisionStabilitySkip:
-		return "stability-skip"
-	case DecisionCapacityClamp:
-		return "capacity-clamp"
-	default:
-		return fmt.Sprintf("reason(%d)", uint8(r))
-	}
-}
-
-// Sample is one profiling window's urgent-event counts.
-type Sample struct {
-	IPIs uint64
-	PLEs uint64
-	IRQs uint64
-}
-
-func sampleOf(e eventStats) Sample { return Sample{IPIs: e.ipis, PLEs: e.ples, IRQs: e.irqs} }
-
-// DecisionEvent is one entry of the controller's audit trail: a sizing
-// decision with the evidence it was based on. Events carry no domain
-// identifiers, so the trail is bit-identical under domain relabelling —
-// the conformance harness checks exactly that.
-type DecisionEvent struct {
-	Time    simtime.Time   // when the decision was taken
-	Epoch   uint64         // decision round (1-based)
-	Reason  DecisionReason // which Algorithm 1 path fired
-	Chosen  int            // achieved micro pool size
-	Ceiling int            // live search ceiling at decision time
-	Run     Sample         // the classified sample (run phase or probe)
-	Probes  []Sample       // per-size search samples [0..Ceiling], best-pick only
-}
-
 // Controller is the micro-sliced-core mechanism.
 type Controller struct {
 	h        *hv.Hypervisor
@@ -212,13 +138,14 @@ type Controller struct {
 	// MicroGauge integrates the micro pool size over time.
 	MicroGauge metrics.Gauge
 
-	// Adaptive state (Algorithm 1).
+	// Adaptive state (Algorithm 1). The two flags sit together so the
+	// struct stays in its allocation size class.
 	profileMode bool
-	numMicro    int
-	urEvents    []eventStats
-	runDelta    eventStats // urgent events observed during the last run phase
-	lastSnap    map[string]uint64
 	started     bool
+	numMicro    int
+	urEvents    []trace.Sample
+	runDelta    trace.Sample // urgent events observed during the last run phase
+	lastSnap    map[string]uint64
 
 	// Hysteresis and fault-awareness (controller v2).
 	epoch      uint64         // decision rounds begun
@@ -227,10 +154,9 @@ type Controller struct {
 	stableRun  int            // consecutive epochs settling on stableSize
 	stepEv     *simtime.Event // pending adaptive timer (nil while none)
 
-	// Decision audit trail: a bounded ring plus the exact total (the ring
-	// drops the oldest entries past Config.DecisionDepth).
-	decisions     []DecisionEvent
-	decisionTotal uint64
+	// Decisions is the audit trail: the newest Config.DecisionDepth sizing
+	// decisions plus the exact total.
+	Decisions trace.Ring[trace.Decision]
 
 	hot ctrlHot // interned counters for the per-yield/per-relay hooks
 }
@@ -261,7 +187,8 @@ type ctrlHot struct {
 
 // Attach builds a controller for h and installs its hooks. Call after all
 // domains have been created (their symbol tables are parsed here) and
-// before Start.
+// before Start. When an observer is attached, the controller registers its
+// decision ring with it, so every flight dump carries the recent decisions.
 func Attach(h *hv.Hypervisor, cfg Config) (*Controller, error) {
 	if cfg.MaxMicroCores <= 0 {
 		cfg.MaxMicroCores = 1
@@ -277,7 +204,12 @@ func Attach(h *hv.Hypervisor, cfg Config) (*Controller, error) {
 		cfg:      cfg,
 		Counters: metrics.NewSet(),
 		doms:     make([]domSyms, len(h.Domains())),
-		urEvents: make([]eventStats, cfg.MaxMicroCores+1),
+		urEvents: make([]trace.Sample, cfg.MaxMicroCores+1),
+
+		Decisions: trace.NewRing[trace.Decision](cfg.DecisionDepth),
+	}
+	if h.Obs != nil {
+		h.Obs.Decisions = &c.Decisions
 	}
 	c.hot = ctrlHot{
 		triggerPLE:  c.Counters.Handle("trigger.ple"),
@@ -512,12 +444,12 @@ func (c *Controller) snapshot() map[string]uint64 {
 	}
 }
 
-func (c *Controller) delta() eventStats {
+func (c *Controller) delta() trace.Sample {
 	now := c.snapshot()
-	d := eventStats{
-		ipis: now["ipi"] - c.lastSnap["ipi"],
-		ples: now["ple"] - c.lastSnap["ple"],
-		irqs: now["virq"] - c.lastSnap["virq"],
+	d := trace.Sample{
+		IPIs: now["ipi"] - c.lastSnap["ipi"],
+		PLEs: now["ple"] - c.lastSnap["ple"],
+		IRQs: now["virq"] - c.lastSnap["virq"],
 	}
 	c.lastSnap = now
 	return d
@@ -543,7 +475,7 @@ func (c *Controller) adaptiveStep() {
 		c.epoch++
 		c.runDelta = c.delta()
 		c.beginRound()
-		if !c.runDelta.zero() {
+		if c.runDelta.Total() != 0 {
 			// Busy epoch: classify straight from the run-phase history
 			// instead of probing at zero cores.
 			c.Counters.Counter("adaptive.probe_skip").Inc()
@@ -562,7 +494,7 @@ func (c *Controller) adaptiveStep() {
 	}
 	switch {
 	case c.numMicro == 0:
-		if cur.zero() {
+		if cur.Total() == 0 {
 			cur = c.runDelta // fall back to the run-phase history
 		}
 		interval = c.decide(cur)
@@ -571,10 +503,10 @@ func (c *Controller) adaptiveStep() {
 	default:
 		best := c.findBestMicroCount()
 		c.setMicro(best)
-		reason := DecisionBestPick
+		reason := trace.DecisionBestPick
 		if c.searchCeil < c.cfg.MaxMicroCores && best == c.searchCeil {
 			// The live-capacity clamp, not the profile, bounded the answer.
-			reason = DecisionCapacityClamp
+			reason = trace.DecisionCapacityClamp
 			c.Counters.Counter("adaptive.capacity_clamp").Inc()
 		}
 		c.Counters.Counter("adaptive.best_pick").Inc()
@@ -589,41 +521,41 @@ func (c *Controller) adaptiveStep() {
 // decide classifies one busy/idle sample and settles the epoch — or enters
 // the iterative search. It installs the chosen pool size, records the
 // decision, and returns the next timer interval.
-func (c *Controller) decide(cur eventStats) simtime.Duration {
+func (c *Controller) decide(cur trace.Sample) simtime.Duration {
 	switch {
-	case cur.zero():
+	case cur.Total() == 0:
 		// No urgent events occurred: stay at zero for an epoch.
 		c.setMicro(0)
 		c.Counters.Counter("adaptive.idle").Inc()
-		c.record(DecisionIdle, cur, nil)
+		c.record(trace.DecisionIdle, cur, nil)
 		c.stableRun = 0
 	case c.searchCeil < 1:
 		// Busy, but capacity loss left no pCPU to spare for the micro pool.
 		c.setMicro(0)
 		c.Counters.Counter("adaptive.capacity_clamp").Inc()
-		c.record(DecisionCapacityClamp, cur, nil)
+		c.record(trace.DecisionCapacityClamp, cur, nil)
 		c.stableRun = 0
-	case cur.ipis >= cur.ples && cur.ipis >= cur.irqs:
+	case cur.IPIs >= cur.PLEs && cur.IPIs >= cur.IRQs:
 		// IPI-dominant: pool size matters (TLB shootdowns fan out across
 		// sibling vCPUs), so search — unless the winner has been stable.
 		if c.cfg.StabilityEpochs > 0 && c.stableRun >= c.cfg.StabilityEpochs &&
 			c.stableSize >= 1 && c.stableSize <= c.searchCeil {
 			c.setMicro(c.stableSize)
 			c.Counters.Counter("adaptive.stability_skip").Inc()
-			c.record(DecisionStabilitySkip, cur, nil)
+			c.record(trace.DecisionStabilitySkip, cur, nil)
 			c.noteStable(c.numMicro)
 			break
 		}
 		c.setMicro(1)
 		c.Counters.Counter("adaptive.ipi_search").Inc()
-		c.record(DecisionIPISearch, cur, nil)
+		c.record(trace.DecisionIPISearch, cur, nil)
 		c.profileMode = true
 		return c.cfg.ProfileInterval
 	default:
 		// Early termination for IRQ- or PLE-dominant cases: one core.
 		c.setMicro(1)
 		c.Counters.Counter("adaptive.single").Inc()
-		c.record(DecisionSingle, cur, nil)
+		c.record(trace.DecisionSingle, cur, nil)
 		c.stableRun = 0
 	}
 	c.profileMode = false
@@ -637,7 +569,7 @@ func (c *Controller) decide(cur eventStats) simtime.Duration {
 // online−1 cores can be micro-sliced.
 func (c *Controller) beginRound() {
 	for i := range c.urEvents {
-		c.urEvents[i] = eventStats{}
+		c.urEvents[i] = trace.Sample{}
 	}
 	ceil := c.cfg.MaxMicroCores
 	if lim := c.h.OnlinePCPUs() - 1; lim < ceil {
@@ -685,9 +617,9 @@ func (c *Controller) onCapacityChange(int) {
 // the fewest urgent events, preferring the smaller pool on equal totals.
 func (c *Controller) findBestMicroCount() int {
 	best := 1
-	bestTotal := c.urEvents[1].total()
+	bestTotal := c.urEvents[1].Total()
 	for n := 2; n <= c.searchCeil && n < len(c.urEvents); n++ {
-		if tot := c.urEvents[n].total(); tot < bestTotal {
+		if tot := c.urEvents[n].Total(); tot < bestTotal {
 			best, bestTotal = n, tot
 		}
 	}
@@ -696,46 +628,21 @@ func (c *Controller) findBestMicroCount() int {
 
 // probes snapshots the per-size samples [0..searchCeil] of the finished
 // search for the decision record.
-func (c *Controller) probes() []Sample {
-	out := make([]Sample, c.searchCeil+1)
-	for i := range out {
-		out[i] = sampleOf(c.urEvents[i])
-	}
+func (c *Controller) probes() []trace.Sample {
+	out := make([]trace.Sample, c.searchCeil+1)
+	copy(out, c.urEvents)
 	return out
 }
 
 // record appends one decision to the bounded audit ring.
-func (c *Controller) record(reason DecisionReason, run eventStats, probes []Sample) {
-	ev := DecisionEvent{
+func (c *Controller) record(reason trace.DecisionReason, run trace.Sample, probes []trace.Sample) {
+	c.Decisions.Push(trace.Decision{
 		Time:    c.h.Clock.Now(),
 		Epoch:   c.epoch,
 		Reason:  reason,
 		Chosen:  c.numMicro,
 		Ceiling: c.searchCeil,
-		Run:     sampleOf(run),
+		Sample:  run,
 		Probes:  probes,
-	}
-	if len(c.decisions) < c.cfg.DecisionDepth {
-		c.decisions = append(c.decisions, ev)
-	} else {
-		c.decisions[int(c.decisionTotal)%c.cfg.DecisionDepth] = ev
-	}
-	c.decisionTotal++
+	})
 }
-
-// Decisions returns the retained audit trail, oldest first.
-func (c *Controller) Decisions() []DecisionEvent {
-	out := make([]DecisionEvent, len(c.decisions))
-	if len(c.decisions) < c.cfg.DecisionDepth {
-		copy(out, c.decisions)
-		return out
-	}
-	start := int(c.decisionTotal) % c.cfg.DecisionDepth
-	n := copy(out, c.decisions[start:])
-	copy(out[n:], c.decisions[:start])
-	return out
-}
-
-// DecisionTotal returns the exact number of decisions taken, including any
-// that aged out of the retained ring.
-func (c *Controller) DecisionTotal() uint64 { return c.decisionTotal }

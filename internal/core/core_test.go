@@ -8,6 +8,7 @@ import (
 	"github.com/microslicedcore/microsliced/internal/hv"
 	"github.com/microslicedcore/microsliced/internal/ksym"
 	"github.com/microslicedcore/microsliced/internal/simtime"
+	"github.com/microslicedcore/microsliced/internal/trace"
 )
 
 type loopProg struct{ op guest.Op }
@@ -401,9 +402,9 @@ func bump(h *hv.Hypervisor, name string, n uint64) {
 	h.Counters.Counter(name).Add(n)
 }
 
-func lastDecision(t *testing.T, c *Controller) DecisionEvent {
+func lastDecision(t *testing.T, c *Controller) trace.Decision {
 	t.Helper()
-	decs := c.Decisions()
+	decs := c.Decisions.All()
 	if len(decs) == 0 {
 		t.Fatal("no decisions recorded")
 	}
@@ -429,7 +430,7 @@ func TestPLEDominantEarlyTerminates(t *testing.T) {
 	if h.MicroCount() != 1 {
 		t.Fatalf("micro count %d, want 1", h.MicroCount())
 	}
-	if d := lastDecision(t, c); d.Reason != DecisionSingle || d.Chosen != 1 {
+	if d := lastDecision(t, c); d.Reason != trace.DecisionSingle || d.Chosen != 1 {
 		t.Fatalf("decision %s→%d, want single→1", d.Reason, d.Chosen)
 	}
 }
@@ -474,11 +475,11 @@ func TestFindBestMicroCountTable(t *testing.T) {
 	for _, tc := range cases {
 		c := &Controller{
 			cfg:        Config{MaxMicroCores: len(tc.totals)},
-			urEvents:   make([]eventStats, len(tc.totals)+1),
+			urEvents:   make([]trace.Sample, len(tc.totals)+1),
 			searchCeil: tc.ceil,
 		}
 		for i, tot := range tc.totals {
-			c.urEvents[i+1] = eventStats{ipis: tot}
+			c.urEvents[i+1] = trace.Sample{IPIs: tot}
 		}
 		if got := c.findBestMicroCount(); got != tc.want {
 			t.Errorf("%s: picked %d, want %d", tc.name, got, tc.want)
@@ -507,7 +508,7 @@ func TestAdaptiveSearchWalksAllSizes(t *testing.T) {
 		t.Fatalf("settled on %d micro cores, want 2 (the minimum-event size)", h.MicroCount())
 	}
 	d := lastDecision(t, c)
-	if d.Reason != DecisionBestPick || d.Chosen != 2 || d.Ceiling != 3 {
+	if d.Reason != trace.DecisionBestPick || d.Chosen != 2 || d.Ceiling != 3 {
 		t.Fatalf("decision %s→%d (ceiling %d), want best-pick→2 (ceiling 3)", d.Reason, d.Chosen, d.Ceiling)
 	}
 	if len(d.Probes) != 4 || d.Probes[2].IPIs != 10 {
@@ -555,7 +556,7 @@ func TestCapacityClampAfterHotplug(t *testing.T) {
 		t.Fatalf("clamped search settled on %d micro cores, want 2", h.MicroCount())
 	}
 	d := lastDecision(t, c)
-	if d.Reason != DecisionCapacityClamp || d.Chosen != 2 || d.Ceiling != 2 {
+	if d.Reason != trace.DecisionCapacityClamp || d.Chosen != 2 || d.Ceiling != 2 {
 		t.Fatalf("decision %s→%d (ceiling %d), want capacity-clamp→2 (ceiling 2)", d.Reason, d.Chosen, d.Ceiling)
 	}
 	if c.Counters.Value("adaptive.capacity_clamp") == 0 {
@@ -618,7 +619,7 @@ func TestStabilitySkipAfterStableEpochs(t *testing.T) {
 	if h.MicroCount() != 1 {
 		t.Fatalf("stability skip installed %d micro cores, want 1", h.MicroCount())
 	}
-	if d := lastDecision(t, c); d.Reason != DecisionStabilitySkip {
+	if d := lastDecision(t, c); d.Reason != trace.DecisionStabilitySkip {
 		t.Fatalf("decision reason %s, want stability-skip", d.Reason)
 	}
 }
@@ -632,11 +633,11 @@ func TestDecisionRingBounded(t *testing.T) {
 	cfg.DecisionDepth = 4
 	clock, _, c := counterWorld(t, 4, cfg)
 	clock.RunUntil(50 * simtime.Millisecond) // idle: one decision per 3 ms round
-	total := c.DecisionTotal()
+	total := c.Decisions.Total()
 	if total <= 4 {
 		t.Fatalf("only %d decisions in 50 ms, want > 4", total)
 	}
-	decs := c.Decisions()
+	decs := c.Decisions.All()
 	if len(decs) != 4 {
 		t.Fatalf("ring holds %d entries, want 4", len(decs))
 	}

@@ -19,6 +19,7 @@ import (
 	"github.com/microslicedcore/microsliced/internal/obs"
 	"github.com/microslicedcore/microsliced/internal/recovery"
 	"github.com/microslicedcore/microsliced/internal/simtime"
+	"github.com/microslicedcore/microsliced/internal/trace"
 	"github.com/microslicedcore/microsliced/internal/vdisk"
 	"github.com/microslicedcore/microsliced/internal/vnet"
 	"github.com/microslicedcore/microsliced/internal/workload"
@@ -209,9 +210,9 @@ type Result struct {
 	// Telemetry is the observability read-out (nil unless Setup.Obs was
 	// set): span latency quantiles, per-vCPU/pCPU residency, flight dumps.
 	Telemetry *obs.Summary
-	// Repairs is the supervisor's retained event ring and RepairCount its
+	// Repairs is the supervisor's retained repair ring and RepairCount its
 	// exact total (zero-valued unless Setup.Recovery was set).
-	Repairs     []recovery.RepairEvent
+	Repairs     []trace.Repair
 	RepairCount uint64
 	// MTTR is the quiesce→last-repair convergence time (0 without a
 	// supervisor, without a fault quiesce point, or when no repair was
@@ -225,7 +226,7 @@ type Result struct {
 	// entries. Decisions carry no domain identifiers, so the conformance
 	// harness requires the trail to be bit-identical across the relabel,
 	// observer and trace metamorphic relations.
-	Decisions     []core.DecisionEvent
+	Decisions     []trace.Decision
 	DecisionCount uint64
 }
 
@@ -314,7 +315,7 @@ func Run(s Setup) (res *Result, err error) {
 		plan.Attach(h)
 		if observer != nil {
 			plan.OnFault = func(event string) {
-				observer.Flight(clock.Now(), "fault", event, h.Trace.Records())
+				observer.Flight(clock.Now(), "fault", event, h.Trace.Tail(observer.Config().FlightDepth))
 			}
 		}
 	}
@@ -405,11 +406,6 @@ func Run(s Setup) (res *Result, err error) {
 	if err != nil {
 		return nil, err
 	}
-	if observer != nil {
-		// Flight dumps include the controller's recent decisions, so a dump
-		// shows what the sizing loop was doing when the trigger fired.
-		observer.SetDecisionTail(func() []obs.DecisionRecord { return decisionRecords(ctrl) })
-	}
 	var rivalStart func()
 	if s.Rival != RivalNone {
 		rivalStart, err = attachRival(h, s.Rival)
@@ -456,25 +452,24 @@ func Run(s Setup) (res *Result, err error) {
 	}
 	res.LostIPIs = h.LostIPICount()
 	if sup != nil {
-		res.Repairs = sup.Events()
-		res.RepairCount = sup.Total()
+		if sup.Repairs.Len() > 0 {
+			// A supervisor that never fired reads out like none at all.
+			res.Repairs = sup.Repairs.All()
+		}
+		res.RepairCount = sup.Repairs.Total()
 		if s.Faults != nil && s.Faults.QuiesceAt > 0 {
 			res.MTTR = sup.MTTR(simtime.Time(s.Faults.QuiesceAt))
 		}
 	}
 	if observer != nil {
 		res.Telemetry = observer.Summary(clock.Now())
-		res.Telemetry.MTTR = res.MTTR
-		res.Telemetry.Repairs = int(res.RepairCount)
-		res.Telemetry.Decisions = decisionRecords(ctrl)
-		res.Telemetry.DecisionCount = res.DecisionCount
 	}
 	if s.TraceExport != nil {
 		names := make(map[int16]string, len(kernels))
 		for i, k := range kernels {
 			names[int16(k.Dom.ID)] = s.VMs[i].Name
 		}
-		meta := obs.ExportMeta{DomainNames: names, Decisions: decisionRecords(ctrl)}
+		meta := obs.ExportMeta{DomainNames: names, Decisions: res.Decisions}
 		if res.Telemetry != nil {
 			// Embed the span/stage aggregates so microtrace blame can
 			// recompute the attribution table offline from the trace alone.
@@ -576,8 +571,8 @@ func collect(s Setup, h *hv.Hypervisor, ctrl *core.Controller, kernels []*guest.
 		MicroAvg:   ctrl.MicroGauge.TimeAverage(int64(h.Clock.Now())),
 		Duration:   s.Duration,
 
-		Decisions:     ctrl.Decisions(),
-		DecisionCount: ctrl.DecisionTotal(),
+		Decisions:     ctrl.Decisions.All(),
+		DecisionCount: ctrl.Decisions.Total(),
 	}
 	for i, k := range kernels {
 		d := k.Dom
@@ -609,25 +604,6 @@ func collect(s Setup, h *hv.Hypervisor, ctrl *core.Controller, kernels []*guest.
 		})
 	}
 	return res
-}
-
-// decisionRecords renders the controller's retained audit trail as obs
-// records (reason names instead of enums, flattened samples) for flight
-// dumps, run summaries and trace export.
-func decisionRecords(ctrl *core.Controller) []obs.DecisionRecord {
-	evs := ctrl.Decisions()
-	if len(evs) == 0 {
-		return nil
-	}
-	out := make([]obs.DecisionRecord, len(evs))
-	for i, d := range evs {
-		out[i] = obs.DecisionRecord{
-			Time: d.Time, Epoch: d.Epoch, Reason: d.Reason.String(),
-			Chosen: d.Chosen, Ceiling: d.Ceiling,
-			IPIs: d.Run.IPIs, PLEs: d.Run.PLEs, IRQs: d.Run.IRQs,
-		}
-	}
-	return out
 }
 
 // offConfig is the vanilla-Xen baseline.

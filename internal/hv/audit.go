@@ -52,7 +52,6 @@ type AuditConfig struct {
 	Interval      simtime.Duration // walk period (default: scheduler tick)
 	StarveHorizon simtime.Duration // max tolerated Runnable wait (default 1s)
 	MaxViolations int              // recording cap (default 32)
-	TraceDepth    int              // trace-ring tail attached per violation (default 32)
 
 	// OnViolation, when non-nil, fires synchronously for each recorded
 	// violation (not for ones dropped beyond MaxViolations). The experiment
@@ -70,11 +69,11 @@ func (c AuditConfig) withDefaults(cfg Config) AuditConfig {
 	if c.MaxViolations <= 0 {
 		c.MaxViolations = 32
 	}
-	if c.TraceDepth <= 0 {
-		c.TraceDepth = 32
-	}
 	return c
 }
+
+// auditTraceDepth is the trace-ring tail attached to each violation.
+const auditTraceDepth = 32
 
 // Auditor periodically verifies hypervisor scheduling invariants.
 type Auditor struct {
@@ -122,17 +121,11 @@ func (a *Auditor) report(rule, format string, args ...any) {
 		a.dropped++
 		return
 	}
-	recs := a.h.Trace.Records()
-	if len(recs) > a.cfg.TraceDepth {
-		recs = recs[len(recs)-a.cfg.TraceDepth:]
-	}
-	tail := make([]trace.Record, len(recs))
-	copy(tail, recs)
 	e := InvariantError{
 		Time:   a.h.Clock.Now(),
 		Rule:   rule,
 		Detail: fmt.Sprintf(format, args...),
-		Trace:  tail,
+		Trace:  a.h.Trace.Tail(auditTraceDepth),
 	}
 	if a.h.Obs != nil {
 		e.Residency = a.h.Obs.ResidencySnapshot(e.Time)

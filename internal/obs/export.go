@@ -25,7 +25,7 @@ type ExportMeta struct {
 	// trail as "i" instant events on a synthetic "controller" process
 	// (pid=-3): one instant per sizing decision, named by its reason, with
 	// the chosen size, live ceiling and classified sample in args.
-	Decisions []DecisionRecord
+	Decisions []trace.Decision
 }
 
 // blamePID is the synthetic trace-event process carrying span/stage
@@ -220,13 +220,13 @@ func (e *chromeEmitter) spanAggregates(spans []SpanStat) {
 // controllerDecisions emits one "i" instant per retained sizing decision on
 // the synthetic controller process: ts=decision time, name=the reason, and
 // the full audit record in args, keyed by cat="controller".
-func (e *chromeEmitter) controllerDecisions(decs []DecisionRecord) {
+func (e *chromeEmitter) controllerDecisions(decs []trace.Decision) {
 	if len(decs) == 0 {
 		return
 	}
 	for _, d := range decs {
 		e.emitf(`{"ph":"i","s":"p","pid":%d,"tid":0,"ts":%s,"name":%s,"cat":"controller","args":{"epoch":%d,"micro_cores":%d,"ceiling":%d,"ipis":%d,"ples":%d,"irqs":%d}}`,
-			ctrlPID, usec(d.Time), jsonString(d.Reason),
+			ctrlPID, usec(d.Time), jsonString(d.Reason.String()),
 			d.Epoch, d.Chosen, d.Ceiling, d.IPIs, d.PLEs, d.IRQs)
 	}
 	e.emitf(`{"ph":"M","pid":%d,"tid":0,"name":"thread_name","args":{"name":"decisions"}}`, ctrlPID)

@@ -10,22 +10,11 @@ import (
 	"github.com/microslicedcore/microsliced/internal/trace"
 )
 
-// FlightRecord is one trace record rendered self-contained (kind by name)
-// for a flight dump.
-type FlightRecord struct {
-	Time simtime.Time `json:"t_ns"`
-	Kind string       `json:"kind"`
-	Dom  int16        `json:"dom"`
-	VCPU int16        `json:"vcpu"`
-	PCPU int16        `json:"pcpu"`
-	Arg0 uint64       `json:"arg0"`
-	Arg1 uint64       `json:"arg1"`
-}
-
 // FlightDump is one flight-recorder snapshot: why it fired, the trace-ring
-// tail leading up to the trigger, and the full accounting state at that
-// instant. It is self-contained — everything needed to diagnose the trigger
-// without re-running the scenario.
+// tail leading up to the trigger, the recent repairs and controller
+// decisions, and the full accounting state at that instant. It is
+// self-contained — everything needed to diagnose the trigger without
+// re-running the scenario.
 type FlightDump struct {
 	Seq    int          `json:"seq"`
 	Time   simtime.Time `json:"t_ns"`
@@ -39,19 +28,21 @@ type FlightDump struct {
 	// OpenByKind attributes the open spans to their kinds (kinds with none
 	// open are omitted), so a dump names what leaked at a glance.
 	OpenByKind map[string]int   `json:"open_by_kind,omitempty"`
-	Trace      []FlightRecord   `json:"trace,omitempty"`
-	Repairs    []RepairRecord   `json:"repairs,omitempty"`
-	Decisions  []DecisionRecord `json:"decisions,omitempty"`
+	Trace      []trace.Record   `json:"trace,omitempty"`
+	Repairs    []trace.Repair   `json:"repairs,omitempty"`
+	Decisions  []trace.Decision `json:"decisions,omitempty"`
 
 	// File is where the dump was written (empty for in-memory dumps).
 	File string `json:"-"`
 }
 
-// Flight takes a snapshot: the last Config.FlightDepth records of tail, the
-// residency tables and the open-span table, all as of now. Dumps beyond
-// Config.MaxFlights are dropped (the first triggers are the interesting
-// ones; a violation storm repeats itself). When Config.FlightDir is set the
-// dump is also written as flight-<label>-<seq>.json there. Cold path.
+// Flight takes a snapshot: the last Config.FlightDepth records of tail
+// (callers hand over a fresh trace.Buffer.Tail, which the dump keeps), the
+// registered repair and decision rings, the residency tables and the
+// open-span table, all as of now. Dumps beyond Config.MaxFlights are
+// dropped (the first triggers are the interesting ones; a violation storm
+// repeats itself). When Config.FlightDir is set the dump is also written
+// as flight-<label>-<seq>.json there. Cold path.
 func (o *Observer) Flight(now simtime.Time, reason, detail string, tail []trace.Record) {
 	o.flightSeq++
 	if len(o.flights) >= o.cfg.MaxFlights {
@@ -66,6 +57,7 @@ func (o *Observer) Flight(now simtime.Time, reason, detail string, tail []trace.
 		Label:     o.cfg.Label,
 		Reason:    reason,
 		Detail:    detail,
+		Trace:     tail,
 		VCPUs:     o.ResidencySnapshot(now),
 		PCPUs:     o.PCPUSnapshot(),
 		OpenSpans: o.OpenSpans(),
@@ -78,18 +70,11 @@ func (o *Observer) Flight(now simtime.Time, reason, detail string, tail []trace.
 			d.OpenByKind[SpanKind(i).String()] = n
 		}
 	}
-	if o.repairTail != nil {
-		d.Repairs = o.repairTail()
+	if o.Repairs != nil {
+		d.Repairs = o.Repairs.All()
 	}
-	if o.decisionTail != nil {
-		d.Decisions = o.decisionTail()
-	}
-	for _, r := range tail {
-		d.Trace = append(d.Trace, FlightRecord{
-			Time: r.Time, Kind: r.Kind.String(),
-			Dom: r.Dom, VCPU: r.VCPU, PCPU: r.PCPU,
-			Arg0: r.Arg0, Arg1: r.Arg1,
-		})
+	if o.Decisions != nil {
+		d.Decisions = o.Decisions.All()
 	}
 	if o.cfg.FlightDir != "" {
 		if err := o.writeFlight(&d); err != nil && o.flightErr == nil {
@@ -115,43 +100,6 @@ func (o *Observer) writeFlight(d *FlightDump) error {
 	d.File = name
 	return nil
 }
-
-// RepairRecord is one recovery-supervisor detection or repair rendered
-// self-contained for a flight dump (the supervisor keeps the typed events;
-// obs only carries them into dumps so it need not import the recovery
-// package).
-type RepairRecord struct {
-	Time   simtime.Time `json:"t_ns"`
-	Kind   string       `json:"kind"`
-	Dom    int          `json:"dom"`
-	VCPU   int          `json:"vcpu"`
-	Detail string       `json:"detail,omitempty"`
-}
-
-// SetRepairTail registers a provider for the recovery supervisor's recent
-// RepairEvents; every subsequent flight dump includes its result.
-func (o *Observer) SetRepairTail(fn func() []RepairRecord) { o.repairTail = fn }
-
-// DecisionRecord is one adaptive-controller sizing decision rendered
-// self-contained for flight dumps, run summaries and trace export (the
-// controller keeps the typed events; obs only carries them so it need not
-// import the core package).
-type DecisionRecord struct {
-	Time    simtime.Time `json:"t_ns"`
-	Epoch   uint64       `json:"epoch"`
-	Reason  string       `json:"reason"`
-	Chosen  int          `json:"micro_cores"`
-	Ceiling int          `json:"ceiling"`
-	IPIs    uint64       `json:"ipis"`
-	PLEs    uint64       `json:"ples"`
-	IRQs    uint64       `json:"irqs"`
-}
-
-// SetDecisionTail registers a provider for the adaptive controller's
-// retained decision trail; every subsequent flight dump includes its
-// result, so a dump shows what the controller was thinking when the
-// trigger fired.
-func (o *Observer) SetDecisionTail(fn func() []DecisionRecord) { o.decisionTail = fn }
 
 // Flights returns the retained dumps.
 func (o *Observer) Flights() []FlightDump { return o.flights }

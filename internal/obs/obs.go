@@ -19,6 +19,7 @@ package obs
 import (
 	"github.com/microslicedcore/microsliced/internal/metrics"
 	"github.com/microslicedcore/microsliced/internal/simtime"
+	"github.com/microslicedcore/microsliced/internal/trace"
 )
 
 // Config selects what the observer records. The zero value is a fully
@@ -136,13 +137,11 @@ type Observer struct {
 	flightSeq int
 	flightErr error
 
-	// repairTail, when set (SetRepairTail), supplies the recovery
-	// supervisor's recent RepairEvents for flight dumps.
-	repairTail func() []RepairRecord
-
-	// decisionTail, when set (SetDecisionTail), supplies the adaptive
-	// controller's retained decision trail for flight dumps.
-	decisionTail func() []DecisionRecord
+	// Repairs and Decisions, when set (recovery.Attach and core.Attach
+	// register them), are the recovery supervisor's and the adaptive
+	// controller's rings; every flight dump includes their contents.
+	Repairs   *trace.Ring[trace.Repair]
+	Decisions *trace.Ring[trace.Decision]
 }
 
 // New constructs an observer.
@@ -409,20 +408,6 @@ type Summary struct {
 	PCPUs     []PCPUResidency  `json:"pcpus"`
 	OpenSpans int              `json:"open_spans"` // spans never closed by run end
 	Flights   []FlightDump     `json:"flights,omitempty"`
-
-	// MTTR is the quiesce→last-repair convergence time of a recovery run
-	// (0 when the run had no quiesce point or needed no post-quiesce
-	// repairs); Repairs counts supervisor detections+repairs. Both are
-	// stamped by the experiment harness after the run.
-	MTTR    simtime.Duration `json:"mttr_ns,omitempty"`
-	Repairs int              `json:"repairs,omitempty"`
-
-	// Decisions is the adaptive controller's retained decision audit trail
-	// (oldest first; bounded ring) and DecisionCount its exact total
-	// including aged-out entries. Both are stamped by the experiment
-	// harness after the run; empty when the controller was off.
-	Decisions     []DecisionRecord `json:"decisions,omitempty"`
-	DecisionCount uint64           `json:"decision_count,omitempty"`
 }
 
 // BusiestPCPU returns the pCPU with the most accumulated execution time

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 
 	"github.com/microslicedcore/microsliced/internal/simtime"
@@ -271,6 +273,14 @@ func TestFlightRecorder(t *testing.T) {
 	o.Transition(0, StateRunning, 0)
 	ref := o.Begin(SpanIPIDeliver, 0, 0, 9, 5*us)
 	_ = ref
+	repairs := trace.NewRing[trace.Repair](4)
+	repairs.Push(trace.Repair{Time: 7 * us, Kind: trace.RepairUnpin, Dom: 0, VCPU: 1, Detail: "pin p3 broken"})
+	decisions := trace.NewRing[trace.Decision](4)
+	decisions.Push(trace.Decision{Time: 4 * us, Epoch: 1, Reason: trace.DecisionSingle, Chosen: 1, Ceiling: 3,
+		Sample: trace.Sample{PLEs: 26}})
+	decisions.Push(trace.Decision{Time: 6 * us, Epoch: 2, Reason: trace.DecisionBestPick, Chosen: 2, Ceiling: 2,
+		Sample: trace.Sample{IPIs: 9}, Probes: []trace.Sample{{IPIs: 9}, {IPIs: 5}, {IPIs: 3}}})
+	o.Repairs, o.Decisions = &repairs, &decisions
 
 	tail := []trace.Record{
 		{Time: 1 * us, Kind: trace.KindWake, Dom: 0, VCPU: 0},
@@ -292,8 +302,11 @@ func TestFlightRecorder(t *testing.T) {
 	if d.Reason != "invariant:placement" || d.Time != 10*us || d.Seq != 1 {
 		t.Errorf("dump 0 = %+v, want placement reason at 10us seq 1", d)
 	}
-	if len(d.Trace) != 2 || d.Trace[0].Kind != "sched" || d.Trace[1].Kind != "block" {
+	if len(d.Trace) != 2 || d.Trace[0].Kind != trace.KindSchedule || d.Trace[1].Kind != trace.KindBlock {
 		t.Errorf("trace tail = %+v, want last 2 records (sched, block)", d.Trace)
+	}
+	if len(d.Repairs) != 1 || len(d.Decisions) != 2 {
+		t.Errorf("dump carries %d repairs and %d decisions, want the registered 1 and 2", len(d.Repairs), len(d.Decisions))
 	}
 	if len(d.VCPUs) != 1 || d.VCPUs[0].Running != 10*us {
 		t.Errorf("residency in dump = %+v, want vCPU0 running 10us", d.VCPUs)
@@ -306,6 +319,7 @@ func TestFlightRecorder(t *testing.T) {
 	}
 
 	// Both retained dumps must exist on disk and decode back.
+	var dumps []map[string]any
 	for _, d := range fl {
 		if d.File == "" {
 			t.Fatalf("dump %d has no file", d.Seq)
@@ -314,34 +328,74 @@ func TestFlightRecorder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var back FlightDump
+		var back map[string]any
 		if err := json.Unmarshal(buf, &back); err != nil {
 			t.Fatalf("dump %s does not decode: %v", d.File, err)
 		}
-		if back.Reason != d.Reason || back.Seq != d.Seq {
-			t.Errorf("decoded dump = seq %d %q, want seq %d %q", back.Seq, back.Reason, d.Seq, d.Reason)
+		if back["reason"] != d.Reason || back["seq"] != float64(d.Seq) {
+			t.Errorf("decoded dump = seq %v %v, want seq %d %q", back["seq"], back["reason"], d.Seq, d.Reason)
 		}
+		dumps = append(dumps, back)
 	}
 	files, _ := filepath.Glob(filepath.Join(dir, "flight-t-*.json"))
 	if len(files) != 2 {
 		t.Errorf("files on disk = %v, want exactly 2", files)
 	}
+
+	// The dump schema: each record keeps its key set, and enums serialise
+	// by name, so a dump reads without the simulator's source.
+	first := func(key string, i int) map[string]any {
+		t.Helper()
+		list, _ := dumps[0][key].([]any)
+		if len(list) <= i {
+			t.Fatalf("dump %q = %v, want more than %d entries", key, dumps[0][key], i)
+		}
+		return list[i].(map[string]any)
+	}
+	decisionKeys := "ceiling epoch ipis irqs micro_cores ples reason t_ns"
+	for _, tc := range []struct {
+		rec        map[string]any
+		keys, enum string
+		name       string
+	}{
+		{first("trace", 0), "arg0 arg1 dom kind pcpu t_ns vcpu", "kind", "sched"},
+		{first("repairs", 0), "detail dom kind t_ns vcpu", "kind", "repair.unpin"},
+		{first("decisions", 0), decisionKeys, "reason", "single"},
+		// The only addition to the decision schema: a decision closing an
+		// iterative search carries its per-size probes.
+		{first("decisions", 1), decisionKeys + " probes", "reason", "best-pick"},
+	} {
+		keys := make([]string, 0, len(tc.rec))
+		for k := range tc.rec {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		want := strings.Fields(tc.keys)
+		sort.Strings(want)
+		if strings.Join(keys, " ") != strings.Join(want, " ") {
+			t.Errorf("record keys = %v, want %v", keys, want)
+		}
+		if tc.rec[tc.enum] != tc.name {
+			t.Errorf("record %s = %#v, want the name %q", tc.enum, tc.rec[tc.enum], tc.name)
+		}
+	}
+	if probes := first("decisions", 1)["probes"].([]any); len(probes) != 3 ||
+		probes[2].(map[string]any)["ipis"] != float64(3) {
+		t.Errorf("decoded probes = %v, want 3 flat samples ending ipis=3", probes)
+	}
 }
 
-// TestFlightDumpIncludesRepairTail: once a repair-tail provider is
-// registered (the recovery supervisor does this on Attach), every flight
-// dump carries the recent RepairEvents, and they survive the JSON round
-// trip — a post-mortem dump shows what the supervisor did leading up to
-// the trigger.
+// TestFlightDumpIncludesRepairTail: once the recovery supervisor's repair
+// ring is registered (recovery.Attach does this), every flight dump carries
+// its newest entries oldest-first — a post-mortem dump shows what the
+// supervisor did leading up to the trigger.
 func TestFlightDumpIncludesRepairTail(t *testing.T) {
-	dir := t.TempDir()
-	o := New(Config{FlightDepth: 2, MaxFlights: 2, FlightDir: dir, Label: "t"})
-	o.SetRepairTail(func() []RepairRecord {
-		return []RepairRecord{
-			{Time: 5 * us, Kind: "detect.starve", Dom: 0, VCPU: 1, Detail: "runnable 60ms"},
-			{Time: 7 * us, Kind: "repair.unpin", Dom: 0, VCPU: 1, Detail: "pin p3 broken"},
-		}
-	})
+	o := New(Config{MaxFlights: 2})
+	repairs := trace.NewRing[trace.Repair](2)
+	repairs.Push(trace.Repair{Time: 3 * us, Kind: trace.DetectLostIPI, Dom: -1, VCPU: -1})
+	repairs.Push(trace.Repair{Time: 5 * us, Kind: trace.DetectStarve, Dom: 0, VCPU: 1, Detail: "runnable 60ms"})
+	repairs.Push(trace.Repair{Time: 7 * us, Kind: trace.RepairUnpin, Dom: 0, VCPU: 1, Detail: "pin p3 broken"})
+	o.Repairs = &repairs
 	o.Flight(10*us, "invariant:starvation", "d0v1 starved", nil)
 
 	fl := o.Flights()
@@ -349,19 +403,11 @@ func TestFlightDumpIncludesRepairTail(t *testing.T) {
 		t.Fatalf("retained flights = %d, want 1", len(fl))
 	}
 	d := fl[0]
-	if len(d.Repairs) != 2 || d.Repairs[0].Kind != "detect.starve" || d.Repairs[1].Kind != "repair.unpin" {
-		t.Fatalf("dump repairs = %+v, want the 2 provided records", d.Repairs)
+	if len(d.Repairs) != 2 || d.Repairs[0].Kind != trace.DetectStarve || d.Repairs[1].Detail != "pin p3 broken" {
+		t.Fatalf("dump repairs = %+v, want the ring's newest 2 records", d.Repairs)
 	}
-	buf, err := os.ReadFile(d.File)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back FlightDump
-	if err := json.Unmarshal(buf, &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Repairs) != 2 || back.Repairs[1].Detail != "pin p3 broken" {
-		t.Errorf("decoded repairs = %+v, want both records with details", back.Repairs)
+	if d.Decisions != nil {
+		t.Errorf("dump decisions = %+v without a registered controller ring", d.Decisions)
 	}
 }
 

@@ -22,7 +22,7 @@
 //     both directions share the MaxPoolRepairs budget, which bounds any
 //     tug-of-war with the adaptive pool controller.
 //
-// Every detection and repair is a structured RepairEvent: counted through
+// Every detection and repair is a structured trace.Repair: counted through
 // interned metrics handles, emitted as a trace.KindRepair record, retained
 // in a bounded ring that the flight recorder includes in its dumps, and a
 // starvation episode carries an obs SpanRecover span measuring detection→
@@ -33,7 +33,6 @@
 package recovery
 
 import (
-	"fmt"
 	"strconv"
 
 	"github.com/microslicedcore/microsliced/internal/hv"
@@ -61,13 +60,11 @@ type Config struct {
 	// MaxPoolRepairs is the total micro-pool shrink+regrow budget for the
 	// run (default 8) — the bound that prevents pool-size ping-pong.
 	MaxPoolRepairs int
-	// EventDepth is the RepairEvent retention ring size (default 32);
-	// Total keeps the exact count regardless of ring wrap.
-	EventDepth int
-	// OnRepair, when non-nil, fires synchronously for every recorded
-	// detection and repair.
-	OnRepair func(*RepairEvent)
 }
+
+// repairDepth is the size of the supervisor's repair retention ring; its
+// Total keeps the exact count regardless of ring wrap.
+const repairDepth = 32
 
 func (c Config) withDefaults(hcfg hv.Config) Config {
 	if c.Interval <= 0 {
@@ -88,66 +85,7 @@ func (c Config) withDefaults(hcfg hv.Config) Config {
 	if c.MaxPoolRepairs <= 0 {
 		c.MaxPoolRepairs = 8
 	}
-	if c.EventDepth <= 0 {
-		c.EventDepth = 32
-	}
 	return c
-}
-
-// EventKind classifies a RepairEvent.
-type EventKind uint8
-
-// Detection and repair kinds. Detections observe damage; repairs act on it
-// (IsRepair discriminates — MTTR is keyed on the last *repair*).
-const (
-	DetectStarve EventKind = iota
-	DetectLostIPI
-	DetectCapacityLoss
-	RepairCredit
-	RepairUnpin
-	RepairForceDispatch
-	RepairIPIRedrive
-	RepairShrinkMicro
-	RepairRegrowMicro
-	numEventKinds
-)
-
-var eventKindNames = [numEventKinds]string{
-	DetectStarve:        "detect.starve",
-	DetectLostIPI:       "detect.lost_ipi",
-	DetectCapacityLoss:  "detect.capacity",
-	RepairCredit:        "repair.credit",
-	RepairUnpin:         "repair.unpin",
-	RepairForceDispatch: "repair.force_dispatch",
-	RepairIPIRedrive:    "repair.ipi_redrive",
-	RepairShrinkMicro:   "repair.shrink_micro",
-	RepairRegrowMicro:   "repair.regrow_micro",
-}
-
-// String names the kind (also the suffix of its "recovery.*" counter).
-func (k EventKind) String() string {
-	if k < numEventKinds {
-		return eventKindNames[k]
-	}
-	return fmt.Sprintf("kind(%d)", uint8(k))
-}
-
-// IsRepair reports whether the kind is a repair action (vs a detection).
-func (k EventKind) IsRepair() bool { return k >= RepairCredit }
-
-// RepairEvent is one structured supervisor detection or repair.
-type RepairEvent struct {
-	Time simtime.Time
-	Kind EventKind
-	// Dom/VCPU identify the repaired vCPU (-1 for machine-level events
-	// such as capacity loss and pool resizes).
-	Dom    int
-	VCPU   int
-	Detail string
-}
-
-func (e RepairEvent) String() string {
-	return fmt.Sprintf("%v %s d%dv%d %s", e.Time, e.Kind, e.Dom, e.VCPU, e.Detail)
 }
 
 // episode tracks one vCPU's ongoing starvation: keyed on the vCPU's
@@ -176,30 +114,31 @@ type Supervisor struct {
 	lastSeenLost uint64 // highest LostIPI.Seq already announced
 	seqBuf       []uint64
 
-	events     []RepairEvent // retention ring of the last EventDepth events
-	evNext     int
-	total      uint64
+	// Repairs retains the newest detections and repairs, oldest first,
+	// with their exact total.
+	Repairs    trace.Ring[trace.Repair]
 	lastRepair simtime.Time
 
-	hot [numEventKinds]*metrics.Counter
+	hot [trace.NumRepairKinds]*metrics.Counter
 }
 
 // Attach arms the supervisor on the hypervisor's clock. Call before
 // hv.Start; the first walk runs one interval into the run. When an
-// observer is attached, the supervisor registers its event ring as the
-// flight recorder's repair tail.
+// observer is attached, the supervisor registers its repair ring with it,
+// so every flight dump carries the recent repairs.
 func Attach(h *hv.Hypervisor, cfg Config) *Supervisor {
 	s := &Supervisor{
 		h:              h,
 		cfg:            cfg.withDefaults(h.Cfg),
 		baselineOnline: h.OnlinePCPUs(),
+		Repairs:        trace.NewRing[trace.Repair](repairDepth),
 	}
 	s.poolBudget = s.cfg.MaxPoolRepairs
-	for k := EventKind(0); k < numEventKinds; k++ {
-		s.hot[k] = h.Counters.Handle("recovery." + eventKindNames[k])
+	for k := trace.RepairKind(0); k < trace.NumRepairKinds; k++ {
+		s.hot[k] = h.Counters.Handle("recovery." + k.String())
 	}
 	if h.Obs != nil {
-		h.Obs.SetRepairTail(s.repairTail)
+		h.Obs.Repairs = &s.Repairs
 	}
 	walk := func() {
 		s.walk()
@@ -208,24 +147,6 @@ func Attach(h *hv.Hypervisor, cfg Config) *Supervisor {
 	h.Clock.AfterLabeled(s.cfg.Interval, "recover", walk)
 	return s
 }
-
-// Events returns the retained events oldest-first (nil when none fired).
-func (s *Supervisor) Events() []RepairEvent {
-	if len(s.events) == 0 {
-		return nil
-	}
-	out := make([]RepairEvent, 0, len(s.events))
-	if int(s.total) > len(s.events) { // ring wrapped: evNext is the oldest
-		out = append(out, s.events[s.evNext:]...)
-		out = append(out, s.events[:s.evNext]...)
-	} else {
-		out = append(out, s.events...)
-	}
-	return out
-}
-
-// Total returns the exact number of detections+repairs, ring wrap included.
-func (s *Supervisor) Total() uint64 { return s.total }
 
 // LastRepairTime returns the instant of the most recent repair action
 // (zero when the supervisor never had to repair anything).
@@ -241,50 +162,24 @@ func (s *Supervisor) MTTR(quiesce simtime.Time) simtime.Duration {
 	return 0
 }
 
-// repairTail renders the event ring for a flight dump.
-func (s *Supervisor) repairTail() []obs.RepairRecord {
-	evs := s.Events()
-	if len(evs) == 0 {
-		return nil
-	}
-	out := make([]obs.RepairRecord, len(evs))
-	for i, e := range evs {
-		out[i] = obs.RepairRecord{
-			Time: e.Time, Kind: e.Kind.String(),
-			Dom: e.Dom, VCPU: e.VCPU, Detail: e.Detail,
-		}
-	}
-	return out
-}
-
-// event records one detection/repair: ring, counter, trace, hook.
-func (s *Supervisor) event(now simtime.Time, kind EventKind, v *hv.VCPU, detail string) {
-	s.total++
+// event records one detection/repair: ring, counter, trace.
+func (s *Supervisor) event(now simtime.Time, kind trace.RepairKind, v *hv.VCPU, detail string) {
 	s.hot[kind].Inc()
 	if kind.IsRepair() {
 		s.lastRepair = now
 	}
-	ev := RepairEvent{Time: now, Kind: kind, Dom: -1, VCPU: -1, Detail: detail}
+	ev := trace.Repair{Time: now, Kind: kind, Dom: -1, VCPU: -1, Detail: detail}
 	var dom, vcpu int16 = -1, -1
 	if v != nil {
 		ev.Dom, ev.VCPU = v.DomID, v.Idx
 		dom, vcpu = int16(v.DomID), int16(v.Idx)
 	}
-	if len(s.events) < s.cfg.EventDepth {
-		s.events = append(s.events, ev)
-		s.evNext = len(s.events) % s.cfg.EventDepth
-	} else {
-		s.events[s.evNext] = ev
-		s.evNext = (s.evNext + 1) % s.cfg.EventDepth
-	}
+	s.Repairs.Push(ev)
 	s.h.Trace.Emit(trace.Record{
 		Time: now, Kind: trace.KindRepair,
 		Dom: dom, VCPU: vcpu, PCPU: -1,
 		Arg0: uint64(kind),
 	})
-	if s.cfg.OnRepair != nil {
-		s.cfg.OnRepair(&ev)
-	}
 }
 
 // walk is one supervision pass. Healthy machine → reads only, no allocs.
@@ -318,7 +213,7 @@ func (s *Supervisor) checkStarvation(now simtime.Time) {
 			if s.h.Obs != nil {
 				e.span = s.h.Obs.Begin(obs.SpanRecover, int16(v.DomID), int16(v.Idx), 0, now)
 			}
-			s.event(now, DetectStarve, v, "runnable for "+(now-v.RunnableSince()).String()+
+			s.event(now, trace.DetectStarve, v, "runnable for "+(now-v.RunnableSince()).String()+
 				" (> bound "+s.cfg.StarveBound.String()+")")
 		}
 		if e.repairs < s.cfg.MaxEpisodeRepairs {
@@ -347,7 +242,7 @@ func (s *Supervisor) repairStarved(now simtime.Time, v *hv.VCPU, e *episode) {
 	case 0:
 		s.h.RegrantCredits(v, true)
 		e.step, e.repairs = 1, e.repairs+1
-		s.event(now, RepairCredit, v, "credits re-granted, boosted")
+		s.event(now, trace.RepairCredit, v, "credits re-granted, boosted")
 		return
 	case 1:
 		e.step = 2
@@ -356,7 +251,7 @@ func (s *Supervisor) repairStarved(now simtime.Time, v *hv.VCPU, e *episode) {
 			if target.Offline() || target.Pool() != v.Pool() {
 				s.h.RePin(v, -1)
 				e.repairs++
-				s.event(now, RepairUnpin, v, "unpinned from unreachable p"+strconv.Itoa(pin))
+				s.event(now, trace.RepairUnpin, v, "unpinned from unreachable p"+strconv.Itoa(pin))
 				return
 			}
 		}
@@ -370,7 +265,7 @@ func (s *Supervisor) repairStarved(now simtime.Time, v *hv.VCPU, e *episode) {
 		for _, p := range pool.PCPUs() {
 			if s.h.ForceDispatch(p, v) {
 				e.repairs++
-				s.event(now, RepairForceDispatch, v, "forced onto p"+strconv.Itoa(p.ID))
+				s.event(now, trace.RepairForceDispatch, v, "forced onto p"+strconv.Itoa(p.ID))
 				return
 			}
 		}
@@ -390,7 +285,7 @@ func (s *Supervisor) checkLostIPIs(now simtime.Time) {
 			if e.Redrives == 0 {
 				// Announce each interrupt once; re-losses of the same one
 				// only grow their backoff.
-				s.event(now, DetectLostIPI, e.Dst, "vec "+strconv.Itoa(int(e.Vec))+" lost at "+e.Time.String())
+				s.event(now, trace.DetectLostIPI, e.Dst, "vec "+strconv.Itoa(int(e.Vec))+" lost at "+e.Time.String())
 			}
 		}
 		if now >= e.Time+simtime.Time(s.backoff(e.Redrives)) {
@@ -409,7 +304,7 @@ func (s *Supervisor) checkLostIPIs(now simtime.Time) {
 			}
 		}
 		if s.h.RedriveLostIPI(seq) {
-			s.event(now, RepairIPIRedrive, dst, "redrive #"+strconv.Itoa(redrives+1))
+			s.event(now, trace.RepairIPIRedrive, dst, "redrive #"+strconv.Itoa(redrives+1))
 		}
 		lost = s.h.LostIPIs()
 	}
@@ -439,7 +334,7 @@ func (s *Supervisor) checkCapacity(now simtime.Time) {
 	case online < s.baselineOnline:
 		if !s.capLost {
 			s.capLost = true
-			s.event(now, DetectCapacityLoss, nil, strconv.Itoa(online)+" of "+
+			s.event(now, trace.DetectCapacityLoss, nil, strconv.Itoa(online)+" of "+
 				strconv.Itoa(s.baselineOnline)+" pCPUs online")
 		}
 		// Auto-shrink: under capacity loss the micro pool must not out-size
@@ -451,7 +346,7 @@ func (s *Supervisor) checkCapacity(now simtime.Time) {
 			s.poolBudget--
 			if got := s.h.SetMicroCount(before - 1); got < before {
 				s.shrunk++
-				s.event(now, RepairShrinkMicro, nil, microResize(before, got))
+				s.event(now, trace.RepairShrinkMicro, nil, microResize(before, got))
 			}
 		}
 	default:
@@ -462,7 +357,7 @@ func (s *Supervisor) checkCapacity(now simtime.Time) {
 			s.poolBudget--
 			if got := s.h.SetMicroCount(before + 1); got > before {
 				s.shrunk--
-				s.event(now, RepairRegrowMicro, nil, microResize(before, got))
+				s.event(now, trace.RepairRegrowMicro, nil, microResize(before, got))
 			} else {
 				s.shrunk = 0 // cannot regrow (pool constraints); stop trying
 			}

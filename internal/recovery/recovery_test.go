@@ -9,6 +9,7 @@ import (
 	"github.com/microslicedcore/microsliced/internal/fault"
 	"github.com/microslicedcore/microsliced/internal/recovery"
 	"github.com/microslicedcore/microsliced/internal/simtime"
+	"github.com/microslicedcore/microsliced/internal/trace"
 )
 
 // offCore is the vanilla scheduler (no micro pool) — starvation repair is
@@ -73,9 +74,9 @@ func TestInjectedStarvationDetectRepairConverge(t *testing.T) {
 	var lastRepair simtime.Time
 	for _, e := range res.Repairs {
 		switch e.Kind {
-		case recovery.DetectStarve:
+		case trace.DetectStarve:
 			detected = true
-		case recovery.RepairUnpin:
+		case trace.RepairUnpin:
 			unpinned = true
 		}
 		if e.Kind.IsRepair() && e.Time > lastRepair {
@@ -146,7 +147,7 @@ func TestLostIPIRedrive(t *testing.T) {
 	}
 	var redrives int
 	for _, e := range res.Repairs {
-		if e.Kind == recovery.RepairIPIRedrive {
+		if e.Kind == trace.RepairIPIRedrive {
 			redrives++
 		}
 	}

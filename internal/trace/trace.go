@@ -2,6 +2,12 @@
 // ring of typed records emitted by the hypervisor and guest models. The
 // experiment harness consumes it to decompose yield events by source
 // (Figure 7 of the paper) and to debug scheduling decisions.
+//
+// The package owns every run-event record format: scheduler trace Records,
+// the adaptive controller's Decisions and the recovery supervisor's
+// Repairs, each retained in a bounded Ring. Producers push them and every
+// reader — flight recorder, Chrome exporter, run results, CLIs — uses the
+// same values unconverted.
 package trace
 
 import (
@@ -65,16 +71,20 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
+// MarshalText encodes the kind by name, so JSON read-outs (flight dumps,
+// violation reports) are self-describing.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
 // Record is one trace entry. Arg0/Arg1 carry kind-specific payloads (e.g.
 // the yield reason, the RIP, the target vCPU).
 type Record struct {
-	Time simtime.Time
-	Kind Kind
-	Dom  int16
-	VCPU int16
-	PCPU int16
-	Arg0 uint64
-	Arg1 uint64
+	Time simtime.Time `json:"t_ns"`
+	Kind Kind         `json:"kind"`
+	Dom  int16        `json:"dom"`
+	VCPU int16        `json:"vcpu"`
+	PCPU int16        `json:"pcpu"`
+	Arg0 uint64       `json:"arg0"`
+	Arg1 uint64       `json:"arg1"`
 }
 
 // String renders the record for debugging.
@@ -83,46 +93,31 @@ func (r Record) String() string {
 		r.Time, r.Kind, r.Dom, r.VCPU, r.PCPU, r.Arg0, r.Arg1)
 }
 
-// Buffer is a fixed-capacity ring of records. When full, the oldest records
-// are overwritten (like a real trace ring). Per-kind counters are exact over
-// the whole run regardless of ring wrap.
+// Buffer is the trace ring: a fixed-capacity Ring of records allocated
+// once, at construction. When full, the oldest records are overwritten
+// (like a real trace ring). Per-kind counters are exact over the whole run
+// regardless of ring wrap.
 type Buffer struct {
-	recs    []Record
-	next    int
-	wrapped bool
-	enabled bool
-	counts  [kindCount]uint64
+	ring   Ring[Record]
+	counts [kindCount]uint64
 }
 
-// NewBuffer returns an enabled ring holding up to capacity records.
-// Capacity 0 disables record storage but keeps counters.
+// NewBuffer returns a ring holding up to capacity records. Capacity 0
+// disables record storage but keeps counters.
 func NewBuffer(capacity int) *Buffer {
-	b := &Buffer{enabled: true}
+	b := &Buffer{ring: NewRing[Record](capacity)}
 	if capacity > 0 {
-		b.recs = make([]Record, capacity)
+		b.ring.buf = make([]Record, 0, capacity)
 	}
 	return b
 }
-
-// SetEnabled toggles recording (counters keep counting regardless; disabling
-// only stops ring writes, which is what xentrace's enable bit does for its
-// consumers in our usage).
-func (b *Buffer) SetEnabled(on bool) { b.enabled = on }
 
 // Emit appends one record.
 func (b *Buffer) Emit(r Record) {
 	if int(r.Kind) < len(b.counts) {
 		b.counts[r.Kind]++
 	}
-	if !b.enabled || len(b.recs) == 0 {
-		return
-	}
-	b.recs[b.next] = r
-	b.next++
-	if b.next == len(b.recs) {
-		b.next = 0
-		b.wrapped = true
-	}
+	b.ring.Push(r)
 }
 
 // Count returns the exact number of records emitted with the given kind.
@@ -134,40 +129,11 @@ func (b *Buffer) Count(k Kind) uint64 {
 }
 
 // Len returns the number of records currently held in the ring.
-func (b *Buffer) Len() int {
-	if b.wrapped {
-		return len(b.recs)
-	}
-	return b.next
-}
+func (b *Buffer) Len() int { return b.ring.Len() }
 
 // Records returns the held records oldest-first.
-func (b *Buffer) Records() []Record {
-	if !b.wrapped {
-		out := make([]Record, b.next)
-		copy(out, b.recs[:b.next])
-		return out
-	}
-	out := make([]Record, 0, len(b.recs))
-	out = append(out, b.recs[b.next:]...)
-	out = append(out, b.recs[:b.next]...)
-	return out
-}
+func (b *Buffer) Records() []Record { return b.ring.All() }
 
-// Filter returns held records matching pred, oldest-first.
-func (b *Buffer) Filter(pred func(Record) bool) []Record {
-	var out []Record
-	for _, r := range b.Records() {
-		if pred(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// ResetCounts zeroes the per-kind counters (ring contents are kept).
-func (b *Buffer) ResetCounts() {
-	for i := range b.counts {
-		b.counts[i] = 0
-	}
-}
+// Tail returns the newest min(n, Len) records oldest-first, copying only
+// those.
+func (b *Buffer) Tail(n int) []Record { return b.ring.Tail(n) }
