@@ -10,6 +10,7 @@ import (
 	"github.com/microslicedcore/microsliced/internal/fault"
 	"github.com/microslicedcore/microsliced/internal/hv"
 	"github.com/microslicedcore/microsliced/internal/simtime"
+	"github.com/microslicedcore/microsliced/internal/trace"
 )
 
 const robustDur = 200 * simtime.Millisecond
@@ -138,6 +139,41 @@ func TestAuditDoesNotPerturbResults(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.HV, b.HV) {
 		t.Fatal("auditing changed hypervisor counters")
+	}
+}
+
+// TestTraceCapacityDoesNotChangeCounts: the hypervisor only tallies trace
+// records when the ring keeps none, so a run without a ring must count
+// every kind exactly as a run with one and produce the same result.
+func TestTraceCapacityDoesNotChangeCounts(t *testing.T) {
+	run := func(capacity int) (*Result, [256]uint64) {
+		s := corunSetup("exim", core.DefaultConfig(), robustDur)
+		cfg := hv.DefaultConfig()
+		cfg.TraceCapacity = capacity
+		s.HVConfig = &cfg
+		var counts [256]uint64
+		s.PostCheck = func(pr *PostRun) error {
+			for k := range counts {
+				counts[k] = pr.HV.Trace.Count(trace.Kind(k))
+			}
+			return nil
+		}
+		res, err := Run(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, counts
+	}
+	bare, bareCounts := run(0)
+	ringed, ringedCounts := run(1 << 14)
+	if bareCounts != ringedCounts {
+		t.Fatalf("per-kind counts differ:\n cap 0:     %v\n cap 1<<14: %v", bareCounts, ringedCounts)
+	}
+	if bareCounts[trace.KindSchedule] == 0 || bareCounts[trace.KindYield] == 0 {
+		t.Fatal("scenario emitted no dispatch or yield records")
+	}
+	if !reflect.DeepEqual(bare, ringed) {
+		t.Fatal("trace capacity changed the run's result")
 	}
 }
 

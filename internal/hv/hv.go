@@ -855,6 +855,10 @@ func (h *Hypervisor) Start() {
 func (h *Hypervisor) count(name string) { h.Counters.Counter(name).Inc() }
 
 func (h *Hypervisor) emit(k trace.Kind, v *VCPU, arg0, arg1 uint64) {
+	if !h.Trace.Retains() {
+		h.Trace.Tally(k)
+		return
+	}
 	r := trace.Record{Time: h.Clock.Now(), Kind: k, Arg0: arg0, Arg1: arg1}
 	if v != nil {
 		r.Dom = int16(v.DomID)

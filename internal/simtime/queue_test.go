@@ -1,0 +1,546 @@
+package simtime
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
+
+// The differential test below drives Clock and refClock, a slice scanned
+// in O(n) for the minimum (when, seq), with the same decoded stream of
+// operations and compares every observable after each one.
+
+// refClock is the reference queue. tieLater flips the seq tie-break; it
+// exists only so a test can show the comparison has teeth.
+type refClock struct {
+	now      Time
+	seq      uint64
+	fired    uint64
+	stopped  bool
+	queue    []*refEvent
+	firing   *refEvent
+	tieLater bool
+}
+
+type refEvent struct {
+	when   Time
+	seq    uint64
+	fn     func()
+	queued bool
+	c      *refClock
+}
+
+func (r *refClock) Now() Time        { return r.now }
+func (r *refClock) Fired() uint64    { return r.fired }
+func (r *refClock) Pending() int     { return len(r.queue) }
+func (r *refClock) Stop()            { r.stopped = true }
+func (e *refEvent) Pending() bool    { return e.queued }
+func (r *refClock) push(e *refEvent) { e.queued = true; r.queue = append(r.queue, e) }
+
+func (r *refClock) At(t Time, fn func()) fuzzEvent {
+	r.seq++
+	e := &refEvent{when: t, seq: r.seq, fn: fn, c: r}
+	r.push(e)
+	return e
+}
+
+func (r *refClock) After(d Duration, fn func()) fuzzEvent { return r.At(r.now+d, fn) }
+
+// min returns the queue position of the earliest event, or -1.
+func (r *refClock) min() int {
+	best := -1
+	for i, e := range r.queue {
+		if best < 0 {
+			best = i
+			continue
+		}
+		b := r.queue[best]
+		if e.when < b.when || e.when == b.when && (e.seq < b.seq) != r.tieLater {
+			best = i
+		}
+	}
+	return best
+}
+
+func (r *refClock) take(i int) *refEvent {
+	e := r.queue[i]
+	r.queue = append(r.queue[:i], r.queue[i+1:]...)
+	e.queued = false
+	return e
+}
+
+func (r *refClock) Step() bool {
+	if r.stopped || len(r.queue) == 0 {
+		return false
+	}
+	e := r.take(r.min())
+	r.now = e.when
+	r.fired++
+	prev := r.firing
+	r.firing = e
+	e.fn()
+	r.firing = prev
+	return true
+}
+
+func (r *refClock) Reschedule(d Duration) fuzzEvent {
+	e := r.firing
+	r.firing = nil
+	r.seq++
+	e.when, e.seq = r.now+d, r.seq
+	r.push(e)
+	return e
+}
+
+func (r *refClock) RunUntil(t Time) uint64 {
+	var n uint64
+	for !r.stopped && len(r.queue) > 0 && r.queue[r.min()].when <= t {
+		r.Step()
+		n++
+	}
+	if r.now < t {
+		r.now = t
+	}
+	return n
+}
+
+func (r *refClock) NextEventTime() Time {
+	if i := r.min(); i >= 0 {
+		return r.queue[i].when
+	}
+	return Infinity
+}
+
+func (e *refEvent) Cancel() bool {
+	if !e.queued {
+		return false
+	}
+	for i, q := range e.c.queue {
+		if q == e {
+			e.c.take(i)
+			return true
+		}
+	}
+	panic("queued reference event missing from its queue")
+}
+
+// fuzzClock is the surface both queues expose to the driver.
+type fuzzClock interface {
+	Now() Time
+	At(t Time, fn func()) fuzzEvent
+	After(d Duration, fn func()) fuzzEvent
+	Reschedule(d Duration) fuzzEvent
+	RunUntil(t Time) uint64
+	Step() bool
+	Stop()
+	Pending() int
+	NextEventTime() Time
+	Fired() uint64
+}
+
+type fuzzEvent interface {
+	Cancel() bool
+	Pending() bool
+}
+
+// realClock adapts *Clock to fuzzClock.
+type realClock struct{ *Clock }
+
+func (c realClock) At(t Time, fn func()) fuzzEvent { return c.Clock.At(t, fn) }
+func (c realClock) After(d Duration, fn func()) fuzzEvent {
+	return c.Clock.AfterLabeled(d, "fuzz", fn)
+}
+func (c realClock) Reschedule(d Duration) fuzzEvent { return c.Clock.Reschedule(d) }
+
+// Operations and callback actions of a decoded stream.
+const (
+	opAt = iota
+	opAt2
+	opAfter
+	opCancel
+	opRunUntil
+	opRunUntil2
+	opStep
+	opStopOrStep
+	opKinds
+)
+
+const (
+	actNone = iota
+	actReschedule
+	actCancel
+	actSpawn
+	actKinds
+)
+
+// fuzzAction is what an event's callback does after it logs its firing.
+type fuzzAction struct {
+	kind   int
+	delta  Duration // Reschedule/spawn delay, clamped so now+delta <= Infinity
+	target int      // actCancel: event id, modulo the events made so far
+	repeat int      // Reschedule/spawn budget
+}
+
+// fuzzOp is one top-level operation; when is resolved against the real
+// clock's state just before the operation is applied to both queues.
+type fuzzOp struct {
+	kind          int
+	class, arg    byte
+	act           fuzzAction
+	target, extra byte
+}
+
+const fuzzOpBytes = 9
+
+func decodeFuzzOps(data []byte) []fuzzOp {
+	at := func(i int) byte {
+		if i < len(data) {
+			return data[i]
+		}
+		return 0
+	}
+	var ops []fuzzOp
+	for i := 0; i < len(data) && len(ops) < 256; i += fuzzOpBytes {
+		ops = append(ops, fuzzOp{
+			kind:  int(at(i)) % opKinds,
+			class: at(i + 1),
+			arg:   at(i + 2),
+			act: fuzzAction{
+				kind:   int(at(i+3)) % actKinds,
+				delta:  fuzzDelta(at(i+4), at(i+5)),
+				target: int(at(i + 6)),
+				repeat: int(at(i+6)) % 4,
+			},
+			target: at(i + 7),
+			extra:  at(i + 8),
+		})
+	}
+	return ops
+}
+
+// fuzzDelta decodes a callback delay. It cannot depend on queue internals,
+// since the reference has none.
+func fuzzDelta(class, arg byte) Duration {
+	switch class % 8 {
+	case 0:
+		return 0
+	case 1:
+		return Duration(arg)
+	case 2:
+		return Duration(arg) * Microsecond
+	case 3:
+		return farWindow + Duration(arg%3) - 1
+	case 4:
+		return 30*Millisecond + Duration(arg)
+	case 5:
+		return 10 * Millisecond
+	case 6:
+		return Duration(arg) * 20 * Microsecond
+	default:
+		return Infinity
+	}
+}
+
+// fuzzTime resolves a top-level time against the real clock: both tiers,
+// the horizon itself, equal-time ties and times near Infinity.
+func fuzzTime(c *Clock, class, arg byte, last Time) Time {
+	now := c.Now()
+	var t Time
+	switch class % 8 {
+	case 0:
+		t = now
+	case 1:
+		t = satAdd(now, Duration(arg))
+	case 2:
+		t = satAdd(now, Duration(arg)*Microsecond)
+	case 3:
+		t = satAdd(c.horizon, Duration(arg%3)) - 1
+	case 4:
+		t = satAdd(now, 10*Millisecond*Duration(1+arg%3))
+	case 5:
+		t = Infinity - Duration(arg)*10*Microsecond
+	case 6:
+		t = satAdd(last, farWindow*Duration(arg%2)) // a tie, or one window on
+	default:
+		t = satAdd(now, Duration(arg)*20*Microsecond)
+	}
+	return max(t, now)
+}
+
+func satAdd(t Time, d Duration) Time {
+	if d > Infinity-t {
+		return Infinity
+	}
+	return t + d
+}
+
+type fuzzEntry struct {
+	what byte // 'F' fired, 'C' cancel result, 'R' RunUntil count, 'S' Step result
+	id   int
+	t    Time
+	n    uint64
+}
+
+// fuzzWorld runs a stream against one queue. Event ids count schedules in
+// creation order, so they agree between worlds as long as the queues do.
+type fuzzWorld struct {
+	clk   fuzzClock
+	evs   []fuzzEvent
+	alive []bool // the driver's own view: queued and safe to Cancel
+	log   []fuzzEntry
+}
+
+func (w *fuzzWorld) schedule(t Time, a fuzzAction, after bool) {
+	id := len(w.evs)
+	left := a.repeat
+	fn := func() {
+		w.alive[id] = false
+		now := w.clk.Now()
+		w.log = append(w.log, fuzzEntry{what: 'F', id: id, t: now})
+		switch a.kind {
+		case actReschedule:
+			if left > 0 {
+				left--
+				w.evs[id] = w.clk.Reschedule(min(a.delta, Infinity-now))
+				w.alive[id] = true
+			}
+		case actCancel:
+			w.cancel(a.target%len(w.evs), id)
+		case actSpawn:
+			if left > 0 {
+				w.schedule(satAdd(now, a.delta), fuzzAction{kind: actSpawn, delta: a.delta, repeat: left - 1}, true)
+			}
+		}
+	}
+	var ev fuzzEvent
+	if after {
+		ev = w.clk.After(t-w.clk.Now(), fn)
+	} else {
+		ev = w.clk.At(t, fn)
+	}
+	w.evs = append(w.evs, ev)
+	w.alive = append(w.alive, true)
+}
+
+// cancel cancels event id if the handle is still valid: queued, or the
+// event whose callback is running (firing, where Cancel must report false).
+func (w *fuzzWorld) cancel(id, firing int) {
+	if !w.alive[id] && id != firing {
+		return
+	}
+	ok := w.evs[id].Cancel()
+	w.alive[id] = w.alive[id] && !ok
+	w.log = append(w.log, fuzzEntry{what: 'C', id: id, n: b2u(ok)})
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func (w *fuzzWorld) apply(op fuzzOp, t Time) {
+	switch op.kind {
+	case opAt, opAt2:
+		w.schedule(t, op.act, false)
+	case opAfter:
+		w.schedule(t, op.act, true)
+	case opCancel:
+		if len(w.evs) > 0 {
+			w.cancel(int(op.target)%len(w.evs), -1)
+		}
+	case opRunUntil, opRunUntil2:
+		w.log = append(w.log, fuzzEntry{what: 'R', n: w.clk.RunUntil(t)})
+	case opStopOrStep:
+		if op.extra < 8 {
+			w.clk.Stop()
+			return
+		}
+		fallthrough
+	case opStep:
+		w.log = append(w.log, fuzzEntry{what: 'S', n: b2u(w.clk.Step())})
+	}
+}
+
+// diffClockAgainstReference runs data through Clock and refClock and
+// returns the first difference in any observable.
+func diffClockAgainstReference(data []byte, tieLater bool) error {
+	clk := NewClock()
+	fast := &fuzzWorld{clk: realClock{clk}}
+	ref := &fuzzWorld{clk: &refClock{tieLater: tieLater}}
+	last := Time(0)
+	for i, op := range decodeFuzzOps(data) {
+		t := fuzzTime(clk, op.class, op.arg, last)
+		if op.kind == opAt || op.kind == opAt2 || op.kind == opAfter {
+			last = t
+		}
+		fast.apply(op, t)
+		ref.apply(op, t)
+		if err := compareWorlds(fast, ref); err != nil {
+			return fmt.Errorf("op %d (%+v, t=%v): %w", i, op, t, err)
+		}
+		if err := checkQueueInvariants(clk); err != nil {
+			return fmt.Errorf("op %d (%+v, t=%v): %w", i, op, t, err)
+		}
+	}
+	return nil
+}
+
+func compareWorlds(fast, ref *fuzzWorld) error {
+	if len(fast.log) != len(ref.log) {
+		return fmt.Errorf("log length %d, reference %d", len(fast.log), len(ref.log))
+	}
+	for i := range fast.log {
+		if fast.log[i] != ref.log[i] {
+			return fmt.Errorf("log entry %d is %+v, reference %+v", i, fast.log[i], ref.log[i])
+		}
+	}
+	if len(fast.evs) != len(ref.evs) {
+		return fmt.Errorf("%d events made, reference %d", len(fast.evs), len(ref.evs))
+	}
+	a, b := fast.clk, ref.clk
+	if a.Now() != b.Now() || a.Pending() != b.Pending() || a.NextEventTime() != b.NextEventTime() || a.Fired() != b.Fired() {
+		return fmt.Errorf("now/pending/next/fired %v/%d/%v/%d, reference %v/%d/%v/%d",
+			a.Now(), a.Pending(), a.NextEventTime(), a.Fired(), b.Now(), b.Pending(), b.NextEventTime(), b.Fired())
+	}
+	for id, alive := range ref.alive {
+		if alive != fast.alive[id] || ref.evs[id].Pending() != alive {
+			return fmt.Errorf("event %d: queued %v, reference %v (reference Pending %v)", id, fast.alive[id], alive, ref.evs[id].Pending())
+		}
+		// A dead handle may already be recycled; only a queued one is
+		// guaranteed to report its own state.
+		if alive && !fast.evs[id].Pending() {
+			return fmt.Errorf("event %d queued but Pending() is false", id)
+		}
+	}
+	return nil
+}
+
+// checkQueueInvariants checks the two-tier layout directly: a valid 4-ary
+// heap below the horizon (a saturated horizon also admits events at
+// Infinity), an index-consistent far tier at or above it, and no far
+// events behind an empty heap.
+func checkQueueInvariants(c *Clock) error {
+	for i, ev := range c.near {
+		if ev.index != i {
+			return fmt.Errorf("near[%d] has index %d", i, ev.index)
+		}
+		if i > 0 && eventLess(ev, c.near[(i-1)/heapArity]) {
+			return fmt.Errorf("near[%d] sorts before its parent", i)
+		}
+		if ev.when >= c.horizon && c.horizon != Infinity {
+			return fmt.Errorf("near event at %v at or above horizon %v", ev.when, c.horizon)
+		}
+	}
+	for i, ev := range c.far {
+		if ev.index != inFar-i {
+			return fmt.Errorf("far[%d] has index %d", i, ev.index)
+		}
+		if ev.when < c.horizon {
+			return fmt.Errorf("far event at %v below horizon %v", ev.when, c.horizon)
+		}
+		if len(c.near) == 0 {
+			return fmt.Errorf("far event at %v behind an empty near heap", ev.when)
+		}
+		if eventLess(ev, c.near[0]) {
+			return fmt.Errorf("far event at %v precedes the heap top at %v", ev.when, c.near[0].when)
+		}
+	}
+	return nil
+}
+
+// fuzzSeeds returns random streams long enough to cross many refills.
+func fuzzSeeds() [][]byte {
+	r := rand.New(rand.NewSource(15))
+	var seeds [][]byte
+	for i := 0; i < 48; i++ {
+		b := make([]byte, fuzzOpBytes*(8+r.Intn(120)))
+		r.Read(b)
+		seeds = append(seeds, b)
+	}
+	return seeds
+}
+
+func FuzzClockAgainstReference(f *testing.F) {
+	for _, s := range fuzzSeeds() {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := diffClockAgainstReference(data, false); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// A reference that breaks equal-time ties the wrong way must be caught,
+// and the right one must agree on the same stream.
+func TestClockReferenceCatchesFlippedTieBreak(t *testing.T) {
+	op := func(kind int, act int) []byte {
+		b := make([]byte, fuzzOpBytes)
+		b[0], b[3] = byte(kind), byte(act)
+		return b
+	}
+	var stream []byte
+	stream = append(stream, op(opAt, actNone)...) // t = now
+	stream = append(stream, op(opAt, actNone)...) // the same t: a tie
+	stream = append(stream, op(opRunUntil, 0)...) // fire both
+	if err := diffClockAgainstReference(stream, false); err != nil {
+		t.Fatalf("correct reference disagrees: %v", err)
+	}
+	if err := diffClockAgainstReference(stream, true); err == nil {
+		t.Fatal("flipped tie-break reference not reported")
+	}
+	flipped := 0
+	for _, s := range fuzzSeeds() {
+		if diffClockAgainstReference(s, true) != nil {
+			flipped++
+		}
+	}
+	if flipped == 0 {
+		t.Fatal("no seed stream tells a flipped tie-break apart")
+	}
+}
+
+// BenchmarkClockSliceChurn mirrors the credit scheduler's yield storm: a
+// dozen far timers (10 ms ticks, 30 ms slices) and ten near events; every
+// near event cancels and re-arms one slice and arms its successor
+// 10-100 us ahead. The steady state must not allocate.
+func BenchmarkClockSliceChurn(b *testing.B) {
+	const ticks, slices, near = 6, 6, 10
+	c := NewClock()
+	tick := func() { c.Reschedule(10 * Millisecond) }
+	slice := func() { c.Reschedule(30 * Millisecond) }
+	var sliceEv [slices]*Event
+	for i := 0; i < ticks; i++ {
+		c.AfterLabeled(Duration(i+1)*10*Millisecond/ticks, "tick", tick)
+	}
+	for i := range sliceEv {
+		sliceEv[i] = c.AfterLabeled(30*Millisecond, "slice", slice)
+	}
+	rng, k := uint64(15), 0
+	var progress func()
+	progress = func() {
+		sliceEv[k].Cancel()
+		sliceEv[k] = c.AfterLabeled(30*Millisecond, "slice", slice)
+		k = (k + 1) % slices
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		c.After(10*Microsecond+Duration(rng%uint64(90*Microsecond)), progress)
+	}
+	for i := 0; i < near; i++ {
+		c.After(Duration(i+1)*10*Microsecond, progress)
+	}
+	for i := 0; i < 10000; i++ {
+		c.Step()
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { c.Step() }); allocs != 0 {
+		b.Fatalf("slice churn allocates %.1f objects per event", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Step()
+	}
+}

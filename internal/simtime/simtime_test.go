@@ -128,6 +128,25 @@ func TestRunUntilStopsAtBoundary(t *testing.T) {
 	}
 }
 
+// RunUntil leaves the clock at its target even when a callback stopped the
+// loop early; the events left behind stay queued at their own times.
+func TestRunUntilAfterStopAdvancesToTarget(t *testing.T) {
+	c := NewClock()
+	c.At(10, c.Stop)
+	c.At(20, func() { t.Error("event ran after Stop") })
+	c.At(30, func() { t.Error("event ran after Stop") })
+	if n := c.RunUntil(25); n != 1 {
+		t.Fatalf("RunUntil executed %d events, want 1", n)
+	}
+	if c.Now() != 25 || c.Pending() != 2 || c.NextEventTime() != 20 {
+		t.Fatalf("after Stop: now=%v pending=%d next=%v, want 25, 2, 20",
+			c.Now(), c.Pending(), c.NextEventTime())
+	}
+	if n := c.RunUntil(40); n != 0 || c.Now() != 40 || c.Pending() != 2 {
+		t.Fatalf("stopped RunUntil(40): ran %d, now=%v, pending=%d; want 0, 40, 2", n, c.Now(), c.Pending())
+	}
+}
+
 func TestEventsScheduledDuringRun(t *testing.T) {
 	c := NewClock()
 	var seq []Time

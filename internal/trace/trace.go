@@ -120,6 +120,20 @@ func (b *Buffer) Emit(r Record) {
 	b.ring.Push(r)
 }
 
+// Retains reports whether the ring keeps records at all. An emitter that
+// finds it does not can call Tally instead of building a Record.
+func (b *Buffer) Retains() bool { return b.ring.bound > 0 }
+
+// Tally counts one record of kind k without storing it: the per-kind
+// count and the ring's total advance exactly as Emit would advance them on
+// a ring that retains nothing.
+func (b *Buffer) Tally(k Kind) {
+	if int(k) < len(b.counts) {
+		b.counts[k]++
+	}
+	b.ring.total++
+}
+
 // Count returns the exact number of records emitted with the given kind.
 func (b *Buffer) Count(k Kind) uint64 {
 	if int(k) >= len(b.counts) {

@@ -53,6 +53,27 @@ func TestZeroCapacityBufferCountsOnly(t *testing.T) {
 	}
 }
 
+// Tally must count exactly what Emit counts on a ring that retains
+// nothing, ring total included.
+func TestTallyMatchesEmitWhenNothingRetained(t *testing.T) {
+	emitted, tallied := NewBuffer(0), NewBuffer(0)
+	if emitted.Retains() || !NewBuffer(1).Retains() {
+		t.Fatal("Retains must be true exactly when capacity > 0")
+	}
+	for i, k := range []Kind{KindYield, KindSchedule, KindYield, kindCount, KindRepair} {
+		emitted.Emit(Record{Time: simtime.Time(i), Kind: k})
+		tallied.Tally(k)
+	}
+	for k := Kind(0); k <= kindCount; k++ {
+		if emitted.Count(k) != tallied.Count(k) {
+			t.Fatalf("%v: emit counted %d, tally %d", k, emitted.Count(k), tallied.Count(k))
+		}
+	}
+	if emitted.ring.Total() != tallied.ring.Total() || tallied.Len() != 0 {
+		t.Fatalf("total emit=%d tally=%d, len=%d", emitted.ring.Total(), tallied.ring.Total(), tallied.Len())
+	}
+}
+
 func TestKindString(t *testing.T) {
 	if KindYield.String() != "yield" {
 		t.Fatalf("got %q", KindYield.String())
