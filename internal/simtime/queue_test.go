@@ -417,17 +417,18 @@ func compareWorlds(fast, ref *fuzzWorld) error {
 	return nil
 }
 
-// checkQueueInvariants checks the two-tier layout directly: a valid 4-ary
-// heap below the horizon (a saturated horizon also admits events at
-// Infinity), an index-consistent far tier at or above it, and no far
-// events behind an empty heap.
+// checkQueueInvariants checks the two-tier layout directly: a near tier
+// strictly descending in (when, seq) with index == position, below the
+// horizon (a saturated horizon also admits events at Infinity), an
+// index-consistent far tier at or above it, and no far events behind an
+// empty near tier.
 func checkQueueInvariants(c *Clock) error {
 	for i, ev := range c.near {
 		if ev.index != i {
 			return fmt.Errorf("near[%d] has index %d", i, ev.index)
 		}
-		if i > 0 && eventLess(ev, c.near[(i-1)/heapArity]) {
-			return fmt.Errorf("near[%d] sorts before its parent", i)
+		if i > 0 && !eventLess(ev, c.near[i-1]) {
+			return fmt.Errorf("near[%d] does not fire before near[%d]", i, i-1)
 		}
 		if ev.when >= c.horizon && c.horizon != Infinity {
 			return fmt.Errorf("near event at %v at or above horizon %v", ev.when, c.horizon)
@@ -441,13 +442,127 @@ func checkQueueInvariants(c *Clock) error {
 			return fmt.Errorf("far event at %v below horizon %v", ev.when, c.horizon)
 		}
 		if len(c.near) == 0 {
-			return fmt.Errorf("far event at %v behind an empty near heap", ev.when)
+			return fmt.Errorf("far event at %v behind an empty near tier", ev.when)
 		}
-		if eventLess(ev, c.near[0]) {
-			return fmt.Errorf("far event at %v precedes the heap top at %v", ev.when, c.near[0].when)
+		if eventLess(ev, c.near.min()) {
+			return fmt.Errorf("far event at %v precedes the near minimum at %v", ev.when, c.near.min().when)
 		}
 	}
 	return nil
+}
+
+// The invariant check must report a near tier with one adjacent pair out
+// of order or one stale index.
+func TestQueueInvariantsCatchBrokenNearTier(t *testing.T) {
+	c := NewClock()
+	for i := 1; i <= 4; i++ {
+		c.After(Duration(i), func() {})
+	}
+	if err := checkQueueInvariants(c); err != nil {
+		t.Fatalf("valid queue reported: %v", err)
+	}
+	n := c.near
+	n[1], n[2] = n[2], n[1]
+	n[1].index, n[2].index = 1, 2
+	if checkQueueInvariants(c) == nil {
+		t.Fatal("swapped adjacent pair not reported")
+	}
+	n[1], n[2] = n[2], n[1]
+	n[1].index, n[2].index = 1, 2
+	n[3].index = 0
+	if checkQueueInvariants(c) == nil {
+		t.Fatal("stale index not reported")
+	}
+	n[3].index = 3
+	if err := checkQueueInvariants(c); err != nil {
+		t.Fatalf("restored queue reported: %v", err)
+	}
+}
+
+// Events at one time fire in seq order whichever order they reach the near
+// tier in. A refill pushes far events in far-tier order, which a far cancel
+// unsorts, and they are older than the near events that join them later.
+func TestNearTierEqualWhenFiresInSeqOrder(t *testing.T) {
+	c := NewClock()
+	var got []int
+	rec := func(id int) func() { return func() { got = append(got, id) } }
+	c.At(10, rec(0)) // opens the window [10, 10+farWindow)
+	const at = 2 * farWindow
+	gone := c.At(at, rec(9)) // far[0]
+	c.At(at, rec(1))         // far[1]
+	c.At(at, rec(2))         // far[2]
+	gone.Cancel()            // moves 2 into far[0]: far is [2, 1]
+	c.Step()                 // fires 0; the refill pushes 2, then the older 1
+	c.At(at, rec(3))         // near, behind them
+	c.At(at, rec(4))
+	if err := checkQueueInvariants(c); err != nil {
+		t.Fatal(err)
+	}
+	c.Run()
+	if fmt.Sprint(got) != "[0 1 2 3 4]" {
+		t.Fatalf("fired %v, want [0 1 2 3 4]", got)
+	}
+}
+
+// Cancelling the earliest, a middle and the latest near event keeps the
+// tier sorted and every other event firing in order.
+func TestNearTierCancelHeadMiddleTail(t *testing.T) {
+	for _, victim := range []int{0, 2, 4} { // earliest, middle, latest
+		c := NewClock()
+		var got []int
+		evs := make([]*Event, 5)
+		for i := range evs {
+			id := i
+			evs[i] = c.After(Duration(10*(i+1)), func() { got = append(got, id) })
+		}
+		if !evs[victim].Cancel() || evs[victim].Pending() {
+			t.Fatalf("victim %d: cancel failed", victim)
+		}
+		if err := checkQueueInvariants(c); err != nil {
+			t.Fatalf("victim %d: %v", victim, err)
+		}
+		if want := Time(10 + 10*b2u(victim == 0)); c.NextEventTime() != want {
+			t.Fatalf("victim %d: next event at %v, want %v", victim, c.NextEventTime(), want)
+		}
+		c.Run()
+		var want []int
+		for i := range evs {
+			if i != victim {
+				want = append(want, i)
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("victim %d: fired %v, want %v", victim, got, want)
+		}
+	}
+}
+
+// Reschedule of the firing event puts it back into the near tier at its
+// new (when, seq) place, behind an event at the same time scheduled first.
+func TestRescheduleBackIntoNearTier(t *testing.T) {
+	c := NewClock()
+	var got []string
+	c.At(5, func() { got = append(got, "other") }) // fires at 5 before the re-armed event
+	c.At(30, func() { got = append(got, "late") })
+	rearmed := false
+	c.At(1, func() {
+		got = append(got, "periodic")
+		if !rearmed {
+			rearmed = true
+			ev := c.Reschedule(29) // now 1: fires at 30, after "late" (older seq)
+			if ev.index < 0 {
+				t.Errorf("rescheduled event not in the near tier (index %d)", ev.index)
+			}
+		}
+	})
+	c.Step()
+	if err := checkQueueInvariants(c); err != nil {
+		t.Fatal(err)
+	}
+	c.Run()
+	if fmt.Sprint(got) != "[periodic other late periodic]" {
+		t.Fatalf("fired %v", got)
+	}
 }
 
 // fuzzSeeds returns random streams long enough to cross many refills.
@@ -542,5 +657,54 @@ func BenchmarkClockSliceChurn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Step()
+	}
+}
+
+// BenchmarkClockNearTier holds a fixed population of events up to 500 us
+// ahead, all inside one near window at refill, at the 12-pCPU co-runs'
+// typical near length and at the largest host's. Every fired event re-arms
+// itself at a random depth, and every eighth also cancels another event
+// from anywhere in the tier and re-arms it. The steady state must not
+// allocate.
+func BenchmarkClockNearTier(b *testing.B) {
+	for _, n := range []int{8, 64} {
+		b.Run(fmt.Sprintf("near=%d", n), func(b *testing.B) {
+			c := NewClock()
+			rng := uint64(16)
+			next := func() uint64 {
+				rng ^= rng << 13
+				rng ^= rng >> 7
+				rng ^= rng << 17
+				return rng
+			}
+			delay := func() Duration { return 1 + Duration(next()%uint64(500*Microsecond)) }
+			evs := make([]*Event, n)
+			fns := make([]func(), n)
+			fired := 0
+			for i := range fns {
+				id := i
+				fns[i] = func() {
+					evs[id] = c.Reschedule(delay())
+					if fired++; fired%8 == 0 {
+						if j := int(next() % uint64(n)); j != id {
+							evs[j].Cancel()
+							evs[j] = c.After(delay(), fns[j])
+						}
+					}
+				}
+				evs[i] = c.After(delay(), fns[i])
+			}
+			for i := 0; i < 10000; i++ {
+				c.Step()
+			}
+			if allocs := testing.AllocsPerRun(1000, func() { c.Step() }); allocs != 0 {
+				b.Fatalf("near tier allocates %.1f objects per event", allocs)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Step()
+			}
+		})
 	}
 }

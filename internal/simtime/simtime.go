@@ -11,27 +11,47 @@
 // # Performance
 //
 // The queue has two tiers split at a moving horizon. The near tier is a
-// monomorphic 4-ary min-heap on *Event (no interface boxing) holding every
-// event with when < horizon. The far tier is an unordered slice holding
-// every event with when >= horizon: inserting appends, and cancelling
-// moves the last far event into the vacated slot, both O(1). When the near
-// heap drains, the clock sets horizon = min(far.when) + farWindow
-// (saturating at Infinity) and moves the far events below the new horizon
-// into the heap. Every near event thus precedes every far event in
-// (when, seq) order and the near heap is empty only when the whole queue
-// is, so the heap top is always the global minimum: firing order and
-// sequence numbers are exactly those of a single heap.
+// slice of *Event sorted by (when, seq), latest first, holding every event
+// with when < horizon: popping the earliest takes the last element, with no
+// compares; inserting shifts the events that fire before the new one up one
+// slot, and cancelling shifts the earlier-firing events down over the hole.
+// The far tier is an unordered slice holding every event with
+// when >= horizon: inserting appends, and cancelling moves the last far
+// event into the vacated slot, both O(1). When the near tier drains, the
+// clock sets horizon = min(far.when) + farWindow (saturating at Infinity)
+// and moves the far events below the new horizon into the near tier. Every
+// near event thus precedes every far event in (when, seq) order and the
+// near tier is empty only when the whole queue is, so its last element is
+// always the global minimum: firing order and sequence numbers are exactly
+// those of a single priority queue.
 //
 // The split exists for the credit scheduler's yield storm: every dispatch
 // arms a 30 ms slice timer that a yield cancels microseconds later. On the
 // dedup co-run, a third of all schedules and 78% of all cancels are such
 // timers and only 0.09% of them fire, while guest progress events land
-// 10-100 us ahead. A 1 ms window keeps those near events (4-15 of them) in
-// the heap and the slices and 10 ms ticks out of it, at about 1,000 refills
-// per simulated second. In a prototype, a 100 us window measured the same
-// and a 10 ms window was slower.
+// 10-100 us ahead. A 1 ms window keeps those near events in the near tier
+// and the slices and 10 ms ticks out of it, at about 1,000 refills per
+// simulated second. In prototypes, a 100 us or 300 us window measured the
+// same and a 10 ms window was slower.
 //
-// Event.index encodes where an event lives: a heap position (>= 0),
+// The near tier is sorted rather than a heap because it is small: for
+// about ten events a linear insertion beats a heap (Jones, CACM 1986). A
+// 4-ary heap spent most of its time in the data-dependent child-compare
+// loop of its sift-down, and storing the keys inline did not help. The
+// shift cost grows with the host; on the dedup+swaptions co-run with
+// n-vCPU VMs (DESIGN.md §8 has the runs):
+//
+//	pCPUs  near events at a pop  shifts per insert  shifts per cancel
+//	   12                  10.9                5.3                9.1
+//	   32                  29.1               17.0               30.0
+//	   64                  64.4               38.5               58.5
+//
+// On the benchmark's 12-pCPU co-runs the sorted tier cut host time per
+// simulated second by about 10%; at hv.MaxPCPUs (64 pCPUs) it measures the
+// same as the heap within noise. FIFO lanes for constant-delay events
+// measured slower than the heap (ROADMAP.md, item 2).
+//
+// Event.index encodes where an event lives: a near-tier position (>= 0),
 // inFar-i for slot i of the far tier, or notQueued. The far tier needs no
 // link fields, so an Event stays in the 64-byte size class.
 //
@@ -100,7 +120,7 @@ func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
 type Event struct {
 	when  Time
 	seq   uint64
-	index int // near-heap position (>= 0), notQueued, or inFar - far-tier slot
+	index int // near-tier position (>= 0), notQueued, or inFar - far-tier slot
 	fn    func()
 	label string
 	clock *Clock // owning clock, fixed when the Event is allocated
@@ -117,7 +137,7 @@ const (
 const initialTierCap = 64
 
 // farWindow is the width of the near tier: a refill moves the far events
-// within farWindow of the earliest one into the heap (see the package
+// within farWindow of the earliest one into the near tier (see the package
 // comment for the measured traffic behind 1 ms).
 const farWindow = Millisecond
 
@@ -212,9 +232,6 @@ func (c *Clock) SetWatchdog(limit uint64, fn func(WatchdogInfo)) {
 	c.wdCount = 0
 	c.wdFired = false
 }
-
-// WatchdogFired reports whether the armed watchdog has triggered.
-func (c *Clock) WatchdogFired() bool { return c.wdFired }
 
 // recentLabels returns the watchdog label ring, oldest first.
 func (c *Clock) recentLabels() []string {
@@ -386,7 +403,7 @@ func (c *Clock) Reschedule(d Duration) *Event {
 // number of events executed.
 func (c *Clock) RunUntil(t Time) uint64 {
 	var n uint64
-	for !c.stopped && len(c.near) > 0 && c.near[0].when <= t {
+	for !c.stopped && len(c.near) > 0 && c.near.min().when <= t {
 		c.Step()
 		n++
 	}
@@ -408,16 +425,13 @@ func (c *Clock) Run() uint64 {
 // Stop halts Step/Run/RunUntil. Pending events remain queued.
 func (c *Clock) Stop() { c.stopped = true }
 
-// Stopped reports whether Stop has been called.
-func (c *Clock) Stopped() bool { return c.stopped }
-
 // NextEventTime returns the firing time of the earliest queued event, or
 // Infinity when the queue is empty.
 func (c *Clock) NextEventTime() Time {
 	if len(c.near) == 0 {
 		return Infinity
 	}
-	return c.near[0].when
+	return c.near.min().when
 }
 
 // enqueue routes a scheduled event to its tier.
@@ -426,7 +440,7 @@ func (c *Clock) enqueue(ev *Event) {
 	case ev.when < c.horizon:
 		c.near.push(ev)
 	case len(c.near) == 0:
-		// The near heap drains only with the far tier (refill), so the
+		// The near tier drains only with the far tier (refill), so the
 		// queue is empty and ev opens a new window.
 		c.horizon = windowEnd(ev.when)
 		c.near.push(ev)
@@ -448,7 +462,7 @@ func (c *Clock) removeFar(ev *Event) {
 	ev.index = notQueued
 }
 
-// refill restocks the drained near heap: it opens the window that starts
+// refill restocks the drained near tier: it opens the window that starts
 // at the earliest far event and moves every far event inside it, keeping
 // the rest in order at the front of the far tier.
 func (c *Clock) refill() {
@@ -479,17 +493,12 @@ func windowEnd(t Time) Time {
 	return t + farWindow
 }
 
-// eventHeap is a monomorphic 4-ary min-heap on (when, seq). Compared to
-// container/heap it avoids the `any` boxing on every Push/Pop and halves the
-// tree depth, which matters because the heap operation per scheduled event
-// is the single hottest path of the whole simulator.
+// eventHeap is the near tier: a slice sorted by (when, seq), latest
+// first, so the earliest event is the last element. The name is historical
+// (the tier used to be a 4-ary heap) and kept because profiles attribute
+// the tier's cost by it. With about ten resident events a shift costs less
+// than a heap's data-dependent sift; see the package comment.
 type eventHeap []*Event
-
-// heapArity is the branching factor. Four children per node trade slightly
-// more comparisons per level for half the levels (and half the cache-missed
-// swaps) of a binary heap — the classic d-ary heap win for queues with
-// cheap comparisons.
-const heapArity = 4
 
 func eventLess(a, b *Event) bool {
 	if a.when != b.when {
@@ -498,89 +507,44 @@ func eventLess(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// push appends ev and restores the heap property.
+// min returns the earliest event; the tier must not be empty.
+func (h eventHeap) min() *Event { return h[len(h)-1] }
+
+// push inserts ev, shifting every event that fires before it up one slot.
 func (h *eventHeap) push(ev *Event) {
-	*h = append(*h, ev)
-	(*h).siftUp(len(*h)-1, ev)
+	s := append(*h, ev)
+	i := len(s) - 1
+	for ; i > 0 && eventLess(s[i-1], ev); i-- {
+		s[i] = s[i-1]
+		s[i].index = i
+	}
+	s[i] = ev
+	ev.index = i
+	*h = s
 }
 
 // popMin removes and returns the earliest event.
 func (h *eventHeap) popMin() *Event {
-	old := *h
-	ev := old[0]
-	last := len(old) - 1
-	moved := old[last]
-	old[last] = nil
-	*h = old[:last]
-	if last > 0 {
-		(*h).siftDown(0, moved)
-	}
+	s := *h
+	last := len(s) - 1
+	ev := s[last]
+	s[last] = nil
+	*h = s[:last]
 	ev.index = notQueued
 	return ev
 }
 
-// remove deletes the event at heap index i (Cancel path).
+// remove deletes the event at index i (Cancel path), shifting every event
+// that fires before it down one slot.
 func (h *eventHeap) remove(i int) {
-	old := *h
-	last := len(old) - 1
-	ev := old[i]
-	moved := old[last]
-	old[last] = nil
-	*h = old[:last]
-	if i < last {
-		// The replacement may need to move either direction.
-		(*h).siftDown(i, moved)
-		if moved.index == i {
-			(*h).siftUp(i, moved)
-		}
+	s := *h
+	ev := s[i]
+	last := len(s) - 1
+	for ; i < last; i++ {
+		s[i] = s[i+1]
+		s[i].index = i
 	}
+	s[last] = nil
+	*h = s[:last]
 	ev.index = notQueued
-}
-
-// siftUp places ev (conceptually at hole i) at its final position towards
-// the root.
-func (h eventHeap) siftUp(i int, ev *Event) {
-	for i > 0 {
-		parent := (i - 1) / heapArity
-		p := h[parent]
-		if !eventLess(ev, p) {
-			break
-		}
-		h[i] = p
-		p.index = i
-		i = parent
-	}
-	h[i] = ev
-	ev.index = i
-}
-
-// siftDown places ev (conceptually at hole i) at its final position towards
-// the leaves.
-func (h eventHeap) siftDown(i int, ev *Event) {
-	n := len(h)
-	for {
-		first := heapArity*i + 1
-		if first >= n {
-			break
-		}
-		end := first + heapArity
-		if end > n {
-			end = n
-		}
-		best := first
-		bestEv := h[first]
-		for c := first + 1; c < end; c++ {
-			if eventLess(h[c], bestEv) {
-				best, bestEv = c, h[c]
-			}
-		}
-		if !eventLess(bestEv, ev) {
-			break
-		}
-		h[i] = bestEv
-		bestEv.index = i
-		i = best
-	}
-	h[i] = ev
-	ev.index = i
 }

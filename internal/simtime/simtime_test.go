@@ -289,8 +289,8 @@ func TestStopHaltsExecution(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("ran %d events after Stop, want 3", n)
 	}
-	if !c.Stopped() {
-		t.Fatal("Stopped() false after Stop")
+	if !c.stopped {
+		t.Fatal("stopped false after Stop")
 	}
 	if c.Pending() != 7 {
 		t.Fatalf("%d pending after Stop, want 7", c.Pending())

@@ -20,8 +20,8 @@ func TestWatchdogFiresOnLivelock(t *testing.T) {
 	if info == nil {
 		t.Fatal("watchdog never fired on a livelocked loop")
 	}
-	if !c.WatchdogFired() {
-		t.Fatal("WatchdogFired() false after trigger")
+	if !c.wdFired {
+		t.Fatal("wdFired false after trigger")
 	}
 	if info.Now != 0 {
 		t.Fatalf("livelock detected at t=%v, want 0", info.Now)
