@@ -110,6 +110,7 @@ type Scenario struct {
 type TelemetryConfig struct {
 	// FlightDir, when non-empty, is a directory receiving one JSON flight
 	// dump per triggering event (invariant violation or injected fault).
+	// A dump that cannot be written fails Simulate with an error.
 	FlightDir string
 	// Label tags flight dump filenames (defaults to "run").
 	Label string

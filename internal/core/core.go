@@ -80,11 +80,6 @@ type Config struct {
 	// the default of 256).
 	DecisionDepth int
 
-	// AccelerateIO migrates preempted recipients of relayed vIRQs and
-	// reschedule vIPIs (paper §4.2, Figure 2) — the mixed-behaviour-vCPU
-	// fix that BOOSTING cannot provide.
-	AccelerateIO bool
-
 	// PreciseSelection restricts sibling migration to vCPUs whose RIP
 	// classifies as a critical service. Disabling it migrates any
 	// preempted sibling (ablation D1).
@@ -104,7 +99,6 @@ func DefaultConfig() Config {
 		ProfileInterval:  10 * simtime.Millisecond,
 		EpochInterval:    1000 * simtime.Millisecond,
 		StabilityEpochs:  defaultStabilityEpochs,
-		AccelerateIO:     true,
 		PreciseSelection: true,
 	}
 }
@@ -145,7 +139,7 @@ type Controller struct {
 	numMicro    int
 	urEvents    []trace.Sample
 	runDelta    trace.Sample // urgent events observed during the last run phase
-	lastSnap    map[string]uint64
+	lastSnap    trace.Sample // hypervisor counter totals at the last delta
 
 	// Hysteresis and fault-awareness (controller v2).
 	epoch      uint64         // decision rounds begun
@@ -174,9 +168,14 @@ type domSyms struct {
 }
 
 // ctrlHot holds the controller counters incremented on every detection
-// event, resolved once in Attach (the adaptive-step counters stay on the
-// string-keyed registry: they fire at most once per 10 ms profile phase).
+// event and the hypervisor counters each profile phase samples, resolved
+// once in Attach (the adaptive-step counters stay on the string-keyed
+// registry: they fire at most once per 10 ms profile phase).
 type ctrlHot struct {
+	yieldIPI *metrics.Counter // hypervisor's yield.ipi
+	yieldPLE *metrics.Counter // hypervisor's yield.ple
+	virqSent *metrics.Counter // hypervisor's virq.sent
+
 	triggerPLE  *metrics.Counter
 	triggerIPI  *metrics.Counter
 	triggerVIRQ *metrics.Counter
@@ -212,6 +211,9 @@ func Attach(h *hv.Hypervisor, cfg Config) (*Controller, error) {
 		h.Obs.Decisions = &c.Decisions
 	}
 	c.hot = ctrlHot{
+		yieldIPI:    h.Counters.Handle("yield.ipi"),
+		yieldPLE:    h.Counters.Handle("yield.ple"),
+		virqSent:    h.Counters.Handle("virq.sent"),
 		triggerPLE:  c.Counters.Handle("trigger.ple"),
 		triggerIPI:  c.Counters.Handle("trigger.ipi"),
 		triggerVIRQ: c.Counters.Handle("trigger.virq"),
@@ -233,10 +235,11 @@ func Attach(h *hv.Hypervisor, cfg Config) (*Controller, error) {
 		return c, nil
 	}
 	h.Hooks.OnYield = c.onYield
-	if cfg.AccelerateIO {
-		h.Hooks.OnVIRQRelay = c.onVIRQRelay
-		h.Hooks.OnVIPIRelay = c.onVIPIRelay
-	}
+	// Migrate preempted recipients of relayed vIRQs and reschedule vIPIs
+	// (paper §4.2, Figure 2): the mixed-behaviour-vCPU fix that BOOSTING
+	// cannot provide.
+	h.Hooks.OnVIRQRelay = c.onVIRQRelay
+	h.Hooks.OnVIPIRelay = c.onVIPIRelay
 	// Hot-unplug can evict micro pCPUs behind the controller's back: the
 	// gauge must re-sync in every active mode, and dynamic mode re-profiles.
 	h.Hooks.OnCapacityChange = c.onCapacityChange
@@ -265,9 +268,6 @@ func (c *Controller) Start() {
 		c.stepEv = c.h.Clock.After(c.cfg.ProfileInterval, c.adaptiveStep)
 	}
 }
-
-// MicroCount returns the current micro pool size.
-func (c *Controller) MicroCount() int { return c.h.MicroCount() }
 
 // RegisterUserRegions installs a domain's user-level critical regions
 // (the §4.4 interface). Ignored unless Config.UserCS is enabled.
@@ -436,20 +436,20 @@ func (c *Controller) SymbolHits() map[string]uint64 {
 // Algorithm 1: adaptive micro pool sizing
 // ---------------------------------------------------------------------------
 
-func (c *Controller) snapshot() map[string]uint64 {
-	return map[string]uint64{
-		"ipi":  c.h.Counters.Value("yield.ipi"),
-		"ple":  c.h.Counters.Value("yield.ple"),
-		"virq": c.h.Counters.Value("virq.sent"),
+func (c *Controller) snapshot() trace.Sample {
+	return trace.Sample{
+		IPIs: c.hot.yieldIPI.Value(),
+		PLEs: c.hot.yieldPLE.Value(),
+		IRQs: c.hot.virqSent.Value(),
 	}
 }
 
 func (c *Controller) delta() trace.Sample {
 	now := c.snapshot()
 	d := trace.Sample{
-		IPIs: now["ipi"] - c.lastSnap["ipi"],
-		PLEs: now["ple"] - c.lastSnap["ple"],
-		IRQs: now["virq"] - c.lastSnap["virq"],
+		IPIs: now.IPIs - c.lastSnap.IPIs,
+		PLEs: now.PLEs - c.lastSnap.PLEs,
+		IRQs: now.IRQs - c.lastSnap.IRQs,
 	}
 	c.lastSnap = now
 	return d

@@ -129,8 +129,8 @@ func TestStaticModeSizesPool(t *testing.T) {
 	}
 	h.Start()
 	c.Start()
-	if c.MicroCount() != 2 {
-		t.Fatalf("micro count %d, want 2", c.MicroCount())
+	if c.h.MicroCount() != 2 {
+		t.Fatalf("micro count %d, want 2", c.h.MicroCount())
 	}
 }
 
@@ -299,8 +299,8 @@ func TestAdaptiveStaysAtZeroWhenIdle(t *testing.T) {
 	startAllKernels(h, k)
 	c.Start()
 	clock.RunUntil(3 * simtime.Second)
-	if c.MicroCount() != 0 {
-		t.Fatalf("idle system has %d micro cores", c.MicroCount())
+	if c.h.MicroCount() != 0 {
+		t.Fatalf("idle system has %d micro cores", c.h.MicroCount())
 	}
 	if c.Counters.Value("adaptive.idle") == 0 {
 		t.Fatal("idle path never taken")
@@ -322,8 +322,8 @@ func TestAdaptiveIPISearchPicksBest(t *testing.T) {
 	if c.Counters.Value("adaptive.best_pick") == 0 {
 		t.Fatalf("IPI-dominant load never completed the search: %s", c.Counters)
 	}
-	if c.MicroCount() < 1 || c.MicroCount() > 3 {
-		t.Fatalf("settled at %d micro cores", c.MicroCount())
+	if c.h.MicroCount() < 1 || c.h.MicroCount() > 3 {
+		t.Fatalf("settled at %d micro cores", c.h.MicroCount())
 	}
 }
 
@@ -399,7 +399,10 @@ func counterWorld(t *testing.T, pcpus int, cfg Config) (*simtime.Clock, *hv.Hype
 }
 
 func bump(h *hv.Hypervisor, name string, n uint64) {
-	h.Counters.Counter(name).Add(n)
+	c := h.Counters.Counter(name)
+	for ; n > 0; n-- {
+		c.Inc()
+	}
 }
 
 func lastDecision(t *testing.T, c *Controller) trace.Decision {

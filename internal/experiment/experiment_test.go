@@ -176,10 +176,11 @@ func TestTable4cShapeMixedIOSuffers(t *testing.T) {
 }
 
 func TestSweepShapeGmake(t *testing.T) {
-	s, err := Sweep("gmake", 2, med)
+	sweeps, err := sweepAll([]string{"gmake"}, 2, med)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := sweeps[0]
 	if s.NormExecTime(1) >= 0.9 {
 		t.Fatalf("one micro core did not accelerate gmake: %.2f", s.NormExecTime(1))
 	}

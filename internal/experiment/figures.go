@@ -61,16 +61,6 @@ func (s *SweepResult) BestStatic() int {
 	return best
 }
 
-// Sweep measures one workload pair across 0..maxCores static micro cores.
-// The points run concurrently through RunAll.
-func Sweep(app string, maxCores int, dur simtime.Duration) (*SweepResult, error) {
-	sweeps, err := sweepAll([]string{app}, maxCores, dur)
-	if err != nil {
-		return nil, err
-	}
-	return sweeps[0], nil
-}
-
 // sweepSetups builds the 0..maxCores static grid of one workload pair.
 func sweepSetups(app string, maxCores int, dur simtime.Duration) []Setup {
 	setups := make([]Setup, 0, maxCores+1)

@@ -67,7 +67,6 @@ type ServeSpec struct {
 	SLO        simtime.Duration // end-to-end latency objective (0: DefaultServeSLO)
 	RingCap    int              // NIC RX ring capacity (0: vnet.DefaultRingSize)
 	Seed       uint64
-	Profile    *workload.ServeProfile // per-request work (nil: defaults)
 }
 
 // Setup is a complete scenario.
@@ -315,19 +314,19 @@ func Run(s Setup) (res *Result, err error) {
 		plan.Attach(h)
 		if observer != nil {
 			plan.OnFault = func(event string) {
-				observer.Flight(clock.Now(), "fault", event, h.Trace.Tail(observer.Config().FlightDepth))
+				observer.Flight(clock.Now(), "fault", event, h.Trace.Tail(obs.FlightDepth))
 			}
 		}
 	}
 	var auditor *hv.Auditor
 	if s.Audit {
-		acfg := hv.AuditConfig{}
+		var onViolation func(*hv.InvariantError)
 		if observer != nil {
-			acfg.OnViolation = func(e *hv.InvariantError) {
+			onViolation = func(e *hv.InvariantError) {
 				observer.Flight(e.Time, "invariant:"+e.Rule, e.Detail, e.Trace)
 			}
 		}
-		auditor = h.EnableAudit(acfg)
+		auditor = h.EnableAudit(onViolation)
 	}
 	var sup *recovery.Supervisor
 	if s.Recovery != nil {
@@ -462,6 +461,9 @@ func Run(s Setup) (res *Result, err error) {
 		}
 	}
 	if observer != nil {
+		if ferr := observer.FlightErr(); ferr != nil {
+			return nil, fmt.Errorf("experiment: flight recorder: %w", ferr)
+		}
 		res.Telemetry = observer.Summary(clock.Now())
 	}
 	if s.TraceExport != nil {
@@ -518,11 +520,7 @@ func buildServe(clock *simtime.Clock, h *hv.Hypervisor, k *guest.Kernel, app *wo
 	if err != nil {
 		return serveRig{}, err
 	}
-	prof := workload.DefaultServeProfile()
-	if sv.Profile != nil {
-		prof = *sv.Profile
-	}
-	pool, err := workload.RequestServer(app, flow, prof, sv.Seed+1)
+	pool, err := workload.RequestServer(app, flow, workload.DefaultServeProfile(), sv.Seed+1)
 	if err != nil {
 		return serveRig{}, err
 	}

@@ -100,15 +100,6 @@ type VCPU struct {
 // HV returns the hypervisor vCPU handle.
 func (v *VCPU) HV() *hv.VCPU { return v.hvv }
 
-// Index returns the vCPU index within its domain.
-func (v *VCPU) Index() int { return v.idx }
-
-// Current returns the thread occupying the vCPU (nil when idle).
-func (v *VCPU) Current() *Thread { return v.cur }
-
-// QueueLen returns the guest run-queue length.
-func (v *VCPU) QueueLen() int { return len(v.runq) }
-
 // RIP implements hv.GuestContext.
 func (v *VCPU) RIP() uint64 { return v.rip }
 

@@ -99,7 +99,7 @@ func TestFuzzRandomPrograms(t *testing.T) {
 			// Lock invariants: a holder is a live thread; waiter lists
 			// never contain the holder.
 			for _, l := range allLocks {
-				if hd := l.Holder(); hd != nil {
+				if hd := l.holder; hd != nil {
 					if hd.State() == ThreadDone {
 						t.Fatalf("seed %d: finished thread holds %s", seed, l.Name())
 					}

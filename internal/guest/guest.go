@@ -332,9 +332,6 @@ func (k *Kernel) NetPktsInFlight() int {
 // AttachDisk registers the domain's virtual block device.
 func (k *Kernel) AttachDisk(dev BlockDevice) { k.disk = dev }
 
-// Thread returns the thread with the given ID.
-func (k *Kernel) Thread(id int) *Thread { return k.threads[id] }
-
 // Threads returns all threads (including finished ones).
 func (k *Kernel) Threads() []*Thread { return k.threads }
 
@@ -371,27 +368,4 @@ func (k *Kernel) StartAll() {
 			k.HV.Wake(vc.hvv, false)
 		}
 	}
-}
-
-// LiveVCPUs returns the vCPUs that host unfinished threads — the targets
-// of a TLB shootdown (Linux's mm_cpumask analogue).
-func (k *Kernel) LiveVCPUs() []*VCPU {
-	var out []*VCPU
-	for _, vc := range k.VCPUs {
-		if vc.live > 0 {
-			out = append(out, vc)
-		}
-	}
-	return out
-}
-
-// DoneThreads counts finished threads.
-func (k *Kernel) DoneThreads() int {
-	n := 0
-	for _, t := range k.threads {
-		if t.state == ThreadDone {
-			n++
-		}
-	}
-	return n
 }

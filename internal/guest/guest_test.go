@@ -83,7 +83,7 @@ func TestUncontendedLockIsFastPath(t *testing.T) {
 	if hist.Count() != 0 {
 		t.Fatalf("fast path must not record a wait: %s", hist)
 	}
-	if l.Holder() != nil {
+	if l.holder != nil {
 		t.Fatal("lock not released")
 	}
 }
@@ -462,32 +462,6 @@ func TestIdleVCPURIPIsHalt(t *testing.T) {
 	clock.RunUntil(simtime.Second)
 	if name := k.Sym.NameOf(k.VCPUs[0].RIP()); name != "native_safe_halt" {
 		t.Fatalf("idle RIP resolves to %q", name)
-	}
-}
-
-func TestLiveVCPUs(t *testing.T) {
-	clock, h, k := boot(t, 2, 2)
-	k.NewThread(0, "w", &seqProg{ops: []Op{{Kind: OpCompute, Dur: simtime.Millisecond}}})
-	if n := len(k.LiveVCPUs()); n != 1 {
-		t.Fatalf("live=%d, want 1 (only vCPU0 has threads)", n)
-	}
-	h.Start()
-	k.StartAll()
-	clock.RunUntil(simtime.Second)
-	if n := len(k.LiveVCPUs()); n != 0 {
-		t.Fatalf("live=%d after exit", n)
-	}
-}
-
-func TestDoneThreadsCount(t *testing.T) {
-	clock, h, k := boot(t, 1, 1)
-	k.NewThread(0, "a", &seqProg{ops: []Op{{Kind: OpCompute, Dur: simtime.Millisecond}}})
-	k.NewThread(0, "b", &loopProg{op: Op{Kind: OpCompute, Dur: simtime.Millisecond}})
-	h.Start()
-	k.StartAll()
-	clock.RunUntil(simtime.Second)
-	if k.DoneThreads() != 1 {
-		t.Fatalf("done=%d", k.DoneThreads())
 	}
 }
 

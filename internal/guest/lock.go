@@ -46,15 +46,6 @@ type SpinLock struct {
 // Name returns the lock's name.
 func (l *SpinLock) Name() string { return l.name }
 
-// Class returns the Lockstat class.
-func (l *SpinLock) Class() string { return l.class }
-
-// Holder returns the current holder (nil when free).
-func (l *SpinLock) Holder() *Thread { return l.holder }
-
-// QueueLen returns the number of spinning waiters.
-func (l *SpinLock) QueueLen() int { return len(l.waiters) }
-
 // holdDuration returns the critical-section duration for a thread that just
 // acquired l. A fault plan's LockStall hook may amplify it, modelling a
 // holder that stalls inside the critical section (cache misses, host-level

@@ -170,9 +170,6 @@ func (t *Thread) State() ThreadState { return t.state }
 // Program returns the thread's operation source.
 func (t *Thread) Program() Program { return t.prog }
 
-// VCPUIndex returns the index of the thread's home vCPU.
-func (t *Thread) VCPUIndex() int { return t.vc.idx }
-
 func (t *Thread) String() string {
 	return fmt.Sprintf("%s(t%d,%s)", t.Name, t.ID, t.state)
 }

@@ -27,7 +27,7 @@ import (
 //   2. Pool membership: each online pCPU's pool contains it; offline pCPUs
 //      belong to no pool and hold no work; runqueues are priority-sorted.
 //   3. Credits: every vCPU's credits stay within [CreditFloor, CreditCap].
-//   4. Progress: no Runnable vCPU has waited longer than StarveHorizon
+//   4. Progress: no Runnable vCPU has waited longer than auditStarveHorizon
 //      without being dispatched.
 
 // InvariantError is one detected inconsistency. It carries the tail of the
@@ -47,40 +47,23 @@ func (e *InvariantError) Error() string {
 	return fmt.Sprintf("invariant %q violated at %v: %s", e.Rule, e.Time, e.Detail)
 }
 
-// AuditConfig configures the auditor. Zero values select defaults.
-type AuditConfig struct {
-	Interval      simtime.Duration // walk period (default: scheduler tick)
-	StarveHorizon simtime.Duration // max tolerated Runnable wait (default 1s)
-	MaxViolations int              // recording cap (default 32)
-
-	// OnViolation, when non-nil, fires synchronously for each recorded
-	// violation (not for ones dropped beyond MaxViolations). The experiment
-	// harness uses it to trigger the flight recorder.
-	OnViolation func(*InvariantError)
-}
-
-func (c AuditConfig) withDefaults(cfg Config) AuditConfig {
-	if c.Interval <= 0 {
-		c.Interval = cfg.Tick
-	}
-	if c.StarveHorizon <= 0 {
-		c.StarveHorizon = simtime.Second
-	}
-	if c.MaxViolations <= 0 {
-		c.MaxViolations = 32
-	}
-	return c
-}
-
-// auditTraceDepth is the trace-ring tail attached to each violation.
-const auditTraceDepth = 32
+const (
+	// auditStarveHorizon is the longest Runnable wait the walk tolerates.
+	auditStarveHorizon = simtime.Second
+	// auditMaxViolations caps the recorded violations; later ones are
+	// dropped.
+	auditMaxViolations = 32
+	// auditTraceDepth is the trace-ring tail attached to each violation.
+	auditTraceDepth = 32
+)
 
 // Auditor periodically verifies hypervisor scheduling invariants.
 type Auditor struct {
-	h          *Hypervisor
-	cfg        AuditConfig
-	violations []InvariantError
-	dropped    int
+	h *Hypervisor
+	// onViolation, when non-nil, fires synchronously for each recorded
+	// violation (not for ones dropped beyond auditMaxViolations).
+	onViolation func(*InvariantError)
+	violations  []InvariantError
 	// starved dedups starvation reports: one per (vCPU, wait episode).
 	starved map[*VCPU]simtime.Time
 	// running/queued are the walk's scratch maps (pass-1 placement counts),
@@ -90,35 +73,34 @@ type Auditor struct {
 	queued  map[*VCPU]int
 }
 
-// EnableAudit arms a periodic invariant walk on the hypervisor's clock.
-// Call before Start; the first walk runs one interval into the run. The
-// walk itself never mutates scheduler state, so enabling the auditor does
-// not change simulation results. Each walk re-arms itself through
-// Clock.Reschedule, reusing its event and pre-bound callback.
-func (h *Hypervisor) EnableAudit(cfg AuditConfig) *Auditor {
+// EnableAudit arms a periodic invariant walk on the hypervisor's clock,
+// one walk per scheduler tick. onViolation, when non-nil, fires
+// synchronously for each recorded violation; the experiment harness uses it
+// to trigger the flight recorder. Call before Start; the first walk runs
+// one tick into the run. The walk itself never mutates scheduler state, so
+// enabling the auditor does not change simulation results. Each walk
+// re-arms itself through Clock.Reschedule, reusing its event and pre-bound
+// callback.
+func (h *Hypervisor) EnableAudit(onViolation func(*InvariantError)) *Auditor {
 	a := &Auditor{
-		h:       h,
-		cfg:     cfg.withDefaults(h.Cfg),
-		starved: make(map[*VCPU]simtime.Time),
+		h:           h,
+		onViolation: onViolation,
+		starved:     make(map[*VCPU]simtime.Time),
 	}
 	walk := func() {
 		a.audit()
-		h.Clock.Reschedule(a.cfg.Interval)
+		h.Clock.Reschedule(h.Cfg.Tick)
 	}
-	h.Clock.AfterLabeled(a.cfg.Interval, "audit", walk)
+	h.Clock.AfterLabeled(h.Cfg.Tick, "audit", walk)
 	return a
 }
 
-// Violations returns the violations recorded so far (capped at
-// MaxViolations; Dropped reports how many exceeded the cap).
+// Violations returns the violations recorded so far, at most
+// auditMaxViolations of them.
 func (a *Auditor) Violations() []InvariantError { return a.violations }
 
-// Dropped returns how many violations were detected beyond MaxViolations.
-func (a *Auditor) Dropped() int { return a.dropped }
-
 func (a *Auditor) report(rule, format string, args ...any) {
-	if len(a.violations) >= a.cfg.MaxViolations {
-		a.dropped++
+	if len(a.violations) >= auditMaxViolations {
 		return
 	}
 	e := InvariantError{
@@ -131,8 +113,8 @@ func (a *Auditor) report(rule, format string, args ...any) {
 		e.Residency = a.h.Obs.ResidencySnapshot(e.Time)
 	}
 	a.violations = append(a.violations, e)
-	if a.cfg.OnViolation != nil {
-		a.cfg.OnViolation(&a.violations[len(a.violations)-1])
+	if a.onViolation != nil {
+		a.onViolation(&a.violations[len(a.violations)-1])
 	}
 }
 
@@ -229,15 +211,15 @@ func (a *Auditor) audit() {
 				a.report("placement", "runnable %v appears on %d pCPUs and %d runqueues",
 					v, running[v], queued[v])
 			}
-			if wait := now - v.runnableSince; wait > a.cfg.StarveHorizon {
+			if wait := now - v.runnableSince; wait > auditStarveHorizon {
 				if since, seen := a.starved[v]; !seen || since != v.runnableSince {
 					a.starved[v] = v.runnableSince
 					if r, ok := a.residencyOf(v, now); ok {
 						a.report("starvation", "%v runnable for %v (> horizon %v); lifetime: ran %v, waited %v (boosted %v), blocked %v",
-							v, wait, a.cfg.StarveHorizon, r.Running, r.Wait(), r.Boosted, r.Blocked)
+							v, wait, auditStarveHorizon, r.Running, r.Wait(), r.Boosted, r.Blocked)
 					} else {
 						a.report("starvation", "%v runnable for %v (> horizon %v)",
-							v, wait, a.cfg.StarveHorizon)
+							v, wait, auditStarveHorizon)
 					}
 				}
 			}

@@ -15,7 +15,7 @@ func auditHost(t *testing.T, pcpus, guests int) (*simtime.Clock, *Hypervisor, []
 	for i := range gs {
 		gs[i] = newSpinGuest(h, d, 50*simtime.Microsecond)
 	}
-	a := h.EnableAudit(AuditConfig{})
+	a := h.EnableAudit(nil)
 	h.Start()
 	for _, g := range gs {
 		h.Wake(g.v, false)
@@ -40,7 +40,7 @@ func TestAuditorDetectsCreditEscape(t *testing.T) {
 	clock, h, gs, _ := auditHost(t, 2, 2)
 	clock.RunUntil(10 * simtime.Millisecond)
 	gs[0].v.credits = h.Cfg.CreditCap + 1234
-	fresh := &Auditor{h: h, cfg: AuditConfig{}.withDefaults(h.Cfg), starved: map[*VCPU]simtime.Time{}}
+	fresh := &Auditor{h: h, starved: map[*VCPU]simtime.Time{}}
 	fresh.audit()
 	if !hasRule(fresh.Violations(), "credits") {
 		t.Fatalf("credit escape undetected: %v", fresh.Violations())
@@ -63,7 +63,7 @@ func TestAuditorDetectsPlacementCorruption(t *testing.T) {
 		t.Fatal("no running vCPU to corrupt")
 	}
 	victim.state = StateRunnable
-	fresh := &Auditor{h: h, cfg: AuditConfig{}.withDefaults(h.Cfg), starved: map[*VCPU]simtime.Time{}}
+	fresh := &Auditor{h: h, starved: map[*VCPU]simtime.Time{}}
 	fresh.audit()
 	if !hasRule(fresh.Violations(), "placement") {
 		t.Fatalf("placement corruption undetected: %v", fresh.Violations())
@@ -84,12 +84,9 @@ func TestAuditorDetectsStarvation(t *testing.T) {
 	if queued == nil {
 		t.Fatal("no queued vCPU (6 guests on 2 pCPUs should overcommit)")
 	}
-	queued.runnableSince = 0 // pretend it has waited since t=0
-	fresh := &Auditor{
-		h:       h,
-		cfg:     AuditConfig{StarveHorizon: 10 * simtime.Millisecond}.withDefaults(h.Cfg),
-		starved: map[*VCPU]simtime.Time{},
-	}
+	// Pretend it has waited just past the horizon.
+	queued.runnableSince = clock.Now() - auditStarveHorizon - 1
+	fresh := &Auditor{h: h, starved: map[*VCPU]simtime.Time{}}
 	fresh.audit()
 	if !hasRule(fresh.Violations(), "starvation") {
 		t.Fatalf("starvation undetected: %v", fresh.Violations())
@@ -118,7 +115,7 @@ func TestInvariantErrorCarriesTrace(t *testing.T) {
 	}
 	clock.RunUntil(10 * simtime.Millisecond)
 	gs[0].v.credits = h.Cfg.CreditFloor - 1
-	fresh := &Auditor{h: h, cfg: AuditConfig{}.withDefaults(h.Cfg), starved: map[*VCPU]simtime.Time{}}
+	fresh := &Auditor{h: h, starved: map[*VCPU]simtime.Time{}}
 	fresh.audit()
 	vs := fresh.Violations()
 	if len(vs) == 0 {
@@ -142,13 +139,14 @@ func TestAuditorCapsRecording(t *testing.T) {
 	for _, g := range gs {
 		g.v.credits = h.Cfg.CreditCap + 999
 	}
-	fresh := &Auditor{h: h, cfg: AuditConfig{MaxViolations: 1}.withDefaults(h.Cfg), starved: map[*VCPU]simtime.Time{}}
-	fresh.audit()
-	if len(fresh.Violations()) != 1 {
-		t.Fatalf("cap 1 recorded %d", len(fresh.Violations()))
+	fresh := &Auditor{h: h, starved: map[*VCPU]simtime.Time{}}
+	// Every walk reports both credit escapes again, so enough walks
+	// overshoot the cap.
+	for i := 0; i <= auditMaxViolations/len(gs); i++ {
+		fresh.audit()
 	}
-	if fresh.Dropped() == 0 {
-		t.Fatal("over-cap violations not counted as dropped")
+	if n := len(fresh.Violations()); n != auditMaxViolations {
+		t.Fatalf("recorded %d violations, want the cap %d", n, auditMaxViolations)
 	}
 }
 

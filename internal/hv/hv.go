@@ -314,9 +314,6 @@ type VCPU struct {
 // State returns the scheduling state.
 func (v *VCPU) State() VCPUState { return v.state }
 
-// Priority returns the current scheduling priority.
-func (v *VCPU) Priority() Priority { return v.prio }
-
 // Credits returns the current credit balance.
 func (v *VCPU) Credits() int { return v.credits }
 
@@ -445,14 +442,8 @@ type PCPU struct {
 	startFn func()
 }
 
-// Current returns the vCPU running on this pCPU (nil when idle).
-func (p *PCPU) Current() *VCPU { return p.cur }
-
 // Offline reports whether the pCPU is hot-unplugged.
 func (p *PCPU) Offline() bool { return p.offline }
-
-// QueueLen returns the runqueue length.
-func (p *PCPU) QueueLen() int { return len(p.runq) }
 
 // Busy returns accumulated non-idle time.
 func (p *PCPU) Busy() simtime.Duration { return p.busy }
@@ -685,9 +676,6 @@ func New(clock *simtime.Clock, cfg Config) *Hypervisor {
 
 // NormalPool returns the normal cpupool.
 func (h *Hypervisor) NormalPool() *Pool { return h.normal }
-
-// MicroPool returns the micro-sliced cpupool.
-func (h *Hypervisor) MicroPool() *Pool { return h.micro }
 
 // MicroCount returns the number of pCPUs currently in the micro pool.
 func (h *Hypervisor) MicroCount() int { return len(h.micro.pcpus) }

@@ -318,9 +318,9 @@ func TestWakeOfRunnableIsNoBoostNoOp(t *testing.T) {
 	} else {
 		waiter = b.v
 	}
-	prio := waiter.Priority()
+	prio := waiter.prio
 	h.Wake(waiter, true) // must be a no-op: not blocked
-	if waiter.Priority() != prio || waiter.State() != StateRunnable {
+	if waiter.prio != prio || waiter.State() != StateRunnable {
 		t.Fatal("wake of runnable vCPU changed state — breaks the VTD premise")
 	}
 	if h.Counters.Value("boost") != 0 {
@@ -611,7 +611,7 @@ func TestGrowMicroAvoidsPinnedPCPU(t *testing.T) {
 		t.Fatal("grow failed")
 	}
 	// pCPU 1 carries the pinned vCPU, so pCPU 0 must have been taken.
-	for _, p := range h.MicroPool().PCPUs() {
+	for _, p := range h.micro.PCPUs() {
 		if p.ID == 1 {
 			t.Fatal("grow stole the pinned pCPU")
 		}

@@ -267,26 +267,6 @@ func (t *Table) Classes() []Class {
 	return cls
 }
 
-// AddrOf returns the entry address of the named symbol.
-func (t *Table) AddrOf(name string) (uint64, bool) {
-	i, ok := t.byName[name]
-	if !ok {
-		return 0, false
-	}
-	return t.syms[i].Addr, true
-}
-
-// MustAddr returns the entry address of the named symbol or panics. The
-// guest model uses it at construction time, where a missing symbol is a
-// programming error.
-func (t *Table) MustAddr(name string) uint64 {
-	a, ok := t.AddrOf(name)
-	if !ok {
-		panic("ksym: unknown symbol " + name)
-	}
-	return a
-}
-
 // InnerAddr returns an address strictly inside the named function (entry+8),
 // used to model an instruction pointer mid-function.
 func (t *Table) InnerAddr(name string) uint64 {

@@ -20,20 +20,13 @@ type Counter struct {
 // Inc adds one to the counter.
 func (c *Counter) Inc() { c.n++ }
 
-// Add adds delta (>= 0) to the counter.
-func (c *Counter) Add(delta uint64) { c.n += delta }
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.n }
 
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
-
-// Summary tracks count/min/mean/max/sum of a series without storing it.
+// Summary tracks count/min/mean/max of a series without storing it.
 type Summary struct {
 	count uint64
 	sum   float64
-	sumSq float64
 	min   float64
 	max   float64
 }
@@ -48,14 +41,10 @@ func (s *Summary) Observe(v float64) {
 	}
 	s.count++
 	s.sum += v
-	s.sumSq += v * v
 }
 
 // Count returns the number of samples.
 func (s *Summary) Count() uint64 { return s.count }
-
-// Sum returns the total of all samples.
-func (s *Summary) Sum() float64 { return s.sum }
 
 // Mean returns the sample mean (0 when empty).
 func (s *Summary) Mean() float64 {
@@ -81,21 +70,8 @@ func (s *Summary) Max() float64 {
 	return finite(s.max)
 }
 
-// StdDev returns the population standard deviation (0 when empty).
-func (s *Summary) StdDev() float64 {
-	if s.count == 0 {
-		return 0
-	}
-	m := s.Mean()
-	v := finite(s.sumSq/float64(s.count) - m*m)
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
-
 // finite clamps the non-finite values that overflow-adjacent samples (e.g.
-// math.MaxFloat64, whose square is +Inf) produce in the running sums, so no
+// two math.MaxFloat64 samples, whose sum is +Inf) produce in the running sum, so no
 // NaN or Inf ever escapes into results — where it would poison downstream
 // aggregation and serialise as invalid JSON.
 func finite(v float64) float64 {
@@ -264,32 +240,6 @@ func (h *Histogram) clampToObserved(v int64) int64 {
 	return v
 }
 
-// Merge adds every bucket of other into h. Both histograms must have the
-// same sub-bucket resolution.
-func (h *Histogram) Merge(other *Histogram) error {
-	if other == nil {
-		return nil
-	}
-	if other.sub != h.sub {
-		return fmt.Errorf("metrics: merging histograms with different resolution (%d vs %d)", h.sub, other.sub)
-	}
-	for i, c := range other.buckets {
-		h.buckets[i] += c
-	}
-	h.summary.count += other.summary.count
-	h.summary.sum += other.summary.sum
-	h.summary.sumSq += other.summary.sumSq
-	if other.summary.count > 0 {
-		if h.summary.count == other.summary.count || other.summary.min < h.summary.min {
-			h.summary.min = other.summary.min
-		}
-		if h.summary.count == other.summary.count || other.summary.max > h.summary.max {
-			h.summary.max = other.summary.max
-		}
-	}
-	return nil
-}
-
 // String renders a short summary for logs.
 func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d min=%d mean=%.1f p50=%d p99=%d max=%d",
@@ -304,7 +254,6 @@ type Jitter struct {
 	lastTransit int64
 	j           float64
 	peak        float64
-	n           uint64
 }
 
 // ObserveTransit records the transit time (receive - send) of one packet.
@@ -318,29 +267,16 @@ func (j *Jitter) ObserveTransit(transit int64) {
 		if j.j > j.peak {
 			j.peak = j.j
 		}
-		j.n++
 	}
 	j.haveLast = true
 	j.lastTransit = transit
 }
 
-// Peak returns the maximum the smoothed estimator reached (ns). In a
-// deterministic simulation the instantaneous estimator decays to zero
-// whenever a measurement boundary lands in a quiet phase, so the peak is
-// the robust indicator of scheduling-induced delay bursts.
-func (j *Jitter) Peak() float64 { return j.peak }
-
-// PeakMillis returns Peak in milliseconds.
+// PeakMillis returns the maximum the smoothed estimator reached, in
+// milliseconds. In a deterministic simulation the instantaneous estimator
+// decays to zero whenever a measurement boundary lands in a quiet phase, so
+// the peak is the robust indicator of scheduling-induced delay bursts.
 func (j *Jitter) PeakMillis() float64 { return j.peak / 1e6 }
-
-// Nanos returns the current jitter estimate in nanoseconds.
-func (j *Jitter) Nanos() float64 { return j.j }
-
-// Millis returns the current jitter estimate in milliseconds.
-func (j *Jitter) Millis() float64 { return j.j / 1e6 }
-
-// Samples returns the number of packet pairs observed.
-func (j *Jitter) Samples() uint64 { return j.n }
 
 // Gauge tracks a step function of virtual time and integrates it, yielding
 // time-weighted averages (e.g. average number of micro-sliced cores).
@@ -367,9 +303,6 @@ func (g *Gauge) Set(now int64, v float64) {
 	}
 	g.value = v
 }
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return g.value }
 
 // TimeAverage returns the time-weighted mean over [start, now].
 func (g *Gauge) TimeAverage(now int64) float64 {
@@ -401,7 +334,6 @@ func (g *Gauge) Integral(now int64) float64 {
 // without cross-package coupling.
 type Set struct {
 	counters map[string]*Counter
-	order    []string
 }
 
 // NewSet returns an empty registry.
@@ -416,13 +348,12 @@ func (s *Set) Counter(name string) *Counter {
 	}
 	c := &Counter{}
 	s.counters[name] = c
-	s.order = append(s.order, name)
 	return c
 }
 
 // Handle returns an interned *Counter for name, creating it on first use.
 // It is the documented accessor for hot paths: resolve the handle once at
-// construction time and call Inc/Add on it directly, so the steady state
+// construction time and call Inc on it directly, so the steady state
 // pays no map lookup or string hashing per increment.
 func (s *Set) Handle(name string) *Counter {
 	return s.Counter(name)
@@ -436,13 +367,6 @@ func (s *Set) Value(name string) uint64 {
 	return 0
 }
 
-// Names returns the counter names in creation order.
-func (s *Set) Names() []string {
-	out := make([]string, len(s.order))
-	copy(out, s.order)
-	return out
-}
-
 // Snapshot returns a copy of all counter values.
 func (s *Set) Snapshot() map[string]uint64 {
 	out := make(map[string]uint64, len(s.counters))
@@ -450,13 +374,6 @@ func (s *Set) Snapshot() map[string]uint64 {
 		out[name] = c.Value()
 	}
 	return out
-}
-
-// Reset zeroes every counter in the set.
-func (s *Set) Reset() {
-	for _, c := range s.counters {
-		c.Reset()
-	}
 }
 
 // String renders the set sorted by name for stable logs.

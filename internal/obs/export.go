@@ -59,8 +59,8 @@ type openRun struct {
 //
 //   - each vCPU's running intervals (KindSchedule → KindPreempt / KindYield
 //     / KindBlock) become "X" complete events on pid=domain, tid=vCPU;
-//   - wakes, boosts, IPIs, IRQs, migrations, pool resizes, detections and
-//     hotplugs become "i" instant events;
+//   - wakes, boosts, IPIs (relayed and lost), IRQs, migrations, pool
+//     resizes, hotplugs and recovery repairs become "i" instant events;
 //   - domains and vCPUs get process_name / thread_name metadata.
 //
 // Timestamps and durations are microseconds with nanosecond precision

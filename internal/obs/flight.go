@@ -36,20 +36,20 @@ type FlightDump struct {
 	File string `json:"-"`
 }
 
-// Flight takes a snapshot: the last Config.FlightDepth records of tail
-// (callers hand over a fresh trace.Buffer.Tail, which the dump keeps), the
+// Flight takes a snapshot: the last FlightDepth records of tail (callers
+// hand over a fresh trace.Buffer.Tail, which the dump keeps), the
 // registered repair and decision rings, the residency tables and the
-// open-span table, all as of now. Dumps beyond Config.MaxFlights are
+// open-span table, all as of now. Dumps beyond maxFlights are
 // dropped (the first triggers are the interesting ones; a violation storm
 // repeats itself). When Config.FlightDir is set the dump is also written
 // as flight-<label>-<seq>.json there. Cold path.
 func (o *Observer) Flight(now simtime.Time, reason, detail string, tail []trace.Record) {
 	o.flightSeq++
-	if len(o.flights) >= o.cfg.MaxFlights {
+	if len(o.flights) >= maxFlights {
 		return
 	}
-	if len(tail) > o.cfg.FlightDepth {
-		tail = tail[len(tail)-o.cfg.FlightDepth:]
+	if len(tail) > FlightDepth {
+		tail = tail[len(tail)-FlightDepth:]
 	}
 	d := FlightDump{
 		Seq:       o.flightSeq,
@@ -100,13 +100,6 @@ func (o *Observer) writeFlight(d *FlightDump) error {
 	d.File = name
 	return nil
 }
-
-// Flights returns the retained dumps.
-func (o *Observer) Flights() []FlightDump { return o.flights }
-
-// FlightsTriggered returns how many triggers fired, including ones dropped
-// beyond MaxFlights.
-func (o *Observer) FlightsTriggered() int { return o.flightSeq }
 
 // FlightErr returns the first error hit writing dumps to FlightDir (nil
 // when everything was written, or when dumps are in-memory only).

@@ -22,18 +22,20 @@ import (
 	"github.com/microslicedcore/microsliced/internal/trace"
 )
 
-// Config selects what the observer records. The zero value is a fully
-// functional in-memory configuration.
+const (
+	// spanSubBuckets is the per-octave resolution of the span latency
+	// histograms, the resolution used everywhere else.
+	spanSubBuckets = 8
+	// FlightDepth bounds the trace-ring tail captured per flight dump.
+	FlightDepth = 64
+	// maxFlights caps the number of flight dumps retained (and written)
+	// per run, so a violation storm cannot fill the disk.
+	maxFlights = 4
+)
+
+// Config selects where, and under which label, the observer writes flight
+// dumps. The zero value is a fully functional in-memory configuration.
 type Config struct {
-	// SpanSubBuckets is the per-octave resolution of the span latency
-	// histograms (default 8, the resolution used everywhere else).
-	SpanSubBuckets int
-	// FlightDepth bounds the trace-ring tail captured per flight dump
-	// (default 64 records).
-	FlightDepth int
-	// MaxFlights caps the number of flight dumps retained (and written)
-	// per run, so a violation storm cannot fill the disk (default 4).
-	MaxFlights int
 	// FlightDir, when non-empty, writes each flight dump as a
 	// self-contained JSON file flight-<label>-<seq>.json under this
 	// directory (created if missing). Empty keeps dumps in memory only.
@@ -43,15 +45,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.SpanSubBuckets <= 0 {
-		c.SpanSubBuckets = 8
-	}
-	if c.FlightDepth <= 0 {
-		c.FlightDepth = 64
-	}
-	if c.MaxFlights <= 0 {
-		c.MaxFlights = 4
-	}
 	if c.Label == "" {
 		c.Label = "run"
 	}
@@ -148,17 +141,14 @@ type Observer struct {
 func New(cfg Config) *Observer {
 	o := &Observer{cfg: cfg.withDefaults()}
 	for k := range o.hists {
-		o.hists[k] = metrics.NewHistogram(o.cfg.SpanSubBuckets)
+		o.hists[k] = metrics.NewHistogram(spanSubBuckets)
 		o.stageHists[k] = make([]*metrics.Histogram, len(spanStageNames[k]))
 		for i := range o.stageHists[k] {
-			o.stageHists[k][i] = metrics.NewHistogram(o.cfg.SpanSubBuckets)
+			o.stageHists[k][i] = metrics.NewHistogram(spanSubBuckets)
 		}
 	}
 	return o
 }
-
-// Config returns the effective (defaulted) configuration.
-func (o *Observer) Config() Config { return o.cfg }
 
 // EnsurePCPUs sizes the pCPU table (cold path, called at attach time).
 func (o *Observer) EnsurePCPUs(n int) {

@@ -268,7 +268,7 @@ func TestSummary(t *testing.T) {
 
 func TestFlightRecorder(t *testing.T) {
 	dir := t.TempDir()
-	o := New(Config{FlightDepth: 2, MaxFlights: 2, FlightDir: dir, Label: "t"})
+	o := New(Config{FlightDir: dir, Label: "t"})
 	o.EnsureVCPU(0, 0, 0)
 	o.Transition(0, StateRunning, 0)
 	ref := o.Begin(SpanIPIDeliver, 0, 0, 9, 5*us)
@@ -282,28 +282,35 @@ func TestFlightRecorder(t *testing.T) {
 		Sample: trace.Sample{IPIs: 9}, Probes: []trace.Sample{{IPIs: 9}, {IPIs: 5}, {IPIs: 3}}})
 	o.Repairs, o.Decisions = &repairs, &decisions
 
-	tail := []trace.Record{
-		{Time: 1 * us, Kind: trace.KindWake, Dom: 0, VCPU: 0},
-		{Time: 2 * us, Kind: trace.KindSchedule, Dom: 0, VCPU: 0, PCPU: 1},
-		{Time: 3 * us, Kind: trace.KindBlock, Dom: 0, VCPU: 0, PCPU: 1},
+	// A tail two records longer than FlightDepth: the dump keeps the last
+	// FlightDepth, which start at the first sched record.
+	tail := []trace.Record{{Time: 0, Kind: trace.KindWake, Dom: 0, VCPU: 0}}
+	for i := 1; i < FlightDepth+2; i++ {
+		kind := trace.KindBlock
+		if i%2 == 0 {
+			kind = trace.KindSchedule
+		}
+		tail = append(tail, trace.Record{Time: simtime.Time(i) * us, Kind: kind, Dom: 0, VCPU: 0, PCPU: 1})
 	}
 	o.Flight(10*us, "invariant:placement", "vCPU on offline pCPU", tail)
-	o.Flight(20*us, "fault", "hotplug-off p3", nil)
-	o.Flight(30*us, "fault", "dropped beyond MaxFlights", nil)
-
-	if got := o.FlightsTriggered(); got != 3 {
-		t.Errorf("FlightsTriggered = %d, want 3", got)
+	for i := 2; i <= maxFlights+1; i++ {
+		o.Flight(simtime.Time(10*i)*us, "fault", "hotplug-off p3", nil)
 	}
-	fl := o.Flights()
-	if len(fl) != 2 {
-		t.Fatalf("retained flights = %d, want 2 (MaxFlights)", len(fl))
+
+	if got := o.flightSeq; got != maxFlights+1 {
+		t.Errorf("flights triggered = %d, want %d", got, maxFlights+1)
+	}
+	fl := o.flights
+	if len(fl) != maxFlights {
+		t.Fatalf("retained flights = %d, want %d (maxFlights)", len(fl), maxFlights)
 	}
 	d := fl[0]
 	if d.Reason != "invariant:placement" || d.Time != 10*us || d.Seq != 1 {
 		t.Errorf("dump 0 = %+v, want placement reason at 10us seq 1", d)
 	}
-	if len(d.Trace) != 2 || d.Trace[0].Kind != trace.KindSchedule || d.Trace[1].Kind != trace.KindBlock {
-		t.Errorf("trace tail = %+v, want last 2 records (sched, block)", d.Trace)
+	if len(d.Trace) != FlightDepth || d.Trace[0].Time != 2*us || d.Trace[0].Kind != trace.KindSchedule ||
+		d.Trace[FlightDepth-1].Time != simtime.Time(FlightDepth+1)*us {
+		t.Errorf("trace tail = %+v, want the last %d records", d.Trace, FlightDepth)
 	}
 	if len(d.Repairs) != 1 || len(d.Decisions) != 2 {
 		t.Errorf("dump carries %d repairs and %d decisions, want the registered 1 and 2", len(d.Repairs), len(d.Decisions))
@@ -338,8 +345,8 @@ func TestFlightRecorder(t *testing.T) {
 		dumps = append(dumps, back)
 	}
 	files, _ := filepath.Glob(filepath.Join(dir, "flight-t-*.json"))
-	if len(files) != 2 {
-		t.Errorf("files on disk = %v, want exactly 2", files)
+	if len(files) != maxFlights {
+		t.Errorf("files on disk = %v, want exactly %d", files, maxFlights)
 	}
 
 	// The dump schema: each record keeps its key set, and enums serialise
@@ -390,7 +397,7 @@ func TestFlightRecorder(t *testing.T) {
 // its newest entries oldest-first — a post-mortem dump shows what the
 // supervisor did leading up to the trigger.
 func TestFlightDumpIncludesRepairTail(t *testing.T) {
-	o := New(Config{MaxFlights: 2})
+	o := New(Config{})
 	repairs := trace.NewRing[trace.Repair](2)
 	repairs.Push(trace.Repair{Time: 3 * us, Kind: trace.DetectLostIPI, Dom: -1, VCPU: -1})
 	repairs.Push(trace.Repair{Time: 5 * us, Kind: trace.DetectStarve, Dom: 0, VCPU: 1, Detail: "runnable 60ms"})
@@ -398,7 +405,7 @@ func TestFlightDumpIncludesRepairTail(t *testing.T) {
 	o.Repairs = &repairs
 	o.Flight(10*us, "invariant:starvation", "d0v1 starved", nil)
 
-	fl := o.Flights()
+	fl := o.flights
 	if len(fl) != 1 {
 		t.Fatalf("retained flights = %d, want 1", len(fl))
 	}
@@ -413,8 +420,7 @@ func TestFlightDumpIncludesRepairTail(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	o := New(Config{})
-	c := o.Config()
-	if c.SpanSubBuckets != 8 || c.FlightDepth != 64 || c.MaxFlights != 4 || c.Label != "run" {
+	if c := o.cfg; c.Label != "run" {
 		t.Errorf("defaulted config = %+v", c)
 	}
 }

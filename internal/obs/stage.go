@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"github.com/microslicedcore/microsliced/internal/metrics"
-	"github.com/microslicedcore/microsliced/internal/simtime"
-)
+import "github.com/microslicedcore/microsliced/internal/simtime"
 
 // Causal attribution: every span kind decomposes into an ordered set of
 // *stages* — the distinct waits a request passes through between Begin and
@@ -186,16 +183,6 @@ func (o *Observer) OpenSpansByKind() []int {
 	out := make([]int, numSpanKinds)
 	copy(out, o.spans.openByKind[:])
 	return out
-}
-
-// StageHist exposes the latency histogram of one (kind, stage) cell: the
-// distribution of per-span accumulated stage time over spans where the stage
-// was nonzero. Nil for an unknown kind or stage.
-func (o *Observer) StageHist(k SpanKind, stage int) *metrics.Histogram {
-	if k >= numSpanKinds || stage < 0 || stage >= len(spanStageNames[k]) {
-		return nil
-	}
-	return o.stageHists[k][stage]
 }
 
 // SkewStageLedger deliberately corrupts the stage ledger of (k, stage) by d

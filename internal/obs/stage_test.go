@@ -32,10 +32,10 @@ func TestStageAttributionAndConservation(t *testing.T) {
 	if sum != total {
 		t.Errorf("Σ stages = %d != span total %d", sum, total)
 	}
-	if h := o.StageHist(SpanIPIDeliver, IPIStageSend); h.Count() != 1 || h.Max() != int64(3*us) {
+	if h := o.stageHists[SpanIPIDeliver][IPIStageSend]; h.Count() != 1 || h.Max() != int64(3*us) {
 		t.Errorf("send stage hist count=%d max=%d, want 1 and 3us", h.Count(), h.Max())
 	}
-	if h := o.StageHist(SpanIPIDeliver, IPIStageRetry); h.Count() != 0 {
+	if h := o.stageHists[SpanIPIDeliver][IPIStageRetry]; h.Count() != 0 {
 		t.Errorf("retry stage hist count=%d, want 0 (stage never hit)", h.Count())
 	}
 

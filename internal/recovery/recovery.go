@@ -11,7 +11,7 @@
 //     Repairs escalate one rung per walk: credit re-grant with a wake-style
 //     boost, forced re-home off a dead or unreachable pinned pCPU
 //     (RePin(-1)), then ForceDispatch — each episode bounded by
-//     MaxEpisodeRepairs so repair itself cannot ping-pong.
+//     maxEpisodeRepairs so repair itself cannot ping-pong.
 //   - lost IPIs: entries in the hypervisor's LostIPI ledger are re-driven
 //     with exponential backoff (base << redrives, clamped), so an IPI lost
 //     again under ongoing chaos retries ever more patiently and drains
@@ -19,7 +19,7 @@
 //   - capacity loss: fewer online pCPUs than at Attach. Under loss the
 //     supervisor auto-shrinks the micro pool (SetMicroCount) while it
 //     out-sizes the normal pool, and regrows it when capacity returns;
-//     both directions share the MaxPoolRepairs budget, which bounds any
+//     both directions share the maxPoolRepairs budget, which bounds any
 //     tug-of-war with the adaptive pool controller.
 //
 // Every detection and repair is a structured trace.Repair: counted through
@@ -50,21 +50,23 @@ type Config struct {
 	// starvation (default 50ms — far above any healthy dispatch latency,
 	// far below the auditor's 1s horizon so repair precedes report).
 	StarveBound simtime.Duration
-	// IPIBackoffBase is the redrive delay after a first loss; each further
-	// loss of the same interrupt doubles it (default 50µs).
-	IPIBackoffBase simtime.Duration
-	// IPIBackoffMax clamps the redrive backoff (default 5ms).
-	IPIBackoffMax simtime.Duration
-	// MaxEpisodeRepairs caps repairs per starvation episode (default 6).
-	MaxEpisodeRepairs int
-	// MaxPoolRepairs is the total micro-pool shrink+regrow budget for the
-	// run (default 8) — the bound that prevents pool-size ping-pong.
-	MaxPoolRepairs int
 }
 
-// repairDepth is the size of the supervisor's repair retention ring; its
-// Total keeps the exact count regardless of ring wrap.
-const repairDepth = 32
+const (
+	// ipiBackoffBase is the redrive delay after a first loss; each further
+	// loss of the same interrupt doubles it.
+	ipiBackoffBase = 50 * simtime.Microsecond
+	// ipiBackoffMax clamps the redrive backoff.
+	ipiBackoffMax = 5 * simtime.Millisecond
+	// maxEpisodeRepairs caps repairs per starvation episode.
+	maxEpisodeRepairs = 6
+	// maxPoolRepairs is the total micro-pool shrink+regrow budget for the
+	// run — the bound that prevents pool-size ping-pong.
+	maxPoolRepairs = 8
+	// repairDepth is the size of the supervisor's repair retention ring;
+	// its Total keeps the exact count regardless of ring wrap.
+	repairDepth = 32
+)
 
 func (c Config) withDefaults(hcfg hv.Config) Config {
 	if c.Interval <= 0 {
@@ -72,18 +74,6 @@ func (c Config) withDefaults(hcfg hv.Config) Config {
 	}
 	if c.StarveBound <= 0 {
 		c.StarveBound = 50 * simtime.Millisecond
-	}
-	if c.IPIBackoffBase <= 0 {
-		c.IPIBackoffBase = 50 * simtime.Microsecond
-	}
-	if c.IPIBackoffMax <= 0 {
-		c.IPIBackoffMax = 5 * simtime.Millisecond
-	}
-	if c.MaxEpisodeRepairs <= 0 {
-		c.MaxEpisodeRepairs = 6
-	}
-	if c.MaxPoolRepairs <= 0 {
-		c.MaxPoolRepairs = 8
 	}
 	return c
 }
@@ -131,9 +121,9 @@ func Attach(h *hv.Hypervisor, cfg Config) *Supervisor {
 		h:              h,
 		cfg:            cfg.withDefaults(h.Cfg),
 		baselineOnline: h.OnlinePCPUs(),
+		poolBudget:     maxPoolRepairs,
 		Repairs:        trace.NewRing[trace.Repair](repairDepth),
 	}
-	s.poolBudget = s.cfg.MaxPoolRepairs
 	for k := trace.RepairKind(0); k < trace.NumRepairKinds; k++ {
 		s.hot[k] = h.Counters.Handle("recovery." + k.String())
 	}
@@ -147,10 +137,6 @@ func Attach(h *hv.Hypervisor, cfg Config) *Supervisor {
 	h.Clock.AfterLabeled(s.cfg.Interval, "recover", walk)
 	return s
 }
-
-// LastRepairTime returns the instant of the most recent repair action
-// (zero when the supervisor never had to repair anything).
-func (s *Supervisor) LastRepairTime() simtime.Time { return s.lastRepair }
 
 // MTTR returns the quiesce→last-repair convergence time: how long after
 // the fault plan went quiet the supervisor still had repairing to do.
@@ -216,7 +202,7 @@ func (s *Supervisor) checkStarvation(now simtime.Time) {
 			s.event(now, trace.DetectStarve, v, "runnable for "+(now-v.RunnableSince()).String()+
 				" (> bound "+s.cfg.StarveBound.String()+")")
 		}
-		if e.repairs < s.cfg.MaxEpisodeRepairs {
+		if e.repairs < maxEpisodeRepairs {
 			s.repairStarved(now, v, e)
 		}
 	}
@@ -288,7 +274,7 @@ func (s *Supervisor) checkLostIPIs(now simtime.Time) {
 				s.event(now, trace.DetectLostIPI, e.Dst, "vec "+strconv.Itoa(int(e.Vec))+" lost at "+e.Time.String())
 			}
 		}
-		if now >= e.Time+simtime.Time(s.backoff(e.Redrives)) {
+		if now >= e.Time+simtime.Time(backoff(e.Redrives)) {
 			s.seqBuf = append(s.seqBuf, e.Seq)
 		}
 	}
@@ -316,14 +302,14 @@ func microResize(before, after int) string {
 }
 
 // backoff returns the redrive delay after the given number of completed
-// redrives: base << n, clamped to IPIBackoffMax.
-func (s *Supervisor) backoff(redrives int) simtime.Duration {
-	d := s.cfg.IPIBackoffBase
-	for i := 0; i < redrives && d < s.cfg.IPIBackoffMax; i++ {
+// redrives: ipiBackoffBase << n, clamped to ipiBackoffMax.
+func backoff(redrives int) simtime.Duration {
+	d := ipiBackoffBase
+	for i := 0; i < redrives && d < ipiBackoffMax; i++ {
 		d <<= 1
 	}
-	if d > s.cfg.IPIBackoffMax {
-		d = s.cfg.IPIBackoffMax
+	if d > ipiBackoffMax {
+		d = ipiBackoffMax
 	}
 	return d
 }

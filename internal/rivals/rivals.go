@@ -27,14 +27,6 @@ import (
 	"github.com/microslicedcore/microsliced/internal/simtime"
 )
 
-// System is a pluggable vCPU-scheduling mitigation.
-type System interface {
-	// Name identifies the system in reports.
-	Name() string
-	// Start activates the system (after hv.Start).
-	Start()
-}
-
 // ---------------------------------------------------------------------------
 // Fixed micro-slicing (global short quantum)
 // ---------------------------------------------------------------------------
@@ -67,11 +59,8 @@ func ShortSliceConfig(slice simtime.Duration) hv.Config {
 	return cfg
 }
 
-// Name implements System.
-func (f *FixedMicroSliced) Name() string { return "fixed-usliced" }
-
-// Start implements System: every vCPU gets the short quantum (covers
-// hypervisors constructed without ShortSliceConfig).
+// Start activates the system (after hv.Start): every vCPU gets the short
+// quantum (covers hypervisors constructed without ShortSliceConfig).
 func (f *FixedMicroSliced) Start() {
 	for _, v := range f.h.VCPUs() {
 		v.SetSliceOverride(f.Slice)
@@ -103,10 +92,7 @@ func NewVTurbo(h *hv.Hypervisor, cores int) *VTurbo {
 	return v
 }
 
-// Name implements System.
-func (v *VTurbo) Name() string { return "vturbo" }
-
-// Start implements System: the turbo pool is static.
+// Start activates the system (after hv.Start): the turbo pool is static.
 func (v *VTurbo) Start() {
 	v.h.SetMicroCount(v.Cores)
 }
@@ -150,10 +136,7 @@ func NewCoSched(h *hv.Hypervisor, period simtime.Duration) *CoSched {
 	return &CoSched{h: h, Period: period}
 }
 
-// Name implements System.
-func (c *CoSched) Name() string { return "cosched" }
-
-// Start implements System.
+// Start activates the system (after hv.Start).
 func (c *CoSched) Start() {
 	c.h.Clock.After(simtime.Millisecond, c.step)
 }
@@ -239,16 +222,10 @@ func NewVTRS(h *hv.Hypervisor) *VTRS {
 	}
 }
 
-// Name implements System.
-func (t *VTRS) Name() string { return "vtrs" }
-
-// Start implements System.
+// Start activates the system (after hv.Start).
 func (t *VTRS) Start() {
 	t.h.Clock.After(t.Epoch, t.step)
 }
-
-// Class returns the current classification of a vCPU.
-func (t *VTRS) Class(v *hv.VCPU) VTRSClass { return t.classes[v] }
 
 // classify updates every vCPU's class from its event deltas.
 func (t *VTRS) classify() {

@@ -31,9 +31,6 @@ func TestFixedMicroSlicedOverridesEverySlice(t *testing.T) {
 	clock, h := host(t, 2)
 	k := deploy(t, h, "vm", "lookbusy", 2, 1)
 	f := NewFixedMicroSliced(h, 0) // default 100us
-	if f.Name() != "fixed-usliced" {
-		t.Fatal("name")
-	}
 	h.Start()
 	f.Start()
 	k.StartAll()
@@ -80,9 +77,6 @@ func TestVTurboReservesCoreAndSteersIRQRecipients(t *testing.T) {
 	k.VCPUs[0].HV().Pin(0)
 	hog.VCPUs[0].HV().Pin(0)
 	vt := NewVTurbo(h, 0) // default 1 core
-	if vt.Name() != "vturbo" {
-		t.Fatal("name")
-	}
 	h.Start()
 	vt.Start()
 	if h.MicroCount() != 1 {
@@ -108,9 +102,6 @@ func TestVTRSClassifiesAndPartitions(t *testing.T) {
 	locky := deploy(t, h, "locky", "memclone", 4, 1)
 	calm := deploy(t, h, "calm", "swaptions", 4, 2)
 	vt := NewVTRS(h)
-	if vt.Name() != "vtrs" {
-		t.Fatal("name")
-	}
 	h.Start()
 	vt.Start()
 	locky.StartAll()
@@ -118,7 +109,7 @@ func TestVTRSClassifiesAndPartitions(t *testing.T) {
 	clock.RunUntil(600 * simtime.Millisecond)
 	lockClassed := 0
 	for _, vc := range locky.VCPUs {
-		if vt.Class(vc.HV()) == VTRSLockIntensive {
+		if vt.classes[vc.HV()] == VTRSLockIntensive {
 			lockClassed++
 			if vc.HV().SliceOverride() != vt.LockSlice {
 				t.Fatalf("lock-class vCPU has slice %v", vc.HV().SliceOverride())
@@ -129,8 +120,8 @@ func TestVTRSClassifiesAndPartitions(t *testing.T) {
 		t.Fatal("no memclone vCPU classified lock-intensive")
 	}
 	for _, vc := range calm.VCPUs {
-		if vt.Class(vc.HV()) != VTRSDefault {
-			t.Fatalf("swaptions vCPU classified %v", vt.Class(vc.HV()))
+		if vt.classes[vc.HV()] != VTRSDefault {
+			t.Fatalf("swaptions vCPU classified %v", vt.classes[vc.HV()])
 		}
 	}
 	if vt.Counters.Value("reclassify") == 0 {
@@ -147,8 +138,8 @@ func TestVTRSSingleClassUnpins(t *testing.T) {
 	k.StartAll()
 	clock.RunUntil(300 * simtime.Millisecond)
 	for _, vc := range k.VCPUs {
-		if vt.Class(vc.HV()) != VTRSDefault {
-			t.Fatalf("class %v", vt.Class(vc.HV()))
+		if vt.classes[vc.HV()] != VTRSDefault {
+			t.Fatalf("class %v", vt.classes[vc.HV()])
 		}
 		if vc.HV().SliceOverride() != 0 {
 			t.Fatalf("default class has slice override %v", vc.HV().SliceOverride())
@@ -169,7 +160,7 @@ func TestCoSchedGangDispatch(t *testing.T) {
 	a := deploy(t, h, "a", "lookbusy", 4, 1)
 	b := deploy(t, h, "b", "lookbusy", 4, 2)
 	cs := NewCoSched(h, 0)
-	if cs.Name() != "cosched" || cs.Period != 30*simtime.Millisecond {
+	if cs.Period != 30*simtime.Millisecond {
 		t.Fatal("defaults")
 	}
 	h.Start()

@@ -115,20 +115,6 @@ func (r *Source) ExpDur(mean int64) int64 {
 	return d
 }
 
-// Pareto returns a bounded Pareto sample with shape alpha and scale xm,
-// capped at cap (heavy-tailed service times without unbounded outliers).
-func (r *Source) Pareto(xm, alpha, cap float64) float64 {
-	u := r.Float64()
-	if u >= 1 {
-		u = math.Nextafter(1, 0)
-	}
-	v := xm / math.Pow(1-u, 1/alpha)
-	if v > cap {
-		v = cap
-	}
-	return v
-}
-
 // Bool returns true with probability p.
 func (r *Source) Bool(p float64) bool {
 	return r.Float64() < p

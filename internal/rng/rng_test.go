@@ -124,16 +124,6 @@ func TestExpDurAtLeastOne(t *testing.T) {
 	}
 }
 
-func TestParetoBounds(t *testing.T) {
-	r := New(23)
-	for i := 0; i < 10000; i++ {
-		v := r.Pareto(1.0, 1.5, 50.0)
-		if v < 1.0 || v > 50.0 {
-			t.Fatalf("Pareto out of [1,50]: %v", v)
-		}
-	}
-}
-
 func TestUniformDur(t *testing.T) {
 	r := New(29)
 	for i := 0; i < 10000; i++ {

@@ -363,9 +363,6 @@ func TestTimeStringMatchesFmt(t *testing.T) {
 
 func TestTimeConversions(t *testing.T) {
 	tm := 1500 * Microsecond
-	if tm.Micros() != 1500 {
-		t.Errorf("Micros=%v", tm.Micros())
-	}
 	if tm.Millis() != 1.5 {
 		t.Errorf("Millis=%v", tm.Millis())
 	}

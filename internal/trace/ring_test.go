@@ -52,8 +52,8 @@ func TestRingMatchesNaive(t *testing.T) {
 			if ring.Total() != uint64(pushes) || buf.Count(KindWake) != uint64(pushes) {
 				t.Errorf("%s: Total() = %d, Count = %d, want %d", name, ring.Total(), buf.Count(KindWake), pushes)
 			}
-			if ring.Len() != len(want) || buf.Len() != len(want) {
-				t.Errorf("%s: Len() = %d/%d, want %d", name, ring.Len(), buf.Len(), len(want))
+			if ring.Len() != len(want) || buf.ring.Len() != len(want) {
+				t.Errorf("%s: Len() = %d/%d, want %d", name, ring.Len(), buf.ring.Len(), len(want))
 			}
 			for k := 0; k <= n+1; k++ {
 				want := ref.tail(k)

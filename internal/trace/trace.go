@@ -33,9 +33,6 @@ const (
 	KindPIRQ            // physical IRQ received by the hypervisor
 	KindMigrate         // vCPU migrated between pools
 	KindPoolResize      // micro-sliced pool grew or shrank
-	KindDetect          // detector classified a critical service
-	KindLock            // guest lock event (acquire/contend/release)
-	KindTLB             // guest TLB shootdown event
 	KindHotplug         // pCPU taken offline (arg0=0) or brought online (arg0=1)
 	KindIPILost         // vIPI dropped past the retry limit and lost outright
 	KindRepair          // recovery supervisor detection or repair action
@@ -55,9 +52,6 @@ var kindNames = [...]string{
 	KindPIRQ:       "pirq",
 	KindMigrate:    "migrate",
 	KindPoolResize: "poolresize",
-	KindDetect:     "detect",
-	KindLock:       "lock",
-	KindTLB:        "tlb",
 	KindHotplug:    "hotplug",
 	KindIPILost:    "ipilost",
 	KindRepair:     "repair",
@@ -141,9 +135,6 @@ func (b *Buffer) Count(k Kind) uint64 {
 	}
 	return b.counts[k]
 }
-
-// Len returns the number of records currently held in the ring.
-func (b *Buffer) Len() int { return b.ring.Len() }
 
 // Records returns the held records oldest-first.
 func (b *Buffer) Records() []Record { return b.ring.All() }

@@ -21,8 +21,8 @@ func TestEmitAndRecords(t *testing.T) {
 			t.Fatalf("record %d out of order: %v", i, r)
 		}
 	}
-	if b.Len() != 5 {
-		t.Fatalf("Len=%d", b.Len())
+	if b.ring.Len() != 5 {
+		t.Fatalf("Len=%d", b.ring.Len())
 	}
 }
 
@@ -48,8 +48,8 @@ func TestRingWrapKeepsNewest(t *testing.T) {
 func TestZeroCapacityBufferCountsOnly(t *testing.T) {
 	b := NewBuffer(0)
 	b.Emit(Record{Kind: KindYield})
-	if b.Count(KindYield) != 1 || b.Len() != 0 {
-		t.Fatalf("count=%d len=%d", b.Count(KindYield), b.Len())
+	if b.Count(KindYield) != 1 || b.ring.Len() != 0 {
+		t.Fatalf("count=%d len=%d", b.Count(KindYield), b.ring.Len())
 	}
 }
 
@@ -69,8 +69,8 @@ func TestTallyMatchesEmitWhenNothingRetained(t *testing.T) {
 			t.Fatalf("%v: emit counted %d, tally %d", k, emitted.Count(k), tallied.Count(k))
 		}
 	}
-	if emitted.ring.Total() != tallied.ring.Total() || tallied.Len() != 0 {
-		t.Fatalf("total emit=%d tally=%d, len=%d", emitted.ring.Total(), tallied.ring.Total(), tallied.Len())
+	if emitted.ring.Total() != tallied.ring.Total() || tallied.ring.Len() != 0 {
+		t.Fatalf("total emit=%d tally=%d, len=%d", emitted.ring.Total(), tallied.ring.Total(), tallied.ring.Len())
 	}
 }
 

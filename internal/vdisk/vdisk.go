@@ -76,12 +76,6 @@ func New(clock *simtime.Clock, seed uint64) *Disk {
 
 var _ guest.BlockDevice = (*Disk)(nil)
 
-// QueueLen returns the number of requests waiting for a device slot.
-func (d *Disk) QueueLen() int { return len(d.queue) }
-
-// Inflight returns the number of requests being serviced.
-func (d *Disk) Inflight() int { return d.inflight }
-
 // Submit implements guest.BlockDevice.
 func (d *Disk) Submit(bytes int, write bool, done func()) {
 	if bytes <= 0 {

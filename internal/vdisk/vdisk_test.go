@@ -24,7 +24,7 @@ func TestServiceCompletesAndCounts(t *testing.T) {
 	if d.Latency.Count() != 2 || d.Latency.Min() <= 0 {
 		t.Fatalf("latency %s", d.Latency)
 	}
-	if d.Inflight() != 0 || d.QueueLen() != 0 {
+	if d.inflight != 0 || len(d.queue) != 0 {
 		t.Fatal("device not drained")
 	}
 }
@@ -36,8 +36,8 @@ func TestQueueDepthBound(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		d.Submit(1<<20, false, nil)
 	}
-	if d.Inflight() != 2 || d.QueueLen() != 8 {
-		t.Fatalf("inflight=%d queued=%d", d.Inflight(), d.QueueLen())
+	if d.inflight != 2 || len(d.queue) != 8 {
+		t.Fatalf("inflight=%d queued=%d", d.inflight, len(d.queue))
 	}
 	clock.Run()
 	if d.Completed != 10 {

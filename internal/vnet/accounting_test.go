@@ -237,7 +237,7 @@ func TestIRQReassert(t *testing.T) {
 
 	// Disabled moderation: pure edge-triggered coalescing.
 	nic2 := NewNIC(h, bareDom(h), 64)
-	nic2.SetIRQReassert(0)
+	nic2.reassert = 0 // pure edge-triggered coalescing
 	nic2.Rx(guest.Packet{Seq: 1, Bytes: 64})
 	nic2.Rx(guest.Packet{Seq: 2, Bytes: 64})
 	clock.RunUntil(clock.Now() + simtime.Millisecond)

@@ -36,9 +36,7 @@ type RequestFlow struct {
 
 	seq      uint64
 	arriveFn func()
-	ev       *simtime.Event
 	started  simtime.Time
-	stopped  bool
 
 	// Ledger (exact, deterministic). Offered == Dropped + Completed +
 	// InFlight() at every instant — the flow-side half of the request
@@ -94,16 +92,7 @@ func (f *RequestFlow) SLO() simtime.Duration { return f.slo }
 // Start schedules the first arrival one exponential gap from now.
 func (f *RequestFlow) Start() {
 	f.started = f.clock.Now()
-	f.ev = f.clock.After(f.gap(), f.arriveFn)
-}
-
-// Stop halts the arrival process.
-func (f *RequestFlow) Stop() {
-	f.stopped = true
-	if f.ev != nil {
-		f.ev.Cancel()
-		f.ev = nil
-	}
+	f.clock.After(f.gap(), f.arriveFn)
 }
 
 func (f *RequestFlow) gap() simtime.Duration {
@@ -114,9 +103,6 @@ func (f *RequestFlow) gap() simtime.Duration {
 // next. SentAt is the intended arrival, so every downstream latency read is
 // coordinated-omission-free.
 func (f *RequestFlow) arrive() {
-	if f.stopped {
-		return
-	}
 	now := f.clock.Now()
 	f.Offered++
 	f.seq++
@@ -130,7 +116,7 @@ func (f *RequestFlow) arrive() {
 			o.Cancel(p.ReqSpan) // never served; the drop counts via Dropped
 		}
 	}
-	f.ev = f.clock.After(f.gap(), f.arriveFn)
+	f.clock.After(f.gap(), f.arriveFn)
 }
 
 // MarkService stamps the service→reply boundary on p's request span: the
@@ -162,7 +148,3 @@ func (f *RequestFlow) Complete(p guest.Packet, now simtime.Time) {
 func (f *RequestFlow) InFlight() uint64 {
 	return f.Offered - f.Dropped - f.Completed
 }
-
-// SLOViolations counts requests that missed the SLO: dropped outright or
-// completed late. In-flight requests are not yet judged.
-func (f *RequestFlow) SLOViolations() uint64 { return f.Dropped + f.Late }

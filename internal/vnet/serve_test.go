@@ -92,9 +92,6 @@ func TestRequestTailDropCancelsSpan(t *testing.T) {
 	if flow.Dropped == 0 {
 		t.Fatalf("expected tail drops at ring cap 2, rate 40k")
 	}
-	if flow.SLOViolations() < flow.Dropped {
-		t.Fatalf("SLO violations %d < drops %d", flow.SLOViolations(), flow.Dropped)
-	}
 	begun, closed, cancelled := o.SpanCounts()
 	open := 0
 	for _, n := range o.OpenSpansByKind() {

@@ -55,7 +55,10 @@ type NIC struct {
 	// IRQVCPU, so a batch is fully delivered before the next fetch starts.
 	out []guest.Packet
 
-	irqRaised  bool // NAPI-style coalescing: one IRQ until the ring drains
+	irqRaised bool // NAPI-style coalescing: one IRQ until the ring drains
+	// reassert is the interrupt-moderation re-assert interval,
+	// DefaultIRQReassert; <= 0 disables re-assertion (pure edge-triggered
+	// coalescing).
 	reassert   simtime.Duration
 	reassertEv *simtime.Event
 
@@ -74,10 +77,6 @@ func NewNIC(h *hv.Hypervisor, dom *hv.Domain, ringCap int) *NIC {
 	}
 	return &NIC{h: h, dom: dom, ringCap: ringCap, reassert: DefaultIRQReassert}
 }
-
-// SetIRQReassert overrides the interrupt-moderation re-assert interval.
-// d <= 0 disables re-assertion (pure edge-triggered coalescing).
-func (n *NIC) SetIRQReassert(d simtime.Duration) { n.reassert = d }
 
 // RingLen returns the current RX ring occupancy.
 func (n *NIC) RingLen() int { return n.n }

@@ -3,9 +3,12 @@ package microsliced
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -140,6 +143,30 @@ func TestTelemetryFlightRecorder(t *testing.T) {
 	files, _ := filepath.Glob(filepath.Join(dir, "flight-golden-*.json"))
 	if len(files) != res.Telemetry.FlightDumps {
 		t.Errorf("flight files on disk = %d, want %d", len(files), res.Telemetry.FlightDumps)
+	}
+}
+
+// TestTelemetryFlightWriteErrorReported: a flight dump that cannot be
+// written fails the run instead of vanishing. The dump directory sits under
+// a regular file, so creating it fails.
+func TestTelemetryFlightWriteErrorReported(t *testing.T) {
+	blocker := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := Scenario{
+		VMs:       []VM{{App: "swaptions", Seed: 11}},
+		Seconds:   0.5,
+		Faults:    &FaultPlan{Seed: 7, OfflinePCPUs: 2},
+		Telemetry: &TelemetryConfig{FlightDir: filepath.Join(blocker, "dumps"), Label: "lost"},
+	}
+	_, err := Simulate(s)
+	var pathErr *fs.PathError
+	if !errors.As(err, &pathErr) {
+		t.Fatalf("Simulate error = %v, want the flight dump's *fs.PathError", err)
+	}
+	if !strings.Contains(err.Error(), "flight") {
+		t.Errorf("error %q does not name the flight recorder", err)
 	}
 }
 
