@@ -378,11 +378,13 @@ func (p *Plan) Attach(h *hv.Hypervisor) {
 		})
 	}
 	if len(p.Hotplug) > 0 {
-		// One chained timer walks the whole time-sorted action list instead
+		// One owned event walks the whole time-sorted action list instead
 		// of pre-registering two closures per hotplug event: each fire
-		// applies its action and re-arms the same event (Clock.Reschedule)
-		// for the next one. The stable sort keeps the original creation
-		// order (off before on, schedule order) for same-instant actions.
+		// applies its action and re-arms the same event for the next one.
+		// The clock jitters only tick and acct delays, so arming at
+		// at-now lands exactly at at. The stable sort keeps the original
+		// creation order (off before on, schedule order) for same-instant
+		// actions.
 		actions := make([]hotplugAction, 0, 2*len(p.Hotplug))
 		for _, ev := range p.Hotplug {
 			actions = append(actions, hotplugAction{at: ev.Off, pcpu: ev.PCPU, online: false})
@@ -392,14 +394,16 @@ func (p *Plan) Attach(h *hv.Hypervisor) {
 		}
 		sort.SliceStable(actions, func(i, j int) bool { return actions[i].at < actions[j].at })
 		next := 0
-		h.Clock.AtLabeled(actions[0].at, "hotplug", func() {
+		ev := new(simtime.Event)
+		h.Clock.Bind(ev, "hotplug", func() {
 			a := actions[next]
 			next++
 			p.applyHotplug(h, a)
 			if next < len(actions) {
-				h.Clock.Reschedule(actions[next].at - h.Clock.Now())
+				ev.Arm(actions[next].at - h.Clock.Now())
 			}
 		})
+		ev.Arm(actions[0].at - h.Clock.Now())
 	}
 }
 

@@ -73,7 +73,7 @@ type VCPU struct {
 
 	running     bool
 	rip         uint64
-	ev          *simtime.Event
+	ev          simtime.Event // owned progress event, bound to fireEv
 	phaseStart  simtime.Time
 	needResched bool
 
@@ -84,11 +84,10 @@ type VCPU struct {
 	savedRIP uint64
 
 	// Pre-bound progress callbacks, created once in NewKernel so the hot
-	// paths arm clock events without allocating a closure per fire. armEv
-	// stashes its target in evFn; evWrapFn is the one closure the clock
-	// ever sees for this vCPU.
+	// paths arm the progress event without allocating a closure per fire.
+	// armEv stashes its target in evFn, which fireEv, the event's bound
+	// callback, runs.
 	evFn           func()
-	evWrapFn       func()
 	opDoneFn       func()
 	irqStageDoneFn func()
 	pleFireFn      func()
@@ -107,17 +106,9 @@ func (v *VCPU) now() simtime.Time { return v.k.Clock.Now() }
 
 func (v *VCPU) setRIP(a uint64) { v.rip = a }
 
-// cancelEv drops the pending progress event, if any.
-func (v *VCPU) cancelEv() {
-	if v.ev != nil {
-		v.ev.Cancel()
-		v.ev = nil
-	}
-}
-
 // armEv schedules the single progress event of the vCPU.
 func (v *VCPU) armEv(d simtime.Duration, fn func()) {
-	if v.ev != nil {
+	if v.ev.Pending() {
 		panic(fmt.Sprintf("guest: vCPU %d double-armed", v.idx))
 	}
 	if !v.running {
@@ -125,7 +116,14 @@ func (v *VCPU) armEv(d simtime.Duration, fn func()) {
 	}
 	v.phaseStart = v.now()
 	v.evFn = fn
-	v.ev = v.k.Clock.After(d, v.evWrapFn)
+	v.ev.Arm(d)
+}
+
+// fireEv is the progress event's callback: it runs the armed target.
+func (v *VCPU) fireEv() {
+	fn := v.evFn
+	v.evFn = nil
+	fn()
 }
 
 // ---------------------------------------------------------------------------
@@ -151,14 +149,14 @@ func (v *VCPU) OnScheduled(now simtime.Time) {
 func (v *VCPU) OnDescheduled(now simtime.Time) {
 	v.suspend(now)
 	v.running = false
-	if v.ev != nil {
+	if v.ev.Pending() {
 		panic(fmt.Sprintf("guest: vCPU %d descheduled with armed event", v.idx))
 	}
 }
 
 // suspend checkpoints whatever is in flight and cancels the progress event.
 func (v *VCPU) suspend(now simtime.Time) {
-	if v.ev == nil {
+	if !v.ev.Pending() {
 		return
 	}
 	elapsed := now - v.phaseStart
@@ -174,7 +172,7 @@ func (v *VCPU) suspend(now simtime.Time) {
 		}
 	}
 	// phaseSpin / phaseAcks: the spin window simply restarts on resume.
-	v.cancelEv()
+	v.ev.Cancel()
 }
 
 // OnInterrupt accepts a virtual interrupt while running.
@@ -357,7 +355,7 @@ func (v *VCPU) resume() {
 	if !v.running || v.irq != nil {
 		return
 	}
-	if v.ev != nil {
+	if v.ev.Pending() {
 		return // activity already in flight
 	}
 	if v.needResched && v.cur != nil && v.preemptible() && len(v.runq) > 0 {
@@ -675,9 +673,9 @@ func (t *Thread) granted(now simtime.Time) {
 	if v.cur != t {
 		panic("guest: lock granted to a non-current thread")
 	}
-	if v.running && v.irq == nil && v.ev != nil {
+	if v.running && v.irq == nil && v.ev.Pending() {
 		// The spinner is live: stop spinning, enter the CS immediately.
-		v.cancelEv()
+		v.ev.Cancel()
 		v.enterCS(t)
 		return
 	}
@@ -727,7 +725,7 @@ func (v *VCPU) initiateShootdown(t *Thread) {
 	t.ph = phaseAcks
 	// Sending the IPIs can wake a blocked sibling whose boost preempts
 	// this very vCPU; arm the ack spin only if we are still on a pCPU.
-	if v.running && v.irq == nil && v.ev == nil && v.cur == t {
+	if v.running && v.irq == nil && !v.ev.Pending() && v.cur == t {
 		v.advance()
 	}
 }
@@ -763,8 +761,8 @@ func (k *Kernel) ackShootdown(initIdx int) {
 		return
 	}
 	k.TLBStat.Observe(int64(k.Clock.Now() - t.shoot.start))
-	if v.running && v.irq == nil && v.ev != nil && t.ph == phaseAcks {
-		v.cancelEv()
+	if v.running && v.irq == nil && v.ev.Pending() && t.ph == phaseAcks {
+		v.ev.Cancel()
 		v.finishShootdown(t)
 		return
 	}

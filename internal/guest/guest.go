@@ -196,14 +196,10 @@ func NewKernel(h *hv.Hypervisor, name string, nvcpus int, sym *ksym.Table, p Par
 	}
 	for i := 0; i < nvcpus; i++ {
 		vc := &VCPU{k: k, idx: i, rip: k.addr.halt}
-		// Bind the progress callbacks once; armEv and the IRQ/op paths reuse
-		// these instead of allocating a closure or method value per fire.
-		vc.evWrapFn = func() {
-			vc.ev = nil
-			fn := vc.evFn
-			vc.evFn = nil
-			fn()
-		}
+		// Bind the progress event and callbacks once; armEv and the IRQ/op
+		// paths reuse these instead of allocating a closure or method value
+		// per fire.
+		k.Clock.Bind(&vc.ev, "", vc.fireEv)
 		vc.opDoneFn = vc.opDone
 		vc.irqStageDoneFn = vc.irqStageDone
 		vc.pleFireFn = vc.pleFire

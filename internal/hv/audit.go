@@ -71,6 +71,7 @@ type Auditor struct {
 	// is allocation-free.
 	running map[*VCPU]int
 	queued  map[*VCPU]int
+	walk    simtime.Event // owned: the periodic walk, re-armed in place
 }
 
 // EnableAudit arms a periodic invariant walk on the hypervisor's clock,
@@ -79,19 +80,18 @@ type Auditor struct {
 // to trigger the flight recorder. Call before Start; the first walk runs
 // one tick into the run. The walk itself never mutates scheduler state, so
 // enabling the auditor does not change simulation results. Each walk
-// re-arms itself through Clock.Reschedule, reusing its event and pre-bound
-// callback.
+// re-arms the auditor's own event in place.
 func (h *Hypervisor) EnableAudit(onViolation func(*InvariantError)) *Auditor {
 	a := &Auditor{
 		h:           h,
 		onViolation: onViolation,
 		starved:     make(map[*VCPU]simtime.Time),
 	}
-	walk := func() {
+	h.Clock.Bind(&a.walk, "audit", func() {
 		a.audit()
-		h.Clock.Reschedule(h.Cfg.Tick)
-	}
-	h.Clock.AfterLabeled(h.Cfg.Tick, "audit", walk)
+		a.walk.Arm(h.Cfg.Tick)
+	})
+	a.walk.Arm(h.Cfg.Tick)
 	return a
 }
 

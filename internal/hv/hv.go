@@ -297,7 +297,6 @@ type VCPU struct {
 
 	pending []PendingIRQ
 
-	warmupEv      *simtime.Event
 	runningSince  simtime.Time
 	runnableSince simtime.Time // when the vCPU last left a pCPU/blocked state
 	ranTotal      simtime.Duration
@@ -409,8 +408,7 @@ type PCPU struct {
 	lastRan *VCPU
 	runq    []*VCPU // priority-sorted, stable within a class
 
-	sliceEv *simtime.Event
-	busy    simtime.Duration
+	busy simtime.Duration
 
 	// offline marks a hot-unplugged pCPU (fault injection): it belongs to
 	// no pool, holds no work, and its tick idles until OnlinePCPU.
@@ -424,22 +422,20 @@ type PCPU struct {
 	slot     int
 	headPrio Priority
 
-	// Reusable tick state: tickFn is the pre-bound tick callback (created
-	// once in Start), tickEv the armed tick event (nil while parked or
-	// inside the tick callback), tickPhase the pCPU's stagger phase in
-	// [0, Tick) so a parked tick re-arms on its original grid, and parked
-	// marks an idle pCPU whose tick is suppressed.
-	tickFn    func()
-	tickEv    *simtime.Event
+	// The pCPU's owned timers, bound once in New and re-armed in place:
+	// slice is the current vCPU's quantum (stopped lazily, see
+	// simtime.Timer), ctxsw the context-switch warmup (pending while the
+	// current vCPU has not started yet), and tick the scheduler tick (not
+	// pending while parked or inside its callback). slice and ctxsw act on
+	// p.cur, which is stable while either is armed because
+	// descheduleCurrent stops both before clearing cur. tickPhase is the
+	// pCPU's stagger phase in [0, Tick), so a parked tick re-arms on its
+	// original grid, and parked marks an idle pCPU whose tick is suppressed.
+	slice     simtime.Timer
+	ctxsw     simtime.Event
+	tick      simtime.Event
 	tickPhase simtime.Duration
 	parked    bool
-
-	// sliceFn/startFn are the pre-bound slice-expiry and warmup-complete
-	// callbacks (created once in New); both act on p.cur, which is stable
-	// while either event is armed because descheduleCurrent always cancels
-	// them before clearing cur.
-	sliceFn func()
-	startFn func()
 }
 
 // Offline reports whether the pCPU is hot-unplugged.
@@ -582,6 +578,9 @@ type Hypervisor struct {
 	// injection latency to a running vCPU (see deliver).
 	freeInject *pendingInject
 
+	acct        simtime.Event // the global credit-accounting tick
+	nsPerCredit int64         // runtime worth one credit: Tick / CreditDebitPerTick
+
 	stoleNext bool // pickNext→dispatch handoff: the pick came from a steal
 
 	// microSince/microArea integrate the micro pool's size over time
@@ -633,7 +632,10 @@ func New(clock *simtime.Clock, cfg Config) *Hypervisor {
 		Cfg:      cfg,
 		Counters: metrics.NewSet(),
 		Trace:    trace.NewBuffer(cfg.TraceCapacity),
+
+		nsPerCredit: int64(cfg.Tick) / int64(cfg.CreditDebitPerTick),
 	}
+	clock.Bind(&h.acct, "acct", h.acctTick)
 	h.normal = &Pool{Name: "normal", Slice: cfg.NormalSlice}
 	h.micro = &Pool{
 		Name:       "micro",
@@ -646,11 +648,12 @@ func New(clock *simtime.Clock, cfg Config) *Hypervisor {
 	}
 	for i := 0; i < cfg.PCPUs; i++ {
 		p := &PCPU{ID: i, pool: h.normal, slot: i, headPrio: PrioIdle}
-		// Pre-bound per-pCPU callbacks: dispatch and slice expiry are the
-		// hottest periodic paths, and binding here (once per machine, not
-		// once per dispatch) keeps them allocation-free.
-		p.sliceFn = func() { h.sliceExpired(p) }
-		p.startFn = func() { h.startCurrent(p) }
+		// Owned per-pCPU timers: dispatch and slice expiry are the hottest
+		// periodic paths, and binding here (once per machine, not once per
+		// dispatch) keeps them allocation-free and off the free list.
+		clock.BindTimer(&p.slice, "slice", func() { h.sliceExpired(p) })
+		clock.Bind(&p.ctxsw, "ctxswitch", func() { h.startCurrent(p) })
+		clock.Bind(&p.tick, "tick", func() { h.pcpuTick(p) })
 		h.pcpus = append(h.pcpus, p)
 		h.normal.pcpus = append(h.normal.pcpus, p)
 	}
@@ -834,10 +837,9 @@ func (h *Hypervisor) Start() {
 		p := p
 		offset := h.Cfg.Tick * simtime.Duration(i+1) / n
 		p.tickPhase = offset % h.Cfg.Tick
-		p.tickFn = func() { h.pcpuTick(p) }
-		p.tickEv = h.Clock.AfterLabeled(offset, "tick", p.tickFn)
+		p.tick.Arm(offset)
 	}
-	h.Clock.AfterLabeled(h.Cfg.Tick*simtime.Duration(h.Cfg.TicksPerAcct), "acct", h.acctTick)
+	h.acct.Arm(h.Cfg.Tick * simtime.Duration(h.Cfg.TicksPerAcct))
 }
 
 func (h *Hypervisor) count(name string) { h.Counters.Counter(name).Inc() }

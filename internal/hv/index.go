@@ -67,12 +67,12 @@ func (h *Hypervisor) VerifySchedIndex() error {
 		// Tick liveness: once Start armed the ticks, an online pCPU either
 		// has its tick armed or is parked — never both, never neither.
 		// (VerifySchedIndex runs from its own clock events, so no tick
-		// callback is mid-flight with its event transiently nil.)
+		// callback is mid-flight with its event transiently unqueued.)
 		if h.started {
-			if p.parked && p.tickEv != nil {
+			if p.parked && p.tick.Pending() {
 				return fmt.Errorf("hv: p%d parked with an armed tick", p.ID)
 			}
-			if !p.parked && p.tickEv == nil {
+			if !p.parked && !p.tick.Pending() {
 				return fmt.Errorf("hv: p%d neither parked nor tick-armed", p.ID)
 			}
 		}

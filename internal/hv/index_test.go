@@ -133,7 +133,7 @@ func TestIdleTickParksAndResumesOnPhase(t *testing.T) {
 		if !p.parked {
 			t.Fatalf("idle p%d did not park its tick", p.ID)
 		}
-		if p.tickEv != nil {
+		if p.tick.Pending() {
 			t.Fatalf("parked p%d still holds an armed tick", p.ID)
 		}
 	}
@@ -152,10 +152,10 @@ func TestIdleTickParksAndResumesOnPhase(t *testing.T) {
 	g2 := newComputeGuest(h, d, simtime.Millisecond)
 	h.Wake(g2.v, false)
 	for _, p := range h.pcpus {
-		if p.parked || p.tickEv == nil {
+		if p.parked || !p.tick.Pending() {
 			t.Fatalf("p%d still parked after wake", p.ID)
 		}
-		at := p.tickEv.When()
+		at := p.tick.When()
 		if at <= clock.Now() {
 			t.Fatalf("p%d tick re-armed at %v, not in the future of %v", p.ID, at, clock.Now())
 		}

@@ -193,12 +193,12 @@ func (h *Hypervisor) deliver(dst *VCPU, vec Vector, data uint64, span obs.SpanRe
 		pi := h.freeInject
 		if pi == nil {
 			pi = &pendingInject{h: h}
-			pi.fire = pi.inject
+			h.Clock.Bind(&pi.ev, "inject", pi.inject)
 		} else {
 			h.freeInject = pi.next
 		}
 		pi.dst, pi.vec, pi.data, pi.span = dst, vec, data, span
-		h.Clock.AfterLabeled(h.Cfg.IPILatency, "inject", pi.fire)
+		pi.ev.Arm(h.Cfg.IPILatency)
 	case StateBlocked:
 		dst.pending = append(dst.pending, PendingIRQ{Vec: vec, Data: data, Span: span})
 		h.Wake(dst, true)
@@ -211,9 +211,9 @@ func (h *Hypervisor) deliver(dst *VCPU, vec Vector, data uint64, span obs.SpanRe
 }
 
 // pendingInject is an interrupt waiting out the injection latency to a
-// running vCPU. Records live on the hypervisor's free list with their fire
-// callback bound once, so delivering an IPI allocates nothing in steady
-// state.
+// running vCPU. Records live on the hypervisor's free list, each with its
+// own event bound once to inject, so delivering an IPI allocates nothing
+// in steady state.
 type pendingInject struct {
 	h    *Hypervisor
 	dst  *VCPU
@@ -221,7 +221,7 @@ type pendingInject struct {
 	data uint64
 	span obs.SpanRef
 	next *pendingInject // free-list link
-	fire func()         // pi.inject, bound at allocation
+	ev   simtime.Event  // owned, bound to inject at allocation
 }
 
 // inject copies the interrupt out and returns the record to the free list
@@ -244,7 +244,7 @@ func (h *Hypervisor) injectOrQueue(dst *VCPU, vec Vector, data uint64, span obs.
 	if h.Obs != nil {
 		h.Obs.Stage(span, obs.IPIStageInject, h.Clock.Now())
 	}
-	if dst.state == StateRunning && dst.warmupEv == nil {
+	if dst.state == StateRunning && !dst.pcpu.ctxsw.Pending() {
 		if h.Obs != nil {
 			h.Obs.End(span, h.Clock.Now())
 		}

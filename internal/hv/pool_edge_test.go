@@ -127,7 +127,7 @@ func TestPoolResizeMidWarmup(t *testing.T) {
 	clock.RunUntil(8 * simtime.Microsecond)
 	warming := 0
 	for _, g := range guests {
-		if g.v.warmupEv != nil {
+		if p := g.v.pcpu; p != nil && p.ctxsw.Pending() {
 			warming++
 		}
 	}

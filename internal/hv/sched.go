@@ -266,7 +266,7 @@ func (h *Hypervisor) dispatch(p *PCPU, v *VCPU) {
 		// 0.1 ms slice always wins while a vCPU is being accelerated.
 		slice = v.sliceOverride
 	}
-	p.sliceEv = h.Clock.AfterLabeled(slice, "slice", p.sliceFn)
+	p.slice.Set(slice)
 
 	// Re-dispatching the vCPU the pCPU just ran is free (registers and
 	// cache are warm); switching pays the direct cost plus the cache
@@ -279,7 +279,7 @@ func (h *Hypervisor) dispatch(p *PCPU, v *VCPU) {
 	}
 	p.lastRan = v
 	if cost > 0 {
-		v.warmupEv = h.Clock.AfterLabeled(cost, "ctxswitch", p.startFn)
+		p.ctxsw.Arm(cost)
 	} else {
 		h.startCurrent(p)
 	}
@@ -288,10 +288,9 @@ func (h *Hypervisor) dispatch(p *PCPU, v *VCPU) {
 // startCurrent hands the pCPU's current vCPU to its guest once any
 // context-switch cost has elapsed. p.cur is the vCPU this fires for:
 // descheduleCurrent cancels the warmup event, so cur cannot have changed
-// underneath an armed p.startFn.
+// underneath an armed p.ctxsw.
 func (h *Hypervisor) startCurrent(p *PCPU) {
 	v := p.cur
-	v.warmupEv = nil
 	v.runningSince = h.Clock.Now()
 	v.burnAt = h.Clock.Now()
 	v.Guest.OnScheduled(h.Clock.Now())
@@ -309,15 +308,10 @@ func (h *Hypervisor) descheduleCurrent(p *PCPU) *VCPU {
 	if v == nil {
 		panic(fmt.Sprintf("hv: deschedule on idle p%d", p.ID))
 	}
-	if p.sliceEv != nil {
-		p.sliceEv.Cancel()
-		p.sliceEv = nil
-	}
-	if v.warmupEv != nil {
-		// The guest never actually started; no OnDescheduled.
-		v.warmupEv.Cancel()
-		v.warmupEv = nil
-	} else {
+	p.slice.Stop()
+	// A pending warmup means the guest never actually started: no
+	// OnDescheduled.
+	if !p.ctxsw.Cancel() {
 		ran := h.Clock.Now() - v.runningSince
 		v.ranTotal += ran
 		p.busy += ran
@@ -360,10 +354,9 @@ func (h *Hypervisor) requeuePreempted(p *PCPU, v *VCPU) {
 }
 
 // sliceExpired preempts the current vCPU at the end of its quantum on p.
-// The slice event is cancelled whenever cur changes (descheduleCurrent), so
+// The slice timer is stopped whenever cur changes (descheduleCurrent), so
 // at fire time p.cur is exactly the vCPU the slice was armed for.
 func (h *Hypervisor) sliceExpired(p *PCPU) {
-	p.sliceEv = nil
 	v := p.cur
 	if v == nil {
 		return // stale timer (should have been cancelled)
@@ -501,14 +494,13 @@ func (h *Hypervisor) countYield(v *VCPU, reason YieldReason) {
 // re-arms it on its original stagger grid via unparkTick, so the observable
 // tick times are exactly those of an never-parked tick.
 func (h *Hypervisor) pcpuTick(p *PCPU) {
-	p.tickEv = nil
 	if p.offline {
 		// Nothing to charge and no pool to scan; park until OnlinePCPU.
 		p.parked = true
 		return
 	}
 	if v := p.cur; v != nil {
-		if v.warmupEv == nil {
+		if !p.ctxsw.Pending() {
 			h.burnCredits(v)
 		}
 		// Boost lasts until the first tick lands on the running vCPU.
@@ -531,13 +523,15 @@ func (h *Hypervisor) pcpuTick(p *PCPU) {
 		h.parkTick(p)
 		return
 	}
-	p.tickEv = h.Clock.Reschedule(h.Cfg.Tick)
+	p.tick.Arm(h.Cfg.Tick)
 }
 
 // parkTick suppresses the tick of an idle pCPU (the tick event has already
-// fired and is not re-armed).
+// fired and is not re-armed) and drops the stale entry its stopped slice
+// timer may have left queued, so an idle machine fires no slice events.
 func (h *Hypervisor) parkTick(p *PCPU) {
 	p.parked = true
+	p.slice.Cancel()
 	if p.pool != nil {
 		p.pool.parkedMask |= 1 << uint(p.slot)
 	}
@@ -557,7 +551,7 @@ func (h *Hypervisor) unparkTick(p *PCPU) {
 	}
 	now := h.Clock.Now()
 	delta := h.Cfg.Tick - (now-p.tickPhase)%h.Cfg.Tick
-	p.tickEv = h.Clock.AfterLabeled(delta, "tick", p.tickFn)
+	p.tick.Arm(delta)
 }
 
 // unparkPool re-arms every parked tick in the pool (new stealable work
@@ -575,12 +569,19 @@ func (h *Hypervisor) unparkPool(pl *Pool) {
 // sampling artifact phase-locks with slice boundaries and produces wildly
 // unfair accounting, so runtime-proportional burning is the faithful-in-
 // expectation substitute.
+//
+// In the yield storm most runs are shorter than one credit's worth
+// (about 70 us against 100 us), so that case only carries the debt and
+// skips both divisions.
 func (h *Hypervisor) burnCredits(v *VCPU) {
 	now := h.Clock.Now()
-	nsPerCredit := int64(h.Cfg.Tick) / int64(h.Cfg.CreditDebitPerTick)
 	total := int64(now-v.burnAt) + v.debtNs
-	v.credits -= int(total / nsPerCredit)
-	v.debtNs = total % nsPerCredit
+	if total < h.nsPerCredit {
+		v.debtNs = total
+	} else {
+		v.credits -= int(total / h.nsPerCredit)
+		v.debtNs = total % h.nsPerCredit
+	}
 	v.burnAt = now
 	if v.credits < h.Cfg.CreditFloor {
 		v.credits = h.Cfg.CreditFloor
@@ -594,7 +595,7 @@ func (h *Hypervisor) acctTick() {
 	for _, p := range h.pcpus {
 		h.refreshQueue(p)
 	}
-	h.Clock.Reschedule(h.Cfg.Tick * simtime.Duration(h.Cfg.TicksPerAcct))
+	h.acct.Arm(h.Cfg.Tick * simtime.Duration(h.Cfg.TicksPerAcct))
 }
 
 // refreshQueue re-derives queued priorities and picks up work on an idle

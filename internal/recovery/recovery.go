@@ -2,8 +2,8 @@
 // deterministic detect→repair loop over the hypervisor's scheduling state.
 //
 // Where the auditor (internal/hv/audit.go) only *reports* damage, the
-// supervisor repairs it. Each walk — a simtime event chained through
-// Clock.Reschedule, zero-alloc while the machine is healthy — looks for
+// supervisor repairs it. Each walk — an owned simtime event re-armed in
+// place, zero-alloc while the machine is healthy — looks for
 // three damage classes the harsh fault plans inflict:
 //
 //   - starved runnable vCPUs: runnable-but-undispatched beyond StarveBound
@@ -110,6 +110,8 @@ type Supervisor struct {
 	lastRepair simtime.Time
 
 	hot [trace.NumRepairKinds]*metrics.Counter
+
+	tick simtime.Event // owned: the periodic walk, re-armed in place
 }
 
 // Attach arms the supervisor on the hypervisor's clock. Call before
@@ -130,11 +132,11 @@ func Attach(h *hv.Hypervisor, cfg Config) *Supervisor {
 	if h.Obs != nil {
 		h.Obs.Repairs = &s.Repairs
 	}
-	walk := func() {
+	h.Clock.Bind(&s.tick, "recover", func() {
 		s.walk()
-		h.Clock.Reschedule(s.cfg.Interval)
-	}
-	h.Clock.AfterLabeled(s.cfg.Interval, "recover", walk)
+		s.tick.Arm(s.cfg.Interval)
+	})
+	s.tick.Arm(s.cfg.Interval)
 	return s
 }
 

@@ -18,10 +18,16 @@ type refClock struct {
 	fired    uint64
 	stopped  bool
 	queue    []*refEvent
-	firing   *refEvent
 	tieLater bool
+	// hints holds, for every Timer.Stop of the real clock in order, whether
+	// it removed a near-tier entry at once. The reference has no tiers, so
+	// it takes that choice from the real queue and models its effects.
+	hints   *[]bool
+	hintPos int
 }
 
+// refEvent is a reference event. The reference never recycles, so every
+// event is also a valid owned event.
 type refEvent struct {
 	when   Time
 	seq    uint64
@@ -45,6 +51,68 @@ func (r *refClock) At(t Time, fn func()) fuzzEvent {
 }
 
 func (r *refClock) After(d Duration, fn func()) fuzzEvent { return r.At(r.now+d, fn) }
+
+func (r *refClock) Owned(fn func()) fuzzOwned { return &refEvent{fn: fn, c: r} }
+
+func (e *refEvent) Arm(d Duration) {
+	if e.queued {
+		panic("reference: Arm of a queued event")
+	}
+	e.c.seq++
+	e.when, e.seq = e.c.now+d, e.c.seq
+	e.c.push(e)
+}
+
+// refTimer models Timer: one queue entry and a live key.
+type refTimer struct {
+	entry *refEvent
+	when  Time
+	seq   uint64
+	armed bool
+	fn    func()
+}
+
+func (r *refClock) Timer(fn func()) fuzzTimer {
+	t := &refTimer{fn: fn}
+	t.entry = &refEvent{fn: t.pop, c: r}
+	return t
+}
+
+func (t *refTimer) Set(d Duration) {
+	r := t.entry.c
+	r.seq++
+	t.when, t.seq, t.armed = r.now+d, r.seq, true
+	if !t.entry.queued || t.entry.when > t.when {
+		t.entry.Cancel()
+		t.entry.when, t.entry.seq = t.when, t.seq
+		r.push(t.entry)
+	}
+}
+
+func (t *refTimer) Stop() {
+	r := t.entry.c
+	eager := r.hintPos < len(*r.hints) && (*r.hints)[r.hintPos]
+	r.hintPos++
+	t.armed = false
+	if eager {
+		t.entry.Cancel()
+	}
+}
+
+func (t *refTimer) Cancel()       { t.armed = false; t.entry.Cancel() }
+func (t *refTimer) Pending() bool { return t.armed }
+
+func (t *refTimer) pop() {
+	switch {
+	case !t.armed:
+	case t.entry.seq == t.seq:
+		t.armed = false
+		t.fn()
+	default:
+		t.entry.when, t.entry.seq = t.when, t.seq
+		t.entry.c.push(t.entry)
+	}
+}
 
 // min returns the queue position of the earliest event, or -1.
 func (r *refClock) min() int {
@@ -76,20 +144,8 @@ func (r *refClock) Step() bool {
 	e := r.take(r.min())
 	r.now = e.when
 	r.fired++
-	prev := r.firing
-	r.firing = e
 	e.fn()
-	r.firing = prev
 	return true
-}
-
-func (r *refClock) Reschedule(d Duration) fuzzEvent {
-	e := r.firing
-	r.firing = nil
-	r.seq++
-	e.when, e.seq = r.now+d, r.seq
-	r.push(e)
-	return e
 }
 
 func (r *refClock) RunUntil(t Time) uint64 {
@@ -129,7 +185,8 @@ type fuzzClock interface {
 	Now() Time
 	At(t Time, fn func()) fuzzEvent
 	After(d Duration, fn func()) fuzzEvent
-	Reschedule(d Duration) fuzzEvent
+	Owned(fn func()) fuzzOwned // bound, not yet armed
+	Timer(fn func()) fuzzTimer
 	RunUntil(t Time) uint64
 	Step() bool
 	Stop()
@@ -143,14 +200,51 @@ type fuzzEvent interface {
 	Pending() bool
 }
 
+type fuzzOwned interface {
+	fuzzEvent
+	Arm(d Duration)
+}
+
+type fuzzTimer interface {
+	Set(d Duration)
+	Stop()
+	Cancel()
+	Pending() bool
+}
+
 // realClock adapts *Clock to fuzzClock.
-type realClock struct{ *Clock }
+type realClock struct {
+	*Clock
+	hints *[]bool
+}
 
 func (c realClock) At(t Time, fn func()) fuzzEvent { return c.Clock.At(t, fn) }
 func (c realClock) After(d Duration, fn func()) fuzzEvent {
 	return c.Clock.AfterLabeled(d, "fuzz", fn)
 }
-func (c realClock) Reschedule(d Duration) fuzzEvent { return c.Clock.Reschedule(d) }
+
+func (c realClock) Owned(fn func()) fuzzOwned {
+	e := new(Event)
+	c.Clock.Bind(e, "fuzz", fn)
+	return e
+}
+
+func (c realClock) Timer(fn func()) fuzzTimer {
+	t := new(Timer)
+	c.Clock.BindTimer(t, "fuzz", fn)
+	return realTimer{t, c.hints}
+}
+
+// realTimer records, for the reference, whether each Stop is eager.
+type realTimer struct {
+	*Timer
+	hints *[]bool
+}
+
+func (t realTimer) Stop() {
+	*t.hints = append(*t.hints, t.ev.index >= 0)
+	t.Timer.Stop()
+}
 
 // Operations and callback actions of a decoded stream.
 const (
@@ -162,23 +256,26 @@ const (
 	opRunUntil2
 	opStep
 	opStopOrStep
+	opTimer
 	opKinds
 )
 
 const (
-	actNone = iota
-	actReschedule
+	actNone  = iota
+	actRearm // the owned event arms itself again
 	actCancel
 	actSpawn
+	actRearmOther // re-arm an owned event that is not queued (cancelled or fired)
+	actTimer      // set, stop or cancel one of the lazy timers (timerOp)
 	actKinds
 )
 
 // fuzzAction is what an event's callback does after it logs its firing.
 type fuzzAction struct {
 	kind   int
-	delta  Duration // Reschedule/spawn delay, clamped so now+delta <= Infinity
-	target int      // actCancel: event id, modulo the events made so far
-	repeat int      // Reschedule/spawn budget
+	delta  Duration // re-arm/spawn/timer delay, clamped so now+delta <= Infinity
+	target int      // actCancel/actRearmOther: event id, modulo the events made so far; actTimer: timerOp's selector
+	repeat int      // re-arm/spawn budget
 }
 
 // fuzzOp is one top-level operation; when is resolved against the real
@@ -275,62 +372,134 @@ func satAdd(t Time, d Duration) Time {
 }
 
 type fuzzEntry struct {
-	what byte // 'F' fired, 'C' cancel result, 'R' RunUntil count, 'S' Step result
+	what byte // 'F' fired, 'T' timer fired, 'A' re-armed, 'C' cancel result, 'R' RunUntil count, 'S' Step result
 	id   int
 	t    Time
 	n    uint64
 }
+
+// fuzzTimers is the number of lazy timers in a world.
+const fuzzTimers = 2
 
 // fuzzWorld runs a stream against one queue. Event ids count schedules in
 // creation order, so they agree between worlds as long as the queues do.
 type fuzzWorld struct {
 	clk   fuzzClock
 	evs   []fuzzEvent
-	alive []bool // the driver's own view: queued and safe to Cancel
+	owned []bool // bound with Owned: the handle never dies
+	alive []bool // the stream's own view: queued (and, if not owned, safe to Cancel)
 	log   []fuzzEntry
+
+	timers     [fuzzTimers]fuzzTimer
+	timerLeft  [fuzzTimers]int // re-sets the timer's callback still makes
+	timerDelta [fuzzTimers]Duration
 }
 
-func (w *fuzzWorld) schedule(t Time, a fuzzAction, after bool) {
+func newFuzzWorld(clk fuzzClock) *fuzzWorld {
+	w := &fuzzWorld{clk: clk}
+	for i := range w.timers {
+		w.timers[i] = clk.Timer(func() {
+			now := w.clk.Now()
+			w.log = append(w.log, fuzzEntry{what: 'T', id: i, t: now})
+			if w.timerLeft[i] > 0 {
+				w.timerLeft[i]--
+				w.timers[i].Set(min(w.timerDelta[i], Infinity-now))
+			}
+		})
+	}
+	return w
+}
+
+// schedule makes event id len(w.evs) at t: an owned event armed t-now
+// ahead, an After event or an At event.
+func (w *fuzzWorld) schedule(t Time, a fuzzAction, after, owned bool) {
 	id := len(w.evs)
 	left := a.repeat
+	var own fuzzOwned
 	fn := func() {
 		w.alive[id] = false
 		now := w.clk.Now()
 		w.log = append(w.log, fuzzEntry{what: 'F', id: id, t: now})
 		switch a.kind {
-		case actReschedule:
-			if left > 0 {
+		case actRearm:
+			if left > 0 && own != nil {
 				left--
-				w.evs[id] = w.clk.Reschedule(min(a.delta, Infinity-now))
+				own.Arm(min(a.delta, Infinity-now))
 				w.alive[id] = true
 			}
 		case actCancel:
 			w.cancel(a.target%len(w.evs), id)
 		case actSpawn:
 			if left > 0 {
-				w.schedule(satAdd(now, a.delta), fuzzAction{kind: actSpawn, delta: a.delta, repeat: left - 1}, true)
+				w.schedule(satAdd(now, a.delta), fuzzAction{kind: actSpawn, delta: a.delta, repeat: left - 1}, true, false)
 			}
+		case actRearmOther:
+			if left > 0 {
+				left--
+				w.rearm(a.target%len(w.evs), a.delta)
+			}
+		case actTimer:
+			w.timerOp(a)
 		}
 	}
 	var ev fuzzEvent
-	if after {
+	switch {
+	case owned:
+		own = w.clk.Owned(fn)
+		own.Arm(t - w.clk.Now())
+		ev = own
+	case after:
 		ev = w.clk.After(t-w.clk.Now(), fn)
-	} else {
+	default:
 		ev = w.clk.At(t, fn)
 	}
 	w.evs = append(w.evs, ev)
+	w.owned = append(w.owned, owned)
 	w.alive = append(w.alive, true)
 }
 
-// cancel cancels event id if the handle is still valid: queued, or the
-// event whose callback is running (firing, where Cancel must report false).
+// cancel cancels event id if the handle is still valid: owned, queued, or
+// the event whose callback is running (firing, where Cancel must report
+// false).
 func (w *fuzzWorld) cancel(id, firing int) {
-	if !w.alive[id] && id != firing {
+	if !w.alive[id] && id != firing && !w.owned[id] {
 		return
 	}
 	ok := w.evs[id].Cancel()
 	w.alive[id] = w.alive[id] && !ok
 	w.log = append(w.log, fuzzEntry{what: 'C', id: id, n: b2u(ok)})
+}
+
+// rearm arms owned event id again if it is not queued.
+func (w *fuzzWorld) rearm(id int, d Duration) {
+	if !w.owned[id] || w.alive[id] {
+		return
+	}
+	w.evs[id].(fuzzOwned).Arm(min(d, Infinity-w.clk.Now()))
+	w.alive[id] = true
+	w.log = append(w.log, fuzzEntry{what: 'A', id: id})
+}
+
+// timerOp drives lazy timer (a.target>>2)%fuzzTimers: set it (its callback
+// then re-sets it a.repeat times), stop it, set, stop and re-set it to an
+// earlier key, or cancel it.
+func (w *fuzzWorld) timerOp(a fuzzAction) {
+	i := a.target >> 2 % fuzzTimers
+	tm := w.timers[i]
+	d := min(a.delta, Infinity-w.clk.Now())
+	switch a.target >> 3 % 4 {
+	case 0:
+		tm.Set(d)
+		w.timerLeft[i], w.timerDelta[i] = a.repeat, a.delta
+	case 1:
+		tm.Stop()
+	case 2:
+		tm.Set(d)
+		tm.Stop()
+		tm.Set(d / 2)
+	default:
+		tm.Cancel()
+	}
 }
 
 func b2u(b bool) uint64 {
@@ -342,16 +511,16 @@ func b2u(b bool) uint64 {
 
 func (w *fuzzWorld) apply(op fuzzOp, t Time) {
 	switch op.kind {
-	case opAt, opAt2:
-		w.schedule(t, op.act, false)
-	case opAfter:
-		w.schedule(t, op.act, true)
+	case opAt, opAt2, opAfter:
+		w.schedule(t, op.act, op.kind == opAfter, op.act.kind == actRearm || op.extra&1 == 1)
 	case opCancel:
 		if len(w.evs) > 0 {
 			w.cancel(int(op.target)%len(w.evs), -1)
 		}
 	case opRunUntil, opRunUntil2:
 		w.log = append(w.log, fuzzEntry{what: 'R', n: w.clk.RunUntil(t)})
+	case opTimer:
+		w.timerOp(op.act)
 	case opStopOrStep:
 		if op.extra < 8 {
 			w.clk.Stop()
@@ -367,8 +536,9 @@ func (w *fuzzWorld) apply(op fuzzOp, t Time) {
 // returns the first difference in any observable.
 func diffClockAgainstReference(data []byte, tieLater bool) error {
 	clk := NewClock()
-	fast := &fuzzWorld{clk: realClock{clk}}
-	ref := &fuzzWorld{clk: &refClock{tieLater: tieLater}}
+	var hints []bool
+	fast := newFuzzWorld(realClock{clk, &hints})
+	ref := newFuzzWorld(&refClock{tieLater: tieLater, hints: &hints})
 	last := Time(0)
 	for i, op := range decodeFuzzOps(data) {
 		t := fuzzTime(clk, op.class, op.arg, last)
@@ -408,10 +578,15 @@ func compareWorlds(fast, ref *fuzzWorld) error {
 		if alive != fast.alive[id] || ref.evs[id].Pending() != alive {
 			return fmt.Errorf("event %d: queued %v, reference %v (reference Pending %v)", id, fast.alive[id], alive, ref.evs[id].Pending())
 		}
-		// A dead handle may already be recycled; only a queued one is
-		// guaranteed to report its own state.
-		if alive && !fast.evs[id].Pending() {
-			return fmt.Errorf("event %d queued but Pending() is false", id)
+		// A dead At/After handle may already be recycled; only a queued or
+		// owned one is guaranteed to report its own state.
+		if (alive || fast.owned[id]) && fast.evs[id].Pending() != alive {
+			return fmt.Errorf("event %d: Pending() is %v, want %v", id, !alive, alive)
+		}
+	}
+	for i := range ref.timers {
+		if fast.timers[i].Pending() != ref.timers[i].Pending() {
+			return fmt.Errorf("timer %d: Pending() is %v, reference %v", i, fast.timers[i].Pending(), ref.timers[i].Pending())
 		}
 	}
 	return nil
@@ -537,24 +712,27 @@ func TestNearTierCancelHeadMiddleTail(t *testing.T) {
 	}
 }
 
-// Reschedule of the firing event puts it back into the near tier at its
-// new (when, seq) place, behind an event at the same time scheduled first.
-func TestRescheduleBackIntoNearTier(t *testing.T) {
+// An owned event armed from its own callback goes back into the near tier
+// at its new (when, seq) place, behind an event at the same time scheduled
+// first.
+func TestArmFromCallbackBackIntoNearTier(t *testing.T) {
 	c := NewClock()
 	var got []string
 	c.At(5, func() { got = append(got, "other") }) // fires at 5 before the re-armed event
 	c.At(30, func() { got = append(got, "late") })
+	var periodic Event
 	rearmed := false
-	c.At(1, func() {
+	c.Bind(&periodic, "periodic", func() {
 		got = append(got, "periodic")
 		if !rearmed {
 			rearmed = true
-			ev := c.Reschedule(29) // now 1: fires at 30, after "late" (older seq)
-			if ev.index < 0 {
-				t.Errorf("rescheduled event not in the near tier (index %d)", ev.index)
+			periodic.Arm(29) // now 1: fires at 30, after "late" (older seq)
+			if periodic.index < 0 {
+				t.Errorf("re-armed event not in the near tier (index %d)", periodic.index)
 			}
 		}
 	})
+	periodic.Arm(1)
 	c.Step()
 	if err := checkQueueInvariants(c); err != nil {
 		t.Fatal(err)
@@ -562,6 +740,103 @@ func TestRescheduleBackIntoNearTier(t *testing.T) {
 	c.Run()
 	if fmt.Sprint(got) != "[periodic other late periodic]" {
 		t.Fatalf("fired %v", got)
+	}
+	if periodic.Pending() || periodic.fn == nil || periodic.clock != c {
+		t.Fatal("a fired owned event must stay bound and unqueued")
+	}
+}
+
+// A cancelled owned event keeps its binding and re-arms with a fresh seq,
+// behind an event already queued at the same time; Arm of a queued event
+// and Arm of an unbound one panic.
+func TestOwnedEventCancelAndRearm(t *testing.T) {
+	c := NewClock()
+	var got []string
+	var ev Event
+	c.Bind(&ev, "owned", func() { got = append(got, "owned") })
+	ev.Arm(10)
+	if !ev.Cancel() || ev.Pending() || ev.Cancel() {
+		t.Fatal("cancel of an armed owned event")
+	}
+	c.At(10, func() { got = append(got, "at") })
+	ev.Arm(10)
+	mustPanic(t, "Arm of a queued event", func() { ev.Arm(1) })
+	mustPanic(t, "Arm of an unbound event", func() { new(Event).Arm(1) })
+	mustPanic(t, "Bind of a bound event", func() { c.Bind(&ev, "again", func() {}) })
+	mustPanic(t, "negative Arm", func() {
+		var e Event
+		c.Bind(&e, "neg", func() {})
+		e.Arm(-1)
+	})
+	c.Run()
+	if fmt.Sprint(got) != "[at owned]" {
+		t.Fatalf("fired %v, want [at owned]", got)
+	}
+	if len(c.free) != 1 {
+		t.Fatalf("free list holds %d events, want only the At event", len(c.free))
+	}
+}
+
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	fn()
+}
+
+// A stopped timer's far-tier entry stays queued and is dropped when it
+// pops; a near-tier entry is removed at once; a re-set to an earlier key
+// re-keys a later entry; a re-set to a later key re-queues an earlier
+// entry when it pops; Cancel removes a far entry.
+func TestTimerLazyStop(t *testing.T) {
+	c := NewClock()
+	var fired []Time
+	var tm Timer
+	c.BindTimer(&tm, "slice", func() { fired = append(fired, c.Now()) })
+	c.At(0, func() {}) // opens the window [0, farWindow): the slice lands far
+
+	tm.Set(30 * Millisecond)
+	if tm.ev.index > inFar {
+		t.Fatalf("30 ms entry not in the far tier (index %d)", tm.ev.index)
+	}
+	tm.Stop()
+	if tm.Pending() || !tm.ev.Pending() || c.Pending() != 2 {
+		t.Fatal("Stop must leave the far entry queued and disarm the timer")
+	}
+	tm.Set(100 * Microsecond) // earlier than the entry: re-key it
+	if tm.ev.when != 100*Microsecond || tm.ev.seq != tm.seq || c.Pending() != 2 {
+		t.Fatalf("entry at %v seq %d, want re-keyed to the live key", tm.ev.when, tm.ev.seq)
+	}
+	tm.Stop() // near entry: removed at once
+	if tm.ev.Pending() || c.Pending() != 1 {
+		t.Fatal("Stop must remove a near-tier entry")
+	}
+
+	tm.Set(30 * Millisecond)
+	tm.Stop()
+	c.RunUntil(Second) // the stale entry pops and is dropped
+	if len(fired) != 0 || c.Fired() != 2 || tm.ev.Pending() {
+		t.Fatalf("stopped timer fired %v (events %d)", fired, c.Fired())
+	}
+
+	tm.Set(10 * Millisecond) // entry at 1.010 s
+	tm.Set(20 * Millisecond) // later key: the entry stays, pops, re-queues
+	if tm.ev.when != Second+10*Millisecond {
+		t.Fatalf("entry at %v, want it left at the earlier key", tm.ev.when)
+	}
+	c.Run()
+	if fmt.Sprint(fired) != fmt.Sprint([]Time{Second + 20*Millisecond}) || c.Fired() != 4 {
+		t.Fatalf("fired %v after %d events, want one fire at 1.02 s after 4", fired, c.Fired())
+	}
+
+	c.At(c.Now(), func() {}) // opens a window, so the entry lands far
+	tm.Set(30 * Millisecond)
+	tm.Cancel()
+	if tm.Pending() || tm.ev.Pending() || c.Pending() != 1 {
+		t.Fatal("Cancel must remove a far-tier entry")
 	}
 }
 
@@ -618,34 +893,39 @@ func TestClockReferenceCatchesFlippedTieBreak(t *testing.T) {
 }
 
 // BenchmarkClockSliceChurn mirrors the credit scheduler's yield storm: a
-// dozen far timers (10 ms ticks, 30 ms slices) and ten near events; every
-// near event cancels and re-arms one slice and arms its successor
-// 10-100 us ahead. The steady state must not allocate.
+// dozen far timers (10 ms ticks, 30 ms slices) and ten near progress
+// events, all owned. Every progress event stops one slice timer, sets it
+// 30 ms ahead again and re-arms itself 10-100 us ahead. The steady state
+// must not allocate.
 func BenchmarkClockSliceChurn(b *testing.B) {
 	const ticks, slices, near = 6, 6, 10
 	c := NewClock()
-	tick := func() { c.Reschedule(10 * Millisecond) }
-	slice := func() { c.Reschedule(30 * Millisecond) }
-	var sliceEv [slices]*Event
-	for i := 0; i < ticks; i++ {
-		c.AfterLabeled(Duration(i+1)*10*Millisecond/ticks, "tick", tick)
+	var tickEv [ticks]Event
+	var sliceTm [slices]Timer
+	var progress [near]Event
+	for i := range tickEv {
+		ev := &tickEv[i]
+		c.Bind(ev, "tick", func() { ev.Arm(10 * Millisecond) })
+		ev.Arm(Duration(i+1) * 10 * Millisecond / ticks)
 	}
-	for i := range sliceEv {
-		sliceEv[i] = c.AfterLabeled(30*Millisecond, "slice", slice)
+	for i := range sliceTm {
+		tm := &sliceTm[i]
+		c.BindTimer(tm, "slice", func() { tm.Set(30 * Millisecond) })
+		tm.Set(30 * Millisecond)
 	}
 	rng, k := uint64(15), 0
-	var progress func()
-	progress = func() {
-		sliceEv[k].Cancel()
-		sliceEv[k] = c.AfterLabeled(30*Millisecond, "slice", slice)
-		k = (k + 1) % slices
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		c.After(10*Microsecond+Duration(rng%uint64(90*Microsecond)), progress)
-	}
-	for i := 0; i < near; i++ {
-		c.After(Duration(i+1)*10*Microsecond, progress)
+	for i := range progress {
+		ev := &progress[i]
+		c.Bind(ev, "", func() {
+			sliceTm[k].Stop()
+			sliceTm[k].Set(30 * Millisecond)
+			k = (k + 1) % slices
+			rng ^= rng << 13
+			rng ^= rng >> 7
+			rng ^= rng << 17
+			ev.Arm(10*Microsecond + Duration(rng%uint64(90*Microsecond)))
+		})
+		ev.Arm(Duration(i+1) * 10 * Microsecond)
 	}
 	for i := 0; i < 10000; i++ {
 		c.Step()
@@ -660,12 +940,12 @@ func BenchmarkClockSliceChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkClockNearTier holds a fixed population of events up to 500 us
-// ahead, all inside one near window at refill, at the 12-pCPU co-runs'
-// typical near length and at the largest host's. Every fired event re-arms
-// itself at a random depth, and every eighth also cancels another event
-// from anywhere in the tier and re-arms it. The steady state must not
-// allocate.
+// BenchmarkClockNearTier holds a fixed population of owned events up to
+// 500 us ahead, all inside one near window at refill, at the 12-pCPU
+// co-runs' typical near length and at the largest host's. Every fired
+// event re-arms itself at a random depth, and every eighth also cancels
+// another event from anywhere in the tier and re-arms it. The steady state
+// must not allocate.
 func BenchmarkClockNearTier(b *testing.B) {
 	for _, n := range []int{8, 64} {
 		b.Run(fmt.Sprintf("near=%d", n), func(b *testing.B) {
@@ -678,21 +958,20 @@ func BenchmarkClockNearTier(b *testing.B) {
 				return rng
 			}
 			delay := func() Duration { return 1 + Duration(next()%uint64(500*Microsecond)) }
-			evs := make([]*Event, n)
-			fns := make([]func(), n)
+			evs := make([]Event, n)
 			fired := 0
-			for i := range fns {
+			for i := range evs {
 				id := i
-				fns[i] = func() {
-					evs[id] = c.Reschedule(delay())
+				c.Bind(&evs[i], "", func() {
+					evs[id].Arm(delay())
 					if fired++; fired%8 == 0 {
 						if j := int(next() % uint64(n)); j != id {
 							evs[j].Cancel()
-							evs[j] = c.After(delay(), fns[j])
+							evs[j].Arm(delay())
 						}
 					}
-				}
-				evs[i] = c.After(delay(), fns[i])
+				})
+				evs[i].Arm(delay())
 			}
 			for i := 0; i < 10000; i++ {
 				c.Step()

@@ -26,9 +26,10 @@
 // those of a single priority queue.
 //
 // The split exists for the credit scheduler's yield storm: every dispatch
-// arms a 30 ms slice timer that a yield cancels microseconds later. On the
-// dedup co-run, a third of all schedules and 78% of all cancels are such
-// timers and only 0.09% of them fire, while guest progress events land
+// arms a 30 ms slice timer that a yield stops microseconds later. On the
+// dedup co-run, such timers were a third of all schedules and 78% of all
+// cancels before Timer made the stop lazy, and only 0.09% of them fire,
+// while guest progress events land
 // 10-100 us ahead. A 1 ms window keeps those near events in the near tier
 // and the slices and 10 ms ticks out of it, at about 1,000 refills per
 // simulated second. In prototypes, a 100 us or 300 us window measured the
@@ -53,15 +54,24 @@
 //
 // Event.index encodes where an event lives: a near-tier position (>= 0),
 // inFar-i for slot i of the far tier, or notQueued. The far tier needs no
-// link fields, so an Event stays in the 64-byte size class.
+// link fields, so an Event (57 B) stays in the 64-byte size class.
 //
-// The clock keeps a free list of fired and cancelled events, so
-// steady-state schedule/fire/cancel cycles allocate nothing. The price of
-// the recycling is a handle-lifetime rule: an *Event returned by At/After
-// is valid only until the event fires or is cancelled. Holders that keep an
-// event in a field must clear that field when the callback runs (every
-// holder in this repository nils its field at the top of the callback) and
-// must never Cancel through a reference to an event that already fired.
+// Events come in two kinds. The clock keeps a free list of fired and
+// cancelled At/After events, so steady-state schedule/fire/cancel cycles
+// allocate nothing. The price of the recycling is a handle-lifetime rule:
+// an *Event returned by At/After is valid only until the event fires or is
+// cancelled. Holders that keep such an event in a field must clear that
+// field when the callback runs and must never Cancel through a reference to
+// an event that already fired. The hot timers instead embed an owned Event
+// by value (Clock.Bind) and re-arm it in place (Event.Arm): it never
+// touches the free list, its handle never dies, and the rule does not apply
+// to it. Arm draws the sequence number AfterLabeled would have, so the
+// firing order is the same as with fresh events.
+//
+// Timer is an owned event with a lazy Stop for the credit scheduler's slice
+// timers, nearly all of which are stopped long before they fire: a stopped
+// far-tier entry stays queued, and is dropped or moved to the live deadline
+// when it pops, instead of being removed and re-inserted on every dispatch.
 package simtime
 
 import (
@@ -109,18 +119,21 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
 
 // Event is a scheduled callback. Events are created through Clock.At or
-// Clock.After and may be cancelled until they fire.
+// Clock.After and may be cancelled until they fire; those handles are valid
+// only while the event is queued, since the clock recycles the Event once it
+// fires or is cancelled (see the package comment).
 //
-// The handle is valid only while the event is queued: once the event fires
-// or is cancelled the clock recycles the Event for a future At/After, so a
-// retained pointer must be dropped at that point (see the package comment).
+// An owned Event is instead embedded in its holder and initialised with
+// Clock.Bind: it keeps its callback and label for life, Arm re-queues it,
+// and the clock never recycles it, so the handle stays valid forever.
 type Event struct {
 	when  Time
 	seq   uint64
 	index int // near-tier position (>= 0), notQueued, or inFar - far-tier slot
 	fn    func()
 	label string
-	clock *Clock // owning clock, fixed when the Event is allocated
+	clock *Clock // owning clock, fixed when the Event is allocated or bound
+	owned bool   // bound by Clock.Bind: never recycled
 }
 
 // Event.index below zero: notQueued, or inFar-i for the event in far[i].
@@ -146,21 +159,125 @@ func (e *Event) Pending() bool { return e != nil && e.index != notQueued }
 
 // Cancel removes the event from the queue. Cancelling a fired or already
 // cancelled event is a no-op. Cancel returns true if the event was pending.
+// An owned event stays bound and can be armed again.
 func (e *Event) Cancel() bool {
 	if e == nil || e.index == notQueued {
 		return false
 	}
-	c := e.clock
-	if e.index <= inFar {
-		c.removeFar(e)
-	} else {
-		c.near.remove(e.index)
-		if len(c.near) == 0 && len(c.far) > 0 {
-			c.refill()
-		}
-	}
-	c.recycle(e)
+	e.clock.cancel(e)
 	return true
+}
+
+// Arm queues an owned event (see Clock.Bind) to fire d nanoseconds from now.
+// It is exactly AfterLabeled(d, label, fn) with the bound label and
+// callback: the same delay jitter, the same sequence-number draw and the
+// same panic on a negative d. Arming an event that is still queued panics.
+func (e *Event) Arm(d Duration) {
+	if !e.owned || e.index != notQueued {
+		e.badArm()
+	}
+	c := e.clock
+	e.when = c.deadline(d, e.label)
+	c.seq++
+	e.seq = c.seq
+	c.enqueue(e)
+}
+
+func (e *Event) badArm() {
+	if !e.owned {
+		panic("simtime: Arm of an event not bound with Clock.Bind")
+	}
+	panic("simtime: Arm of the still queued event " + strconv.Quote(e.label))
+}
+
+// Timer is an owned one-shot timer whose Stop is lazy. It serves the
+// credit scheduler's slice timer, which nearly every dispatch arms 30 ms
+// ahead and a yield stops microseconds later.
+//
+// Set reserves the key (when, seq) that AfterLabeled would have drawn, so
+// the timer fires exactly where that event would have. The timer's single
+// queue entry need not sit at that key: Stop leaves an entry in the far
+// tier in place, and a later Set leaves an entry that pops no later than
+// the new key. When the entry pops, it fires the callback if its key is the
+// live one, re-queues itself at the live key if the deadline moved, and is
+// dropped if the timer is stopped. Only the firing order of the callback is
+// observable; each stale pop is one extra Step.
+type Timer struct {
+	ev    Event // the queue entry, bound to pop
+	when  Time  // live deadline, valid while armed
+	seq   uint64
+	armed bool
+	fn    func()
+}
+
+// BindTimer initialises the zero Timer t, embedded in its holder, with a
+// fixed label and callback.
+func (c *Clock) BindTimer(t *Timer, label string, fn func()) {
+	c.Bind(&t.ev, label, t.pop)
+	t.fn = fn
+}
+
+// Set arms the timer to fire d nanoseconds from now, with the jitter,
+// sequence-number draw and panics of AfterLabeled. Arming a timer that is
+// already armed moves its deadline.
+func (t *Timer) Set(d Duration) {
+	c := t.ev.clock
+	t.when = c.deadline(d, t.ev.label)
+	c.seq++
+	t.seq = c.seq
+	t.armed = true
+	switch {
+	case t.ev.index == notQueued:
+		t.ev.when, t.ev.seq = t.when, t.seq
+		c.enqueue(&t.ev)
+	case t.ev.when > t.when:
+		// The entry would pop after the new deadline (a 0.1 ms micro slice
+		// after a 30 ms one): re-key it. An entry that pops earlier stays
+		// and re-queues itself when it pops.
+		c.dequeue(&t.ev)
+		t.ev.when, t.ev.seq = t.when, t.seq
+		c.enqueue(&t.ev)
+	}
+}
+
+// Stop disarms the timer. An entry in the far tier stays queued, to be
+// dropped or re-used when it pops; one in the near tier is removed at once,
+// since stale near entries lengthen every insertion's shift.
+func (t *Timer) Stop() {
+	t.armed = false
+	if t.ev.index >= 0 {
+		t.ev.clock.dequeue(&t.ev)
+	}
+}
+
+// Cancel disarms the timer and removes its queue entry from either tier.
+func (t *Timer) Cancel() {
+	t.armed = false
+	t.ev.Cancel()
+}
+
+// Pending reports whether the timer is armed.
+func (t *Timer) Pending() bool { return t.armed }
+
+// pop handles the timer's queue entry reaching the front of the queue.
+func (t *Timer) pop() {
+	switch {
+	case !t.armed:
+	case t.ev.seq == t.seq:
+		t.armed = false
+		t.fn()
+	default:
+		t.ev.when, t.ev.seq = t.when, t.seq
+		c := t.ev.clock
+		if len(c.near) > 0 && eventLess(&t.ev, c.near[0]) {
+			// The reserved seq is older than the events scheduled since
+			// Set, so at a horizon of Infinity the live key can precede
+			// a near event at Infinity; enqueue would put it far.
+			c.near.push(&t.ev)
+			return
+		}
+		c.enqueue(&t.ev)
+	}
 }
 
 // WatchdogInfo is the diagnostic snapshot handed to a livelock watchdog.
@@ -189,7 +306,6 @@ type Clock struct {
 	fired   uint64
 	stopped bool
 	free    []*Event // recycled Event objects (see package comment)
-	firing  *Event   // event whose callback is executing (Reschedule target)
 
 	// jitter, when set, perturbs the delay of every After/AfterLabeled
 	// call (fault injection: timer-tick jitter). The returned delay is
@@ -311,6 +427,22 @@ func (c *Clock) After(d Duration, fn func()) *Event {
 // scheduling; jittered delays are clamped to >= 0 rather than panicking,
 // since the perturbation is injected, not a caller bug.
 func (c *Clock) AfterLabeled(d Duration, label string, fn func()) *Event {
+	return c.AtLabeled(c.deadline(d, label), label, fn)
+}
+
+// deadline returns the firing time of an event labelled label that is
+// scheduled d from now: the After rules, including the delay jitter. The
+// common case, no jitter and no bad delay, inlines.
+func (c *Clock) deadline(d Duration, label string) Time {
+	if d < 0 || c.jitter != nil {
+		return c.jitteredDeadline(d, label)
+	}
+	return c.now + d
+}
+
+// jitteredDeadline is deadline for a negative delay (which panics) or
+// under a delay jitter.
+func (c *Clock) jitteredDeadline(d Duration, label string) Time {
 	if d < 0 {
 		panic(fmt.Sprintf("simtime: scheduling event %q %v before now (negative After)", label, d))
 	}
@@ -319,7 +451,22 @@ func (c *Clock) AfterLabeled(d Duration, label string, fn func()) *Event {
 			d = 0
 		}
 	}
-	return c.AtLabeled(c.now+d, label, fn)
+	return c.now + d
+}
+
+// Bind initialises the zero Event e, embedded in its holder, as an owned
+// event of c with a fixed label and callback. Arm queues it; neither its
+// firing nor Cancel recycles it, so holders keep it for life and test
+// Pending instead of clearing a pointer. Binding an event twice or with a
+// nil callback panics.
+func (c *Clock) Bind(e *Event, label string, fn func()) {
+	if fn == nil {
+		panic("simtime: nil event callback")
+	}
+	if e.clock != nil {
+		panic("simtime: Bind of an already bound event " + strconv.Quote(label))
+	}
+	*e = Event{index: notQueued, fn: fn, label: label, clock: c, owned: true}
 }
 
 // Step executes the earliest pending event. It returns false when the queue
@@ -340,57 +487,34 @@ func (c *Clock) Step() bool {
 		} else {
 			c.wdLast, c.wdCount = ev.when, 1
 		}
-		c.wdRing[c.wdNext] = ev.label
-		c.wdNext = (c.wdNext + 1) % wdRingSize
-		if c.wdCount >= c.wdLimit && !c.wdFired {
-			c.wdFired = true
-			if fn := c.wdFn; fn != nil {
-				fn(WatchdogInfo{Now: c.now, SameTimeEvents: c.wdCount, RecentLabels: c.recentLabels()})
-			}
+		if c.wdCount+wdRingSize > c.wdLimit {
+			c.watch(ev.label)
 		}
 	}
-	fn := ev.fn
-	prev := c.firing
-	c.firing = ev
-	fn()
+	ev.fn()
 	// Recycled only after the callback: during fn the fired event cannot be
 	// reused, so a stale Cancel through an old reference stays a no-op
-	// instead of killing an unrelated fresh event. A callback that called
-	// Reschedule re-queued the very same Event; it must survive.
-	if c.firing == ev {
+	// instead of killing an unrelated fresh event. An owned event is never
+	// recycled; its callback may already have armed it again.
+	if !ev.owned {
 		c.recycle(ev)
 	}
-	c.firing = prev
 	return true
 }
 
-// Reschedule re-arms the event whose callback is currently executing to fire
-// again d nanoseconds from now, reusing the same Event object (callback and
-// label preserved) instead of recycling it. It is the allocation-free form of
-// calling AfterLabeled(d, label, fn) from inside fn for periodic events, and
-// is bit-identical to it: the re-armed event draws the same sequence number
-// the equivalent AfterLabeled call would have drawn. An installed delay
-// jitter applies exactly as in AfterLabeled. Calling Reschedule outside an
-// event callback, twice in one callback, or with negative d panics.
-func (c *Clock) Reschedule(d Duration) *Event {
-	ev := c.firing
-	if ev == nil {
-		panic("simtime: Reschedule outside an event callback")
-	}
-	if d < 0 {
-		panic(fmt.Sprintf("simtime: rescheduling event %q %v before now (negative delay)", ev.label, d))
-	}
-	if c.jitter != nil {
-		if d = c.jitter(ev.label, d); d < 0 {
-			d = 0
+// watch records the label of one of the last wdRingSize events before the
+// same-time count can reach the watchdog's limit, and fires the watchdog
+// at the limit. The ring is read only then, so writing it only here keeps
+// RecentLabels exact.
+func (c *Clock) watch(label string) {
+	c.wdRing[c.wdNext] = label
+	c.wdNext = (c.wdNext + 1) % wdRingSize
+	if c.wdCount >= c.wdLimit && !c.wdFired {
+		c.wdFired = true
+		if fn := c.wdFn; fn != nil {
+			fn(WatchdogInfo{Now: c.now, SameTimeEvents: c.wdCount, RecentLabels: c.recentLabels()})
 		}
 	}
-	c.firing = nil
-	c.seq++
-	ev.when = c.now + d
-	ev.seq = c.seq
-	c.enqueue(ev)
-	return ev
 }
 
 // RunUntil executes events until the queue is exhausted, the next event
@@ -429,6 +553,29 @@ func (c *Clock) NextEventTime() Time {
 		return Infinity
 	}
 	return c.near.min().when
+}
+
+// cancel takes a queued event out of the queue and recycles it unless it
+// is owned. It is Cancel's slow path, kept apart so that Cancel of an event
+// that is not queued inlines.
+func (c *Clock) cancel(e *Event) {
+	c.dequeue(e)
+	if !e.owned {
+		c.recycle(e)
+	}
+}
+
+// dequeue takes a queued event out of its tier, restocking a drained near
+// tier.
+func (c *Clock) dequeue(ev *Event) {
+	if ev.index <= inFar {
+		c.removeFar(ev)
+		return
+	}
+	c.near.remove(ev.index)
+	if len(c.near) == 0 && len(c.far) > 0 {
+		c.refill()
+	}
 }
 
 // enqueue routes a scheduled event to its tier.

@@ -6,7 +6,16 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// An Event must stay in the 64-byte allocation size class: every queued
+// At/After event and every holder that embeds an owned one pays for it.
+func TestEventSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n > 64 {
+		t.Fatalf("Event is %d bytes, past the 64-byte size class", n)
+	}
+}
 
 func TestClockStartsAtZero(t *testing.T) {
 	c := NewClock()

@@ -1,6 +1,8 @@
 package simtime
 
 import (
+	"fmt"
+	"strconv"
 	"testing"
 )
 
@@ -37,6 +39,52 @@ func TestWatchdogFiresOnLivelock(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("diagnostic labels %v miss the livelocked event", info.RecentLabels)
+	}
+}
+
+// RecentLabels holds exactly the last 16 labels in firing order, both when
+// the ring is written only near the limit (1000) and when every event
+// writes it (a limit below 16, where the ring reaches back past the
+// same-time run to events at earlier times).
+func TestWatchdogRecentLabelsExact(t *testing.T) {
+	for _, limit := range []uint64{1000, 5} {
+		c := NewClock()
+		var fired []string
+		var info *WatchdogInfo
+		c.SetWatchdog(limit, func(i WatchdogInfo) {
+			info = &i
+			c.Stop()
+		})
+		label := func(l string) (string, func()) { return l, func() { fired = append(fired, l) } }
+		// Twenty events at distinct times, then a same-time burst that
+		// stops short of the limit, then a livelock at a later time.
+		for i := 0; i < 20; i++ {
+			l, fn := label("p" + strconv.Itoa(i))
+			c.AtLabeled(Time(i+1), l, fn)
+		}
+		for i := uint64(0); i+1 < limit; i++ {
+			l, fn := label("b" + strconv.FormatUint(i, 10))
+			c.AtLabeled(50, l, fn)
+		}
+		n := 0
+		var spin func()
+		spin = func() {
+			fired = append(fired, "s"+strconv.Itoa(n))
+			n++
+			c.AfterLabeled(0, "s"+strconv.Itoa(n), spin)
+		}
+		c.AtLabeled(100, "s0", spin)
+		c.RunUntil(Second)
+		if info == nil {
+			t.Fatalf("limit %d: watchdog never fired", limit)
+		}
+		if info.Now != 100 || info.SameTimeEvents != limit {
+			t.Fatalf("limit %d: fired at %v after %d same-time events", limit, info.Now, info.SameTimeEvents)
+		}
+		want := fired[len(fired)-wdRingSize:]
+		if fmt.Sprint(info.RecentLabels) != fmt.Sprint(want) {
+			t.Fatalf("limit %d: RecentLabels %v, want %v", limit, info.RecentLabels, want)
+		}
 	}
 }
 
