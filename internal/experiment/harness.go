@@ -113,6 +113,11 @@ type Setup struct {
 	// error fails the Run. The conformance harness hangs its conservation
 	// checks here.
 	PostCheck func(*PostRun) error
+	// Instrument, when non-nil, is called with the run's hypervisor after
+	// every attachment and just before Start. The conformance harness
+	// installs its lockstep reference picker (hv.Hypervisor.CheckPick)
+	// here.
+	Instrument func(*hv.Hypervisor)
 }
 
 // PostRun is the post-run view handed to Setup.PostCheck and the
@@ -411,6 +416,9 @@ func Run(s Setup) (res *Result, err error) {
 		if err != nil {
 			return nil, err
 		}
+	}
+	if s.Instrument != nil {
+		s.Instrument(h)
 	}
 	h.Start()
 	ctrl.Start()

@@ -313,6 +313,9 @@ type VCPU struct {
 // State returns the scheduling state.
 func (v *VCPU) State() VCPUState { return v.state }
 
+// Priority returns the credit1 priority the vCPU is queued or runs at.
+func (v *VCPU) Priority() Priority { return v.prio }
+
 // Credits returns the current credit balance.
 func (v *VCPU) Credits() int { return v.credits }
 
@@ -416,11 +419,8 @@ type PCPU struct {
 
 	// Occupancy-index state (see DESIGN.md "Scheduler occupancy index").
 	// slot is this pCPU's position in pool.pcpus and its bit index in the
-	// pool's occ/busyMask/parkedMask bitmasks; -1 while in no pool.
-	// headPrio caches runq[0].prio (PrioIdle when the queue is empty) so
-	// the steal scan can reject a whole queue without touching its slice.
-	slot     int
-	headPrio Priority
+	// pool's heads/busyMask/parkedMask bitmasks; -1 while in no pool.
+	slot int
 
 	// The pCPU's owned timers, bound once in New and re-armed in place:
 	// slice is the current vCPU's quantum (stopped lazily, see
@@ -441,6 +441,10 @@ type PCPU struct {
 // Offline reports whether the pCPU is hot-unplugged.
 func (p *PCPU) Offline() bool { return p.offline }
 
+// Runqueue returns the vCPUs queued on the pCPU in dispatch order. The
+// slice is the scheduler's own: read it, never modify or keep it.
+func (p *PCPU) Runqueue() []*VCPU { return p.runq }
+
 // Busy returns accumulated non-idle time.
 func (p *PCPU) Busy() simtime.Duration { return p.busy }
 
@@ -460,14 +464,35 @@ type Pool struct {
 
 	pcpus []*PCPU
 
-	// Occupancy index: one bit per pool slot (pcpus index). occ marks
-	// members with a non-empty runqueue, busyMask members with a current
-	// vCPU, parkedMask members whose idle tick is suppressed. Maintained
-	// by enqueue/dequeue/dispatch/deschedule and rebuilt by reindex on any
-	// membership change; VerifySchedIndex cross-validates them.
-	occ        uint64
+	// Occupancy index: one bit per pool slot (pcpus index). heads[k] marks
+	// members whose runqueue head has priority k, so a member with queued
+	// work is in exactly one head mask; busyMask marks members with a
+	// current vCPU, parkedMask members whose idle tick is suppressed.
+	// Maintained by the runqueue operations, dispatch and deschedule and
+	// rebuilt by reindex on any membership change; VerifySchedIndex
+	// cross-validates them.
+	heads      [PrioIdle]uint64
 	busyMask   uint64
 	parkedMask uint64
+}
+
+// occupied returns the members with queued work.
+func (pl *Pool) occupied() uint64 {
+	return pl.heads[PrioBoost] | pl.heads[PrioUnder] | pl.heads[PrioOver]
+}
+
+// headsBelow returns the members whose runqueue head has a priority
+// strictly better than k.
+func (pl *Pool) headsBelow(k Priority) uint64 {
+	switch k {
+	case PrioBoost:
+		return 0
+	case PrioUnder:
+		return pl.heads[PrioBoost]
+	case PrioOver:
+		return pl.heads[PrioBoost] | pl.heads[PrioUnder]
+	}
+	return pl.occupied()
 }
 
 // memberMask returns the bitmask covering every current pool slot.
@@ -480,15 +505,12 @@ func (pl *Pool) memberMask() uint64 {
 // reindex rebuilds the pool's slots and occupancy masks from the ground
 // truth after a membership change (grow/shrink/hotplug).
 func (pl *Pool) reindex() {
-	pl.occ, pl.busyMask, pl.parkedMask = 0, 0, 0
+	pl.heads, pl.busyMask, pl.parkedMask = [PrioIdle]uint64{}, 0, 0
 	for i, p := range pl.pcpus {
 		p.slot = i
 		bit := uint64(1) << uint(i)
 		if len(p.runq) > 0 {
-			pl.occ |= bit
-			p.headPrio = p.runq[0].prio
-		} else {
-			p.headPrio = PrioIdle
+			pl.heads[p.runq[0].prio] |= bit
 		}
 		if p.cur != nil {
 			pl.busyMask |= bit
@@ -560,6 +582,18 @@ type Hypervisor struct {
 	// observer is strictly passive: attaching one never changes the
 	// scheduling decisions or the event sequence.
 	Obs *obs.Observer
+
+	// CheckPick, when non-nil, sees every scheduling choice just before it
+	// takes effect, with the runqueues still as the choice found them. p
+	// is the pCPU choosing and got the vCPU it runs next (nil: p idles).
+	// requeued is non-nil only at a Yield: the yielder, which the choice
+	// treats as queued at the tail of its class on p although it is on no
+	// runqueue. got is then the yielder when Yield re-dispatches it in
+	// place, or nil when the yield takes the regular requeue path (whose
+	// pick is reported on its own). The conformance harness runs a
+	// reference picker in lockstep through it; it is nil in every other
+	// run and must not change scheduler state.
+	CheckPick func(p *PCPU, requeued, got *VCPU)
 
 	normal  *Pool
 	micro   *Pool
@@ -647,7 +681,7 @@ func New(clock *simtime.Clock, cfg Config) *Hypervisor {
 		NoPreempt:  true, // urgent tasks complete without interruption (§5)
 	}
 	for i := 0; i < cfg.PCPUs; i++ {
-		p := &PCPU{ID: i, pool: h.normal, slot: i, headPrio: PrioIdle}
+		p := &PCPU{ID: i, pool: h.normal, slot: i}
 		// Owned per-pCPU timers: dispatch and slice expiry are the hottest
 		// periodic paths, and binding here (once per machine, not once per
 		// dispatch) keeps them allocation-free and off the free list.

@@ -3,8 +3,8 @@ package hv
 import "fmt"
 
 // VerifySchedIndex cross-validates the scheduler's derived occupancy index —
-// pool slot numbering, the occ/busy/parked bitmasks, each pCPU's cached head
-// priority, and the parked-tick bookkeeping — against the ground truth
+// pool slot numbering, the per-priority head masks, the busy/parked
+// bitmasks and the parked-tick bookkeeping — against the ground truth
 // (runqueue slices and current vCPUs). It returns the first inconsistency
 // found, or nil.
 //
@@ -19,8 +19,10 @@ func (h *Hypervisor) VerifySchedIndex() error {
 			return fmt.Errorf("hv: pool %s holds %d pCPUs, above the %d-slot index limit", pl.Name, len(pl.pcpus), MaxPCPUs)
 		}
 		member := pl.memberMask()
-		if bad := pl.occ &^ member; bad != 0 {
-			return fmt.Errorf("hv: pool %s occ mask %#x has bits outside members %#x", pl.Name, pl.occ, member)
+		for k, m := range pl.heads {
+			if bad := m &^ member; bad != 0 {
+				return fmt.Errorf("hv: pool %s %v head mask %#x has bits outside members %#x", pl.Name, Priority(k), m, member)
+			}
 		}
 		if bad := pl.busyMask &^ member; bad != 0 {
 			return fmt.Errorf("hv: pool %s busy mask %#x has bits outside members %#x", pl.Name, pl.busyMask, member)
@@ -36,21 +38,19 @@ func (h *Hypervisor) VerifySchedIndex() error {
 				return fmt.Errorf("hv: p%d in pool %s points at pool %s", p.ID, pl.Name, poolName(p.pool))
 			}
 			bit := uint64(1) << uint(i)
-			if got, want := pl.occ&bit != 0, len(p.runq) > 0; got != want {
-				return fmt.Errorf("hv: pool %s occ bit for p%d is %v, runqueue length %d", pl.Name, p.ID, got, len(p.runq))
+			// The slot is in exactly the head mask of its runqueue head's
+			// priority, and in none when the runqueue is empty.
+			for k, m := range pl.heads {
+				want := len(p.runq) > 0 && p.runq[0].prio == Priority(k)
+				if got := m&bit != 0; got != want {
+					return fmt.Errorf("hv: pool %s %v head bit for p%d is %v, runqueue %v", pl.Name, Priority(k), p.ID, got, p.runq)
+				}
 			}
 			if got, want := pl.busyMask&bit != 0, p.cur != nil; got != want {
 				return fmt.Errorf("hv: pool %s busy bit for p%d is %v, current %v", pl.Name, p.ID, got, p.cur)
 			}
 			if got, want := pl.parkedMask&bit != 0, p.parked; got != want {
 				return fmt.Errorf("hv: pool %s parked bit for p%d is %v, parked flag %v", pl.Name, p.ID, got, want)
-			}
-			wantHead := PrioIdle
-			if len(p.runq) > 0 {
-				wantHead = p.runq[0].prio
-			}
-			if p.headPrio != wantHead {
-				return fmt.Errorf("hv: p%d cached head priority %v, runqueue head %v", p.ID, p.headPrio, wantHead)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package hv
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/microslicedcore/microsliced/internal/simtime"
@@ -204,4 +205,49 @@ func TestIndexSurvivesOfflineWhileParked(t *testing.T) {
 	}
 	verifyIndex(t, h, "end of run")
 	checkInvariants(t, h)
+}
+
+// TestVerifySchedIndexCatchesHeadMaskCorruption: one wrong bit in the
+// per-priority head masks — a bit outside the members, a queued slot whose
+// bit sits in another priority's mask, or a queued slot in no mask — is
+// reported.
+func TestVerifySchedIndexCatchesHeadMaskCorruption(t *testing.T) {
+	clock, h := setup(2)
+	d := h.NewDomain("vm", nil)
+	for i := 0; i < 3; i++ {
+		h.Wake(newComputeGuest(h, d, simtime.Second).v, false)
+	}
+	h.Start()
+	clock.RunUntil(simtime.Millisecond)
+	pl := h.normal
+	var p *PCPU
+	for _, q := range pl.pcpus {
+		if len(q.runq) > 0 {
+			p = q
+		}
+	}
+	if p == nil || p.runq[0].prio != PrioUnder {
+		t.Fatal("no runqueue with an UNDER head to corrupt")
+	}
+	verifyIndex(t, h, "before corruption")
+	bit := uint64(1) << uint(p.slot)
+	cases := []struct {
+		name    string
+		corrupt func()
+		want    string
+	}{
+		{"bit outside members", func() { pl.heads[PrioOver] |= 1 << 5 }, "outside members"},
+		{"wrong priority", func() { pl.heads[PrioUnder] &^= bit; pl.heads[PrioBoost] |= bit }, "BOOST head bit"},
+		{"queued slot in no mask", func() { pl.heads[PrioUnder] &^= bit }, "UNDER head bit"},
+	}
+	for _, c := range cases {
+		saved := pl.heads
+		c.corrupt()
+		err := h.VerifySchedIndex()
+		pl.heads = saved
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error naming %q", c.name, err, c.want)
+		}
+	}
+	verifyIndex(t, h, "after restoring")
 }

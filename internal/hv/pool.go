@@ -30,7 +30,7 @@ func (h *Hypervisor) MigrateToMicro(v *VCPU) bool {
 	// idle case (no current vCPU, empty runqueue) is one mask probe; the
 	// fallback scan only runs when every micro pCPU holds work.
 	var idle, queued *PCPU
-	if free := ^(h.micro.occ | h.micro.busyMask) & h.micro.memberMask(); free != 0 {
+	if free := ^(h.micro.occupied() | h.micro.busyMask) & h.micro.memberMask(); free != 0 {
 		idle = h.micro.pcpus[bits.TrailingZeros64(free)]
 	} else {
 		for _, p := range h.micro.pcpus {

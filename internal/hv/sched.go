@@ -25,20 +25,24 @@ func (h *Hypervisor) enqueue(p *PCPU, v *VCPU) {
 	if v.state != StateRunnable {
 		panic(fmt.Sprintf("hv: enqueue of %v in state %v", v, v.state))
 	}
-	pos := len(p.runq)
-	for i, q := range p.runq {
-		if q.prio > v.prio {
-			pos = i
-			break
-		}
+	// Insert from the tail: shift every strictly worse vCPU up one slot.
+	q := append(p.runq, nil)
+	i := len(q) - 1
+	for ; i > 0 && q[i-1].prio > v.prio; i-- {
+		q[i] = q[i-1]
 	}
-	p.runq = append(p.runq, nil)
-	copy(p.runq[pos+1:], p.runq[pos:])
-	p.runq[pos] = v
+	q[i] = v
+	p.runq = q
 	v.queuedOn = p
-	p.headPrio = p.runq[0].prio
 	pl := p.pool
-	pl.occ |= 1 << uint(p.slot)
+	if i == 0 {
+		// v is the new head: move p's head bit from the old head's class.
+		bit := uint64(1) << uint(p.slot)
+		if len(q) > 1 {
+			pl.heads[q[1].prio] &^= bit
+		}
+		pl.heads[v.prio] |= bit
+	}
 	if pl.parkedMask != 0 {
 		h.unparkPool(pl)
 	}
@@ -50,24 +54,34 @@ func (h *Hypervisor) dequeue(v *VCPU) {
 	if p == nil {
 		return
 	}
-	for i, q := range p.runq {
-		if q == v {
-			p.runq = append(p.runq[:i], p.runq[i+1:]...)
-			v.queuedOn = nil
-			if len(p.runq) == 0 {
-				p.headPrio = PrioIdle
-				p.pool.occ &^= 1 << uint(p.slot)
-			} else {
-				p.headPrio = p.runq[0].prio
-			}
-			return
+	q := p.runq
+	i := 0
+	for i < len(q) && q[i] != v {
+		i++
+	}
+	if i == len(q) {
+		panic(fmt.Sprintf("hv: %v marked queued on p%d but absent", v, p.ID))
+	}
+	last := len(q) - 1
+	for j := i; j < last; j++ {
+		q[j] = q[j+1]
+	}
+	q[last] = nil
+	p.runq = q[:last]
+	v.queuedOn = nil
+	if i == 0 {
+		// v was the head: move p's head bit to the new head's class.
+		pl, bit := p.pool, uint64(1)<<uint(p.slot)
+		pl.heads[v.prio] &^= bit
+		if last > 0 {
+			pl.heads[q[0].prio] |= bit
 		}
 	}
-	panic(fmt.Sprintf("hv: %v marked queued on p%d but absent", v, p.ID))
 }
 
-// resortRunq re-sorts a runqueue after priorities changed (stable insertion
-// sort: runqueues are short).
+// resortRunq re-sorts a non-empty runqueue after priorities changed in
+// place (stable insertion sort: runqueues are short) and rewrites p's
+// head-mask bit, whatever class held it before.
 func resortRunq(p *PCPU) {
 	q := p.runq
 	for i := 1; i < len(q); i++ {
@@ -79,9 +93,11 @@ func resortRunq(p *PCPU) {
 		}
 		q[j+1] = v
 	}
-	if len(q) > 0 {
-		p.headPrio = q[0].prio
+	pl, bit := p.pool, uint64(1)<<uint(p.slot)
+	for k := range pl.heads {
+		pl.heads[k] &^= bit
 	}
+	pl.heads[q[0].prio] |= bit
 }
 
 func (v *VCPU) canRunOn(p *PCPU) bool {
@@ -119,7 +135,7 @@ func (h *Hypervisor) homePCPU(v *VCPU) *PCPU {
 	// empty runqueue — load 0), the first such slot is the answer and the
 	// occupancy masks find it in one step; ties on load 0 resolve to the
 	// lowest slot exactly as the scan below would.
-	if free := ^(pool.occ | pool.busyMask) & pool.memberMask(); free != 0 {
+	if free := ^(pool.occupied() | pool.busyMask) & pool.memberMask(); free != 0 {
 		return pool.pcpus[bits.TrailingZeros64(free)]
 	}
 	best := pool.pcpus[0]
@@ -172,55 +188,59 @@ func (h *Hypervisor) schedule(p *PCPU) {
 
 // pickNext returns the best runnable vCPU for p, stealing from pool
 // siblings when they hold strictly better work (credit1's load balancing).
-// The scan walks only occupied runqueues via the pool occupancy bitmask —
-// ascending slot order, identical to walking pool.pcpus — and rejects whole
-// queues on their cached head priority; the common every-queue-empty case is
-// the single occ==0 branch.
+// The steal scan visits, in ascending slot order (identical to walking
+// pool.pcpus), only siblings whose runqueue head beats the best candidate so
+// far: the head masks below that priority. The common cases — every queue
+// empty, or no sibling head better than the local candidate — are one mask
+// test each, without touching a sibling.
 func (h *Hypervisor) pickNext(p *PCPU) *VCPU {
 	pl := p.pool
-	if pl.occ == 0 {
+	if pl.occupied() == 0 {
+		if h.CheckPick != nil {
+			h.CheckPick(p, nil, nil)
+		}
 		return nil
 	}
-	var local *VCPU
+	var pick *VCPU
 	for _, cand := range p.runq {
 		if cand.canRunOn(p) {
-			local = cand
+			pick = cand
 			break
 		}
 	}
-	localPrio := PrioIdle
-	if local != nil {
-		localPrio = local.prio
+	bestPrio := PrioIdle
+	if pick != nil {
+		bestPrio = pick.prio
 	}
+	stolen := false
 	if !pl.NoSteal {
-		var best *VCPU
-		bestPrio := localPrio
-		for occ := pl.occ &^ (1 << uint(p.slot)); occ != 0; occ &= occ - 1 {
-			q := pl.pcpus[bits.TrailingZeros64(occ)]
-			if q.headPrio >= bestPrio {
-				continue // sorted: nothing better on this queue
-			}
+		m := pl.headsBelow(bestPrio) &^ (1 << uint(p.slot))
+		for m != 0 {
+			q := pl.pcpus[bits.TrailingZeros64(m)]
+			m &= m - 1
 			for _, cand := range q.runq {
 				if cand.prio >= bestPrio {
 					break
 				}
 				if cand.canRunOn(p) {
-					best, bestPrio = cand, cand.prio
+					pick, bestPrio, stolen = cand, cand.prio, true
+					m &= pl.headsBelow(bestPrio)
 					break
 				}
 			}
 		}
-		if best != nil {
-			h.dequeue(best)
-			h.hot.steal.Inc()
-			h.stoleNext = true
-			return best
-		}
 	}
-	if local != nil {
-		h.dequeue(local)
+	if h.CheckPick != nil {
+		h.CheckPick(p, nil, pick)
 	}
-	return local
+	if pick != nil {
+		h.dequeue(pick)
+	}
+	if stolen {
+		h.hot.steal.Inc()
+		h.stoleNext = true
+	}
+	return pick
 }
 
 // dispatch puts v on p. The guest regains control after the context-switch
@@ -377,6 +397,11 @@ func (h *Hypervisor) sliceExpired(p *PCPU) {
 // its pCPU. The vCPU stays runnable and is re-queued at the tail of its
 // priority class; the OnYield hook (the micro-sliced detector) then gets a
 // chance to migrate vCPUs before the pCPU reschedules.
+//
+// Most yields of the storm hand the pCPU straight back: when redispatchable
+// holds, the requeue-and-pick round trip would pick v again, so v is
+// dispatched in place. The one side effect of the skipped enqueue, re-arming
+// the pool's parked ticks, still runs at the same point.
 func (h *Hypervisor) Yield(v *VCPU, reason YieldReason) {
 	if v.state != StateRunning {
 		panic(fmt.Sprintf("hv: yield of non-running %v", v))
@@ -386,11 +411,43 @@ func (h *Hypervisor) Yield(v *VCPU, reason YieldReason) {
 	h.emit(trace.KindYield, v, uint64(reason), v.Guest.RIP())
 	h.descheduleCurrent(p)
 	h.setRunnable(v)
+	again := h.Hooks.OnYield == nil && h.redispatchable(p, v)
+	if h.CheckPick != nil {
+		var got *VCPU
+		if again {
+			got = v
+		}
+		h.CheckPick(p, v, got)
+	}
+	if again {
+		if pl := p.pool; pl.parkedMask != 0 {
+			h.unparkPool(pl)
+		}
+		h.dispatch(p, v)
+		return
+	}
 	h.requeuePreempted(p, v)
 	if h.Hooks.OnYield != nil {
 		h.Hooks.OnYield(v, reason)
 	}
 	h.schedule(p)
+}
+
+// redispatchable reports whether, with no OnYield hook to move work in
+// between (Yield checks that first), Yield's requeue-and-pick would hand p
+// straight back to v, which has just yielded it: requeuePreempted would
+// queue v on p itself, nothing on p's runqueue is queued ahead of v's class
+// tail (its head is strictly worse, or it is empty), and pickNext could
+// steal nothing (no sibling head beats v, or the pool never steals).
+func (h *Hypervisor) redispatchable(p *PCPU, v *VCPU) bool {
+	if (v.pool.ReturnHome && v.pool != v.homePool) || !v.canRunOn(p) {
+		return false
+	}
+	if len(p.runq) > 0 && p.runq[0].prio <= v.prio {
+		return false
+	}
+	pl := p.pool
+	return pl.NoSteal || pl.headsBelow(v.prio)&^(1<<uint(p.slot)) == 0
 }
 
 // Block is the SCHEDOP_block path: the guest has no runnable work (halt).
@@ -604,12 +661,14 @@ func (h *Hypervisor) acctTick() {
 // OVER one waits for the slice to end, which is precisely the
 // full-30ms-scale virtual-time discontinuity the paper measures.
 func (h *Hypervisor) refreshQueue(p *PCPU) {
-	for _, q := range p.runq {
-		if !q.boosted {
-			q.prio = q.basePrio()
+	if len(p.runq) > 0 {
+		for _, q := range p.runq {
+			if !q.boosted {
+				q.prio = q.basePrio()
+			}
 		}
+		resortRunq(p)
 	}
-	resortRunq(p)
 	h.schedule(p)
 }
 

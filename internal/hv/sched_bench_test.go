@@ -82,3 +82,47 @@ func BenchmarkIdleTicks(b *testing.B) {
 		clock.RunUntil(clock.Now() + simtime.Second)
 	}
 }
+
+// BenchmarkYieldRedispatch measures one cycle of the yield storm on one
+// pCPU: a PLE yield with an OVER vCPU queued behind the yielder, which
+// takes the pCPU straight back. "in-place" is Yield's re-dispatch without
+// the queue; "requeue" forces the enqueue → pickNext → dequeue round trip
+// with a no-op OnYield hook.
+func BenchmarkYieldRedispatch(b *testing.B) {
+	for _, regular := range []bool{false, true} {
+		name := "in-place"
+		if regular {
+			name = "requeue"
+		}
+		b.Run(name, func(b *testing.B) {
+			// A 1000 s tick keeps credit accounting out of any run length:
+			// the yielder stays UNDER and the queued vCPU OVER.
+			cfg := testConfig(1)
+			cfg.Tick = 1000 * simtime.Second
+			clock := simtime.NewClock()
+			h := New(clock, cfg)
+			d := h.NewDomain("vm", nil)
+			g := newPLEGuest(h, d)
+			over := newIntrGuest(h, d).v
+			over.credits = -1
+			if regular {
+				h.Hooks.OnYield = func(*VCPU, YieldReason) {}
+			}
+			h.Start()
+			h.Wake(g.v, false)
+			h.Wake(over, false)
+			clock.RunUntil(simtime.Millisecond)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for yields := g.yields; g.yields == yields; {
+					clock.Step()
+				}
+			}
+			b.StopTimer()
+			if over.queuedOn == nil {
+				b.Fatal("the OVER vCPU ran")
+			}
+		})
+	}
+}

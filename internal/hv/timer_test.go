@@ -72,28 +72,89 @@ func (g *pleGuest) OnInterrupt(simtime.Time, Vector, uint64) {}
 func (g *pleGuest) RIP() uint64                              { return 0xffffffff81000000 }
 
 // TestYieldRedispatchAllocFree: the yield storm's cycle — a PLE yield stops
-// the slice timer, the pCPU re-dispatches the same vCPU and sets the slice
-// timer again — allocates nothing.
+// the slice timer, the pCPU re-dispatches the same vCPU in place and sets
+// the slice timer again — allocates nothing, alone on its pCPU or with an
+// OVER vCPU queued behind it.
 func TestYieldRedispatchAllocFree(t *testing.T) {
-	clock, h := setup(1)
-	g := newPLEGuest(h, h.NewDomain("vm", nil))
-	h.Start()
-	h.Wake(g.v, false)
-	clock.RunUntil(simtime.Millisecond)
-	p := h.pcpus[0]
-	cycle := func() {
-		yields := g.yields
-		clock.RunUntil(clock.Now() + 20*simtime.Microsecond)
-		if g.yields != yields+1 || g.v.pcpu != p || !p.slice.Pending() {
-			t.Fatalf("cycle: %d yields, vCPU on %v, slice armed %v", g.yields-yields, g.v.pcpu, p.slice.Pending())
+	for _, behind := range []bool{false, true} {
+		clock, h := setup(1)
+		d := h.NewDomain("vm", nil)
+		g := newPLEGuest(h, d)
+		var over *VCPU
+		if behind {
+			over = newIntrGuest(h, d).v
+			over.credits = -h.Cfg.CreditDebitPerTick
+		}
+		h.Start()
+		h.Wake(g.v, false)
+		if over != nil {
+			h.Wake(over, false)
+		}
+		clock.RunUntil(simtime.Millisecond)
+		p := h.pcpus[0]
+		cycle := func() {
+			yields := g.yields
+			clock.RunUntil(clock.Now() + 20*simtime.Microsecond)
+			if g.yields != yields+1 || g.v.pcpu != p || !p.slice.Pending() {
+				t.Fatalf("behind=%v: %d yields, vCPU on %v, slice armed %v", behind, g.yields-yields, g.v.pcpu, p.slice.Pending())
+			}
+		}
+		dispatches := h.hot.dispatch.Value()
+		if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+			t.Errorf("behind=%v: %v allocs per yield and re-dispatch, want 0", behind, allocs)
+		}
+		if n := h.hot.dispatch.Value() - dispatches; n != 1001 {
+			t.Fatalf("behind=%v: %d dispatches over 1001 cycles", behind, n)
+		}
+		if over != nil && (over.queuedOn != p || over.prio != PrioOver) {
+			t.Fatalf("OVER vCPU left its place behind the yielder: %v on %v", over, over.queuedOn)
 		}
 	}
-	dispatches := h.hot.dispatch.Value()
-	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
-		t.Errorf("%v allocs per yield and re-dispatch, want 0", allocs)
+}
+
+// TestRedispatchUnparksLikeEnqueue: a yield re-dispatched in place re-arms
+// a parked sibling's tick exactly as the requeue through enqueue does, at
+// the same instant on the sibling's stagger grid. The requeue side is
+// forced by a no-op OnYield hook.
+func TestRedispatchUnparksLikeEnqueue(t *testing.T) {
+	rearm := func(regular bool) (simtime.Time, int) {
+		clock, h := setup(2)
+		g := newPLEGuest(h, h.NewDomain("vm", nil)) // runs on p0
+		inPlace := 0
+		h.CheckPick = func(p *PCPU, requeued, got *VCPU) {
+			if requeued != nil && got == requeued {
+				inPlace++
+			}
+		}
+		if regular {
+			h.Hooks.OnYield = func(*VCPU, YieldReason) {}
+		}
+		h.Start()
+		h.Wake(g.v, false)
+		p1 := h.pcpus[1]
+		clock.RunUntil(h.Cfg.Tick + 1) // p1's first tick found nothing to run
+		if !p1.parked || p1.tick.Pending() {
+			t.Fatalf("regular=%v: idle p1 did not park (parked %v, tick armed %v)", regular, p1.parked, p1.tick.Pending())
+		}
+		for yields := g.yields; g.yields == yields; {
+			clock.Step()
+		}
+		if p1.parked || !p1.tick.Pending() {
+			t.Fatalf("regular=%v: the yield left p1 parked", regular)
+		}
+		verifyIndex(t, h, "after the unparking yield")
+		return p1.tick.When(), inPlace
 	}
-	if n := h.hot.dispatch.Value() - dispatches; n != 1001 {
-		t.Fatalf("%d dispatches over 1001 cycles", n)
+	fastAt, fast := rearm(false)
+	slowAt, slow := rearm(true)
+	if fast == 0 || slow != 0 {
+		t.Fatalf("%d in-place re-dispatches with no hook, %d with OnYield set", fast, slow)
+	}
+	if fastAt != slowAt {
+		t.Fatalf("in-place re-dispatch re-armed p1's tick at %v, the requeue at %v", fastAt, slowAt)
+	}
+	if want := 2 * simtime.Time(testConfig(2).Tick); fastAt != want {
+		t.Fatalf("p1's tick re-armed at %v, want %v on its grid", fastAt, want)
 	}
 }
 
