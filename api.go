@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"github.com/microslicedcore/microsliced/internal/core"
 	"github.com/microslicedcore/microsliced/internal/experiment"
 	"github.com/microslicedcore/microsliced/internal/fault"
 	"github.com/microslicedcore/microsliced/internal/obs"
@@ -26,48 +25,16 @@ const (
 	Dynamic Mode = "dynamic"
 )
 
-// VM describes one virtual machine of a scenario.
-type VM struct {
-	// Name identifies the VM in the results (defaults to the App name).
-	Name string
-	// App is a workload from Workloads().
-	App string
-	// VCPUs defaults to 12 (the paper's configuration).
-	VCPUs int
-	// Seed controls the workload's random durations (defaults to a
-	// per-index constant).
-	Seed uint64
-	// Disk attaches a virtual block device (needed by "fileserver").
-	Disk bool
-	// Pins pins vCPU j of this VM to pCPU Pins[j]; negative entries leave
-	// that vCPU unpinned. Pinning a serving VM onto its co-runner's pCPU
-	// reproduces the paper's consolidated shape (Figure 9).
-	Pins []int
-	// Serve, when non-nil, attaches an open-loop request-serving workload
-	// to the VM: Poisson request arrivals into its virtual NIC, served by
-	// per-vCPU server threads, with end-to-end SLO accounting. The
-	// read-out lands in the VM's VMStats.Requests.
-	Serve *ServeConfig
-}
+// VM describes one virtual machine of a scenario. Simulate defaults an
+// empty Name to the App name and a zero Seed to a per-index constant;
+// VCPUs defaults to 12 (the paper's configuration). Serve, when non-nil,
+// attaches an open-loop request-serving workload whose read-out lands in
+// the VM's VMStats.Requests.
+type VM = experiment.VMSpec
 
-// ServeConfig configures a VM's open-loop request-serving workload.
-// Latency is measured from each request's *intended* arrival instant, so
-// the reported quantiles are coordinated-omission-free; requests
-// tail-dropped at the full NIC ring count against the SLO.
-type ServeConfig struct {
-	// RatePerSec is the mean offered load in requests per second
-	// (required, Poisson arrivals).
-	RatePerSec int
-	// SLOMs is the end-to-end latency objective in milliseconds
-	// (defaults to 5).
-	SLOMs float64
-	// ReqBytes sizes each request packet (defaults to 512).
-	ReqBytes int
-	// RingCap bounds the NIC RX ring (defaults to the NIC default).
-	RingCap int
-	// Seed drives the arrival process and service-time draws.
-	Seed uint64
-}
+// ServeConfig configures a VM's open-loop request-serving workload
+// (RatePerSec is required; SLOMs defaults to 5 ms).
+type ServeConfig = experiment.ServeSpec
 
 // Scenario is a consolidated-host simulation.
 type Scenario struct {
@@ -106,15 +73,10 @@ type Scenario struct {
 	TraceJSON io.Writer
 }
 
-// TelemetryConfig enables and tunes a scenario's observability layer.
-type TelemetryConfig struct {
-	// FlightDir, when non-empty, is a directory receiving one JSON flight
-	// dump per triggering event (invariant violation or injected fault).
-	// A dump that cannot be written fails Simulate with an error.
-	FlightDir string
-	// Label tags flight dump filenames (defaults to "run").
-	Label string
-}
+// TelemetryConfig enables and tunes a scenario's observability layer. A
+// flight dump that cannot be written under FlightDir fails Simulate with an
+// error.
+type TelemetryConfig = obs.Config
 
 // FaultPlan configures seeded, deterministic fault injection: the same
 // plan on the same scenario always reproduces identical results. The zero
@@ -226,6 +188,12 @@ func (s Scenario) Validate() error {
 				Reason: fmt.Sprintf("%d is negative (0 selects the default)", vm.VCPUs),
 			}
 		}
+		if vm.Weight < 0 {
+			return &ScenarioError{
+				Field:  fmt.Sprintf("VMs[%d].Weight", i),
+				Reason: fmt.Sprintf("%d is negative (0 selects the default)", vm.Weight),
+			}
+		}
 		if !workload.Known(vm.App) {
 			return &ScenarioError{
 				Field:  fmt.Sprintf("VMs[%d].App", i),
@@ -267,10 +235,8 @@ func (s Scenario) Validate() error {
 			}
 		}
 	}
-	switch s.Mode {
-	case Off, Static, Dynamic, "":
-	default:
-		return &ScenarioError{Field: "Mode", Reason: fmt.Sprintf("unknown mode %q", s.Mode)}
+	if _, err := experiment.CoreConfig(string(s.Mode), s.StaticCores); err != nil {
+		return &ScenarioError{Field: "Mode", Reason: err.Error()}
 	}
 	if s.StaticCores < 0 {
 		return &ScenarioError{Field: "StaticCores", Reason: fmt.Sprintf("%d is negative", s.StaticCores)}
@@ -510,9 +476,27 @@ func Simulate(s Scenario) (*Results, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	setup := experiment.Setup{PCPUs: s.PCPUs, Audit: s.Audit, TraceExport: s.TraceJSON}
-	if s.Telemetry != nil {
-		setup.Obs = &obs.Config{FlightDir: s.Telemetry.FlightDir, Label: s.Telemetry.Label}
+	cc, err := experiment.CoreConfig(string(s.Mode), s.StaticCores)
+	if err != nil {
+		return nil, err
+	}
+	setup := experiment.Setup{
+		PCPUs:       s.PCPUs,
+		VMs:         make([]experiment.VMSpec, len(s.VMs)),
+		Core:        cc,
+		Rival:       experiment.Rival(s.Rival),
+		Audit:       s.Audit,
+		Obs:         s.Telemetry,
+		TraceExport: s.TraceJSON,
+	}
+	for i, vm := range s.VMs {
+		if vm.Name == "" {
+			vm.Name = vm.App
+		}
+		if vm.Seed == 0 {
+			vm.Seed = uint64(11 * (i + 1))
+		}
+		setup.VMs[i] = vm
 	}
 	if s.Faults != nil {
 		fc := s.Faults.toConfig()
@@ -531,48 +515,6 @@ func Simulate(s Scenario) (*Results, error) {
 		setup.StaggerStart = *s.Stagger
 	} else {
 		setup.StaggerStart = len(s.VMs) > 1
-	}
-	for i, vm := range s.VMs {
-		name := vm.Name
-		if name == "" {
-			name = vm.App
-		}
-		seed := vm.Seed
-		if seed == 0 {
-			seed = uint64(11 * (i + 1))
-		}
-		spec := experiment.VMSpec{
-			Name: name, App: vm.App, VCPUs: vm.VCPUs, Seed: seed, Disk: vm.Disk,
-			Pins: append([]int(nil), vm.Pins...),
-		}
-		if sv := vm.Serve; sv != nil {
-			spec.Serve = &experiment.ServeSpec{
-				RatePerSec: sv.RatePerSec,
-				ReqBytes:   sv.ReqBytes,
-				SLO:        simtime.Duration(sv.SLOMs * float64(simtime.Millisecond)),
-				RingCap:    sv.RingCap,
-				Seed:       sv.Seed,
-			}
-		}
-		setup.VMs = append(setup.VMs, spec)
-	}
-	switch s.Mode {
-	case Off, "":
-		cc := core.DefaultConfig()
-		cc.Mode = core.ModeOff
-		setup.Core = cc
-	case Static:
-		setup.Core = core.StaticConfig(s.StaticCores)
-	case Dynamic:
-		setup.Core = core.DefaultConfig()
-	default:
-		return nil, fmt.Errorf("microsliced: unknown mode %q", s.Mode)
-	}
-	if s.Rival != "" {
-		if s.Mode != Off && s.Mode != "" {
-			return nil, fmt.Errorf("microsliced: rival %q requires Mode == Off", s.Rival)
-		}
-		setup.Rival = experiment.Rival(s.Rival)
 	}
 	res, err := experiment.Run(setup)
 	if err != nil {
@@ -721,17 +663,9 @@ type IPerfResult struct {
 // and co-located with a lookbusy VM on one pCPU — measuring the
 // application-level stream. proto is "tcp" or "udp".
 func SimulateIPerf(proto string, mixed bool, mode Mode, staticCores int, seconds float64) (*IPerfResult, error) {
-	var cc core.Config
-	switch mode {
-	case Off, "":
-		cc = core.DefaultConfig()
-		cc.Mode = core.ModeOff
-	case Static:
-		cc = core.StaticConfig(staticCores)
-	case Dynamic:
-		cc = core.DefaultConfig()
-	default:
-		return nil, fmt.Errorf("microsliced: unknown mode %q", mode)
+	cc, err := experiment.CoreConfig(string(mode), staticCores)
+	if err != nil {
+		return nil, fmt.Errorf("microsliced: %w", err)
 	}
 	dur := simtime.Duration(seconds * float64(simtime.Second))
 	if dur <= 0 {

@@ -20,6 +20,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -27,8 +28,7 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/microslicedcore/microsliced/internal/core"
-	"github.com/microslicedcore/microsliced/internal/guest"
+	"github.com/microslicedcore/microsliced/internal/experiment"
 	"github.com/microslicedcore/microsliced/internal/hv"
 	"github.com/microslicedcore/microsliced/internal/ksym"
 	"github.com/microslicedcore/microsliced/internal/obs"
@@ -55,70 +55,88 @@ func main() {
 	analyzeMain(os.Args[1:])
 }
 
+// scenario holds the flags analyze and export share.
+type scenario struct {
+	vms, mode                 string
+	cores, pcpus, vcpus, ring int
+	seconds                   float64
+}
+
+func (sc *scenario) register(fs *flag.FlagSet) {
+	fs.StringVar(&sc.vms, "vms", "gmake,swaptions", "comma-separated workloads, one VM each")
+	fs.StringVar(&sc.mode, "mode", "off", "off, static, dynamic")
+	fs.IntVar(&sc.cores, "cores", 1, "micro cores for -mode static")
+	fs.Float64Var(&sc.seconds, "seconds", 1, "simulated seconds")
+	fs.IntVar(&sc.pcpus, "pcpus", 12, "physical CPUs")
+	fs.IntVar(&sc.vcpus, "vcpus", 12, "vCPUs per VM")
+	fs.IntVar(&sc.ring, "ring", 1<<20, "trace ring capacity (records); export keeps at least 262144")
+}
+
+// setup lowers the flags to the scenario both subcommands run: VM i is
+// named "<app>-i", seeded 11*(i+1) and started i*7ms into the run. An
+// unknown workload is rejected here, before export creates its output file.
+func (sc scenario) setup() (experiment.Setup, error) {
+	cc, err := experiment.CoreConfig(sc.mode, sc.cores)
+	if err != nil {
+		return experiment.Setup{}, err
+	}
+	cfg := hv.DefaultConfig()
+	cfg.TraceCapacity = sc.ring
+	s := experiment.Setup{
+		PCPUs:        sc.pcpus,
+		Core:         cc,
+		Duration:     simtime.Duration(sc.seconds * float64(simtime.Second)),
+		StaggerStart: true,
+		HVConfig:     &cfg,
+	}
+	for i, app := range strings.Split(sc.vms, ",") {
+		app = strings.TrimSpace(app)
+		if !workload.Known(app) {
+			return experiment.Setup{}, fmt.Errorf("unknown workload %q (have %v)", app, workload.Catalog())
+		}
+		s.VMs = append(s.VMs, experiment.VMSpec{
+			Name: fmt.Sprintf("%s-%d", app, i), App: app, VCPUs: sc.vcpus, Seed: uint64(11 * (i + 1)),
+		})
+	}
+	return s, nil
+}
+
+// fail prints err and exits non-zero.
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(1)
+}
+
 // analyzeMain is the classic mode: run, analyze, print text.
 func analyzeMain(args []string) {
 	fs := flag.NewFlagSet("microtrace", flag.ExitOnError)
-	var (
-		vms     = fs.String("vms", "gmake,swaptions", "comma-separated workloads, one VM each")
-		mode    = fs.String("mode", "off", "off, static, dynamic")
-		cores   = fs.Int("cores", 1, "micro cores for -mode static")
-		seconds = fs.Float64("seconds", 1, "simulated seconds")
-		pcpus   = fs.Int("pcpus", 12, "physical CPUs")
-		vcpus   = fs.Int("vcpus", 12, "vCPUs per VM")
-		ring    = fs.Int("ring", 1<<20, "trace ring capacity (records)")
-		raw     = fs.Int("raw", 0, "also dump the last N raw records")
-	)
+	var sc scenario
+	sc.register(fs)
+	raw := fs.Int("raw", 0, "also dump the last N raw records")
 	fs.Parse(args)
 
-	clock := simtime.NewClock()
-	cfg := hv.DefaultConfig()
-	cfg.PCPUs = *pcpus
-	cfg.TraceCapacity = *ring
-	h := hv.New(clock, cfg)
-
-	tabs := map[int16]*ksym.Table{}
-	var kernels []*guest.Kernel
-	for i, app := range strings.Split(*vms, ",") {
-		app = strings.TrimSpace(app)
-		sym := ksym.Generate(1000 + uint64(i))
-		k := guest.NewKernel(h, fmt.Sprintf("%s-%d", app, i), *vcpus, sym, guest.DefaultParams())
-		tabs[int16(k.Dom.ID)] = sym
-		if _, err := workload.New(app, k, uint64(11*(i+1))); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		kernels = append(kernels, k)
-	}
-
-	cc := core.DefaultConfig()
-	switch *mode {
-	case "off":
-		cc.Mode = core.ModeOff
-	case "static":
-		cc = core.StaticConfig(*cores)
-	case "dynamic":
-	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
-		os.Exit(1)
-	}
-	ctrl, err := core.Attach(h, cc)
+	s, err := sc.setup()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fail(err)
 	}
-	h.Start()
-	ctrl.Start()
-	for i, k := range kernels {
-		if i == 0 {
-			k.StartAll()
-		} else {
-			k := k
-			clock.At(simtime.Time(i)*7*simtime.Millisecond, k.StartAll)
+	var recs []trace.Record
+	tabs := map[int16]*ksym.Table{}
+	s.PostCheck = func(pr *experiment.PostRun) error {
+		recs = pr.HV.Trace.Records()
+		// Resolve RIPs against the System.map each guest handed the
+		// hypervisor, as the detector does.
+		for _, d := range pr.HV.Domains() {
+			tab, err := ksym.Parse(bytes.NewReader(d.SymbolMap))
+			if err != nil {
+				return err
+			}
+			tabs[int16(d.ID)] = tab
 		}
+		return nil
 	}
-	clock.RunUntil(simtime.Duration(*seconds * float64(simtime.Second)))
-
-	recs := h.Trace.Records()
+	if _, err := experiment.Run(s); err != nil {
+		fail(err)
+	}
 	trace.Analyze(recs).Render(os.Stdout)
 
 	fmt.Println("\nyield RIPs (by symbol):")
@@ -149,94 +167,37 @@ func analyzeMain(args []string) {
 	}
 }
 
-// exportMain runs the same scenario shape as analyzeMain but writes the
-// trace ring as Chrome trace-event JSON.
+// exportMain runs the same scenario as analyzeMain with the observer on and
+// writes the trace ring as Chrome trace-event JSON, with the controller's
+// decisions and the span/stage blame aggregates embedded.
 func exportMain(args []string) {
 	fs := flag.NewFlagSet("microtrace export", flag.ExitOnError)
-	var (
-		vms     = fs.String("vms", "gmake,swaptions", "comma-separated workloads, one VM each")
-		mode    = fs.String("mode", "off", "off, static, dynamic")
-		cores   = fs.Int("cores", 1, "micro cores for -mode static")
-		seconds = fs.Float64("seconds", 1, "simulated seconds")
-		pcpus   = fs.Int("pcpus", 12, "physical CPUs")
-		vcpus   = fs.Int("vcpus", 12, "vCPUs per VM")
-		ring    = fs.Int("ring", 1<<20, "trace ring capacity (records)")
-		out     = fs.String("o", "trace.json", "output file (- for stdout)")
-	)
+	var sc scenario
+	sc.register(fs)
+	out := fs.String("o", "trace.json", "output file (- for stdout)")
 	fs.Parse(args)
 
-	clock := simtime.NewClock()
-	cfg := hv.DefaultConfig()
-	cfg.PCPUs = *pcpus
-	cfg.TraceCapacity = *ring
-	h := hv.New(clock, cfg)
-	h.SetObserver(obs.New(obs.Config{}))
-
-	names := map[int16]string{}
-	var kernels []*guest.Kernel
-	for i, app := range strings.Split(*vms, ",") {
-		app = strings.TrimSpace(app)
-		k := guest.NewKernel(h, fmt.Sprintf("%s-%d", app, i), *vcpus, ksym.Generate(1000+uint64(i)), guest.DefaultParams())
-		names[int16(k.Dom.ID)] = k.Dom.Name
-		if _, err := workload.New(app, k, uint64(11*(i+1))); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		kernels = append(kernels, k)
-	}
-	cc, err := coreConfig(*mode, *cores)
+	s, err := sc.setup()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fail(err)
 	}
-	ctrl, err := core.Attach(h, cc)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	h.Start()
-	ctrl.Start()
-	for i, k := range kernels {
-		if i == 0 {
-			k.StartAll()
-		} else {
-			k := k
-			clock.At(simtime.Time(i)*7*simtime.Millisecond, k.StartAll)
-		}
-	}
-	clock.RunUntil(simtime.Duration(*seconds * float64(simtime.Second)))
-
-	w := os.Stdout
+	s.Obs = &obs.Config{}
+	s.TraceExport = os.Stdout
 	if *out != "-" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail(err)
 		}
 		defer f.Close()
-		w = f
+		s.TraceExport = f
 	}
-	if err := obs.WriteChromeTrace(w, h.Trace.Records(), obs.ExportMeta{DomainNames: names}); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	res, err := experiment.Run(s)
+	if err != nil {
+		fail(err)
 	}
 	if *out != "-" {
-		fmt.Fprintf(os.Stderr, "wrote %s (%d records; load at https://ui.perfetto.dev)\n", *out, len(h.Trace.Records()))
+		fmt.Fprintf(os.Stderr, "wrote %s (%v simulated; load at https://ui.perfetto.dev)\n", *out, res.Duration)
 	}
-}
-
-func coreConfig(mode string, cores int) (core.Config, error) {
-	cc := core.DefaultConfig()
-	switch mode {
-	case "off":
-		cc.Mode = core.ModeOff
-	case "static":
-		cc = core.StaticConfig(cores)
-	case "dynamic":
-	default:
-		return cc, fmt.Errorf("unknown mode %q", mode)
-	}
-	return cc, nil
 }
 
 // validateMain structurally checks a Chrome trace-event JSON file.
@@ -249,14 +210,12 @@ func validateMain(args []string) {
 	}
 	f, err := os.Open(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fail(err)
 	}
 	defer f.Close()
 	n, err := obs.ValidateChromeTrace(f)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: INVALID: %v\n", fs.Arg(0), err)
-		os.Exit(1)
+		fail(fmt.Errorf("%s: INVALID: %w", fs.Arg(0), err))
 	}
 	fmt.Printf("%s: ok (%d events)\n", fs.Arg(0), n)
 }
@@ -278,17 +237,14 @@ func blameMain(args []string) {
 	}
 	buf, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fail(err)
 	}
 	b, err := blameFromFile(buf, *scenario)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", fs.Arg(0), err)
-		os.Exit(1)
+		fail(fmt.Errorf("%s: %w", fs.Arg(0), err))
 	}
 	if err := b.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "%s: INVALID: %v\n", fs.Arg(0), err)
-		os.Exit(1)
+		fail(fmt.Errorf("%s: INVALID: %w", fs.Arg(0), err))
 	}
 	if *out != "" {
 		enc, err := json.MarshalIndent(b, "", "  ")
@@ -296,45 +252,28 @@ func blameMain(args []string) {
 			err = os.WriteFile(*out, append(enc, '\n'), 0o644)
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail(err)
 		}
 	}
 	b.Render(os.Stdout)
 	fmt.Fprintf(os.Stderr, "%s: ok (%d span kinds)\n", fs.Arg(0), len(b.Rows))
 }
 
-// blameEvent is the shape of one embedded cat="blame" trace event.
-type blameEvent struct {
-	Ph   string `json:"ph"`
-	Cat  string `json:"cat"`
-	Name string `json:"name"`
-	Args struct {
-		Count    uint64  `json:"count"`
-		Open     int     `json:"open"`
-		TotalNs  int64   `json:"total_ns"`
-		P50Ns    int64   `json:"p50_ns"`
-		P99Ns    int64   `json:"p99_ns"`
-		P999Ns   int64   `json:"p999_ns"`
-		Blame    string  `json:"blame"`
-		BlamePct float64 `json:"blame_pct"`
-		Stages   []struct {
-			Name    string  `json:"name"`
-			TotalNs int64   `json:"total_ns"`
-			Share   float64 `json:"share_pct"`
-			P99Ns   int64   `json:"p99_ns"`
-		} `json:"stages"`
-	} `json:"args"`
-}
-
 // blameFromFile interprets buf as a blame document when it has rows, and as
-// an exported Chrome trace otherwise.
+// an exported Chrome trace otherwise. A trace's cat="blame" events carry one
+// span kind's obs.SpanStat each (named by the event), so the table is rebuilt
+// exactly as a live run builds it.
 func blameFromFile(buf []byte, scenario string) (*report.Blame, error) {
 	var probe struct {
 		Title       string            `json:"title"`
 		Rows        []report.BlameRow `json:"rows"`
 		Notes       []string          `json:"notes"`
-		TraceEvents []json.RawMessage `json:"traceEvents"`
+		TraceEvents []struct {
+			Ph   string          `json:"ph"`
+			Cat  string          `json:"cat"`
+			Name string          `json:"name"`
+			Args json.RawMessage `json:"args"`
+		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(buf, &probe); err != nil {
 		return nil, fmt.Errorf("JSON parse: %w", err)
@@ -345,39 +284,21 @@ func blameFromFile(buf []byte, scenario string) (*report.Blame, error) {
 	if len(probe.TraceEvents) == 0 {
 		return nil, fmt.Errorf("neither a blame document (no rows) nor a trace (no traceEvents)")
 	}
-	b := &report.Blame{
-		Title: "Causal latency attribution: " + scenario,
-		Notes: []string{"recomputed offline from embedded blame events"},
-	}
-	for _, raw := range probe.TraceEvents {
-		var ev blameEvent
-		if err := json.Unmarshal(raw, &ev); err != nil || ev.Ph != "X" || ev.Cat != "blame" {
+	var sum obs.Summary
+	for _, ev := range probe.TraceEvents {
+		if ev.Ph != "X" || ev.Cat != "blame" {
 			continue
 		}
-		row := report.BlameRow{
-			Scenario:    scenario,
-			Kind:        ev.Name,
-			Count:       ev.Args.Count,
-			Open:        ev.Args.Open,
-			TotalMs:     float64(ev.Args.TotalNs) / 1e6,
-			P50us:       float64(ev.Args.P50Ns) / 1e3,
-			P99us:       float64(ev.Args.P99Ns) / 1e3,
-			P999us:      float64(ev.Args.P999Ns) / 1e3,
-			Dominant:    ev.Args.Blame,
-			DominantPct: ev.Args.BlamePct,
+		sp := obs.SpanStat{Kind: ev.Name}
+		if err := json.Unmarshal(ev.Args, &sp); err != nil {
+			return nil, fmt.Errorf("blame event %q: %w", ev.Name, err)
 		}
-		for _, st := range ev.Args.Stages {
-			row.Stages = append(row.Stages, report.BlameStage{
-				Name:    st.Name,
-				Pct:     st.Share,
-				TotalMs: float64(st.TotalNs) / 1e6,
-				P99us:   float64(st.P99Ns) / 1e3,
-			})
-		}
-		b.Rows = append(b.Rows, row)
+		sum.Spans = append(sum.Spans, sp)
 	}
+	b := experiment.BlameFromSummary(scenario, &sum)
 	if len(b.Rows) == 0 {
 		return nil, fmt.Errorf("trace has no blame events (exported without an observer summary?)")
 	}
+	b.Notes = []string{"recomputed offline from embedded blame events"}
 	return b, nil
 }

@@ -10,6 +10,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -201,6 +202,16 @@ func main() {
 			}
 			return r, err
 		}},
+	}
+	names := make([]string, len(jobs))
+	for i, j := range jobs {
+		names[i] = j.name
+	}
+	for _, name := range strings.Split(*runs, ",") {
+		if name = strings.TrimSpace(name); name != "" && name != "all" && !slices.Contains(names, name) {
+			fmt.Fprintf(os.Stderr, "unknown experiment %q in -run (have all, %s)\n", name, strings.Join(names, ", "))
+			os.Exit(2)
+		}
 	}
 	start := time.Now()
 	for _, j := range jobs {

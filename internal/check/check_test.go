@@ -226,7 +226,10 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestGenerateProducesValidSetups(t *testing.T) {
 	for seed := uint64(100); seed < 140; seed++ {
 		sc := Generate(seed)
-		s := sc.ToSetup()
+		s, err := sc.ToSetup()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
 		if len(s.VMs) == 0 {
 			t.Fatalf("seed %d: no VMs", seed)
 		}
@@ -269,5 +272,26 @@ func TestFixtureRoundTrip(t *testing.T) {
 	}
 	if err := ReplayFixture(loaded); err != nil {
 		t.Fatalf("healthy fixture scenario fails on replay: %v", err)
+	}
+}
+
+// TestUnknownModeRejected: a scenario whose mode the shared parser does not
+// know (here a capitalised "Dynamic") fails Check, CheckRecovery and
+// ReplayFixture with an error instead of replaying as the Baseline.
+func TestUnknownModeRejected(t *testing.T) {
+	sc := Generate(7)
+	sc.Mode = "Dynamic"
+	rsc := GenerateRecovery(50)
+	rsc.Mode = "Dynamic"
+	var c Checker
+	for name, err := range map[string]error{
+		"Check":                  c.Check(sc),
+		"CheckRecovery":          c.CheckRecovery(rsc),
+		"ReplayFixture":          ReplayFixture(&Fixture{Seed: 7, Shrunk: sc}),
+		"ReplayFixture/recovery": ReplayFixture(&Fixture{Seed: 50, Shrunk: rsc}),
+	} {
+		if err == nil || !strings.Contains(err.Error(), `unknown mode "Dynamic"`) {
+			t.Errorf("%s: got %v, want an unknown-mode error", name, err)
+		}
 	}
 }

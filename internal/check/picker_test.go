@@ -105,13 +105,16 @@ func runqueues(pool *hv.Pool) string {
 // runLockstep runs sc once with refPick checking every choice in lockstep.
 func runLockstep(sc Scenario, m mutant) error {
 	l := &lockstep{mutant: m}
-	s := sc.ToSetup()
+	s, err := sc.ToSetup()
+	if err != nil {
+		return err
+	}
 	s.Instrument = func(h *hv.Hypervisor) {
 		l.h = h
 		h.CheckPick = l.check
 	}
 	s.PostCheck = func(*experiment.PostRun) error { return l.err }
-	_, err := experiment.Run(s)
+	_, err = experiment.Run(s)
 	return err
 }
 

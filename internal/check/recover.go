@@ -147,13 +147,17 @@ func (c *Checker) CheckRecovery(sc Scenario) error {
 	if !recoveryShaped(sc) {
 		return fmt.Errorf("scenario is not recovery-shaped (need Recovery, Faults.QuiesceAtMs, DeadlineMs with quiesce+deadline <= duration)")
 	}
-	mk := func() experiment.Setup {
-		s := sc.ToSetup()
+	setups := make([]experiment.Setup, 2)
+	for i := range setups {
+		s, err := sc.ToSetup()
+		if err != nil {
+			return err
+		}
 		s.Audit = true
 		s.PostCheck = recoveryPostCheck(sc)
-		return s
+		setups[i] = s
 	}
-	results, err := experiment.RunAll([]experiment.Setup{mk(), mk()})
+	results, err := experiment.RunAll(setups)
 	if err != nil {
 		return fmt.Errorf("recovery run: %w", err)
 	}

@@ -60,7 +60,10 @@ func TestGenerateRecoveryShaped(t *testing.T) {
 		if !recoveryShaped(sc) {
 			t.Fatalf("seed %d: generated scenario is not recovery-shaped: %+v", seed, sc)
 		}
-		s := sc.ToSetup()
+		s, err := sc.ToSetup()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
 		if s.Recovery == nil || s.Faults == nil {
 			t.Fatalf("seed %d: ToSetup dropped the recovery wiring", seed)
 		}

@@ -69,7 +69,10 @@ func (c *Checker) Check(sc Scenario) error {
 	if post == nil {
 		post = Conservation
 	}
-	base := sc.ToSetup()
+	base, err := sc.ToSetup()
+	if err != nil {
+		return err
+	}
 	base.PostCheck = post
 	baseRes, err := experiment.Run(base)
 	if err != nil {
@@ -85,7 +88,10 @@ func (c *Checker) Check(sc Scenario) error {
 		if rel.appliesTo != nil && !rel.appliesTo(sc) {
 			continue
 		}
-		s := sc.ToSetup()
+		s, err := sc.ToSetup()
+		if err != nil {
+			return err
+		}
 		s.PostCheck = post
 		rel.perturb(&s)
 		variants = append(variants, s)

@@ -13,7 +13,6 @@ package check
 import (
 	"fmt"
 
-	"github.com/microslicedcore/microsliced/internal/core"
 	"github.com/microslicedcore/microsliced/internal/experiment"
 	"github.com/microslicedcore/microsliced/internal/fault"
 	"github.com/microslicedcore/microsliced/internal/hv"
@@ -93,10 +92,14 @@ type RecoverySpec struct {
 	DeadlineMs int `json:"deadline_ms"`
 }
 
-// ToSetup lowers the scenario to an experiment Setup. Each call builds a
-// fresh hv.Config, so callers may perturb the returned Setup (trace
-// capacity, observer, relabelling) without aliasing.
-func (sc Scenario) ToSetup() experiment.Setup {
+// ToSetup lowers the scenario to an experiment Setup, rejecting an unknown
+// Mode. Each call builds a fresh hv.Config, so callers may perturb the
+// returned Setup (trace capacity, observer, relabelling) without aliasing.
+func (sc Scenario) ToSetup() (experiment.Setup, error) {
+	cc, err := experiment.CoreConfig(sc.Mode, sc.StaticCores)
+	if err != nil {
+		return experiment.Setup{}, fmt.Errorf("check: %w", err)
+	}
 	cfg := hv.DefaultConfig()
 	cfg.MicroRunqLimit = sc.MicroRunqLimit
 	cfg.MicroReturnHome = !sc.NoReturnHome
@@ -119,15 +122,6 @@ func (sc Scenario) ToSetup() experiment.Setup {
 				Seed:       vm.ServeSeed,
 			}
 		}
-	}
-
-	cc := core.DefaultConfig()
-	switch sc.Mode {
-	case "static":
-		cc = core.StaticConfig(sc.StaticCores)
-	case "dynamic":
-	default:
-		cc.Mode = core.ModeOff
 	}
 
 	s := experiment.Setup{
@@ -161,7 +155,7 @@ func (sc Scenario) ToSetup() experiment.Setup {
 			StarveBound: simtime.Duration(r.StarveBoundMs) * simtime.Millisecond,
 		}
 	}
-	return s
+	return s, nil
 }
 
 // clone deep-copies the scenario (the shrinker mutates candidates freely).

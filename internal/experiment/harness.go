@@ -32,12 +32,13 @@ const (
 	DefaultDuration = 3 * simtime.Second
 )
 
-// VMSpec describes one consolidated virtual machine.
+// VMSpec describes one consolidated virtual machine. The public facade
+// exposes it as microsliced.VM.
 type VMSpec struct {
-	Name  string
-	App   string // workload catalog name
-	VCPUs int
-	Seed  uint64
+	Name  string // identifies the VM in the results
+	App   string // workload catalog name (workload.Catalog)
+	VCPUs int    // 0: DefaultVCPUs
+	Seed  uint64 // drives the workload's random durations
 	// Disk attaches a virtual block device (required by storage-bound
 	// workloads such as "fileserver").
 	Disk bool
@@ -46,7 +47,8 @@ type VMSpec struct {
 	Weight int
 	// Pins pins vCPU j of this VM to pCPU Pins[j]. Negative entries leave
 	// that vCPU unpinned; a slice shorter than the vCPU count leaves the
-	// remainder unpinned.
+	// remainder unpinned. Pinning a serving VM onto its co-runner's pCPU
+	// reproduces the paper's consolidated shape (Figure 9).
 	Pins []int
 	// Serve attaches an open-loop request-serving workload: a virtual NIC,
 	// a seeded Poisson arrival process (vnet.RequestFlow) and one server
@@ -56,17 +58,21 @@ type VMSpec struct {
 	Serve *ServeSpec
 }
 
-// DefaultServeSLO is the end-to-end latency objective when ServeSpec.SLO
+// DefaultServeSLO is the end-to-end latency objective when ServeSpec.SLOMs
 // is 0.
 const DefaultServeSLO = 5 * simtime.Millisecond
 
-// ServeSpec configures a VM's open-loop request-serving workload.
+// ServeSpec configures a VM's open-loop request-serving workload. The
+// public facade exposes it as microsliced.ServeConfig. Latency is measured
+// from each request's intended arrival instant, so the reported quantiles
+// are coordinated-omission-free; requests tail-dropped at the full NIC ring
+// count against the SLO.
 type ServeSpec struct {
-	RatePerSec int              // mean offered load, Poisson arrivals (required)
-	ReqBytes   int              // request packet size (0: vnet.DefaultReqBytes)
-	SLO        simtime.Duration // end-to-end latency objective (0: DefaultServeSLO)
-	RingCap    int              // NIC RX ring capacity (0: vnet.DefaultRingSize)
-	Seed       uint64
+	RatePerSec int     // mean offered load, Poisson arrivals (required)
+	SLOMs      float64 // end-to-end latency objective in ms (0: DefaultServeSLO)
+	ReqBytes   int     // request packet size (0: vnet.DefaultReqBytes)
+	RingCap    int     // NIC RX ring capacity (0: vnet.DefaultRingSize)
+	Seed       uint64  // drives the arrival process and service-time draws
 }
 
 // Setup is a complete scenario.
@@ -118,6 +124,22 @@ type Setup struct {
 	// installs its lockstep reference picker (hv.Hypervisor.CheckPick)
 	// here.
 	Instrument func(*hv.Hypervisor)
+}
+
+// CoreConfig lowers a mode name to the controller configuration a Setup
+// runs under: "" or "off" is the paper's Baseline (vanilla credit
+// scheduling), "static" a fixed pool of staticCores micro-sliced cores, and
+// "dynamic" the pool sized by Algorithm 1.
+func CoreConfig(mode string, staticCores int) (core.Config, error) {
+	switch mode {
+	case "", "off":
+		return offConfig(), nil
+	case "static":
+		return core.StaticConfig(staticCores), nil
+	case "dynamic":
+		return core.DefaultConfig(), nil
+	}
+	return core.Config{}, fmt.Errorf("unknown mode %q (want off, static or dynamic)", mode)
 }
 
 // PostRun is the post-run view handed to Setup.PostCheck and the
@@ -520,7 +542,7 @@ type serveRig struct {
 func buildServe(clock *simtime.Clock, h *hv.Hypervisor, k *guest.Kernel, app *workload.App, sv *ServeSpec, vcpus int) (serveRig, error) {
 	nic := vnet.NewNIC(h, k.Dom, sv.RingCap)
 	k.AttachNIC(nic)
-	slo := sv.SLO
+	slo := simtime.Duration(sv.SLOMs * float64(simtime.Millisecond))
 	if slo == 0 {
 		slo = DefaultServeSLO
 	}

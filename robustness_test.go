@@ -77,6 +77,7 @@ func TestValidateTypedErrors(t *testing.T) {
 		{"negative-pcpus", Scenario{PCPUs: -1, VMs: []VM{{App: "exim"}}}, "PCPUs"},
 		{"negative-seconds", Scenario{Seconds: -1, VMs: []VM{{App: "exim"}}}, "Seconds"},
 		{"negative-vcpus", Scenario{VMs: []VM{{App: "exim", VCPUs: -3}}}, "VMs[0].VCPUs"},
+		{"negative-weight", Scenario{VMs: []VM{{App: "exim"}, {App: "swaptions", Weight: -1}}}, "VMs[1].Weight"},
 		{"unknown-app", Scenario{VMs: []VM{{App: "no-such-app"}}}, "VMs[0].App"},
 		{"unknown-mode", Scenario{Mode: "turbo", VMs: []VM{{App: "exim"}}}, "Mode"},
 		{"negative-static", Scenario{Mode: Static, StaticCores: -1, VMs: []VM{{App: "exim"}}}, "StaticCores"},
