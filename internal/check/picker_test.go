@@ -72,16 +72,77 @@ type lockstep struct {
 	h      *hv.Hypervisor
 	mutant mutant
 	err    error
+	yield  *hookedYield // the innermost OnYield hook in progress, or nil
+}
+
+// hookedYield models a yield while its OnYield hook runs. A yielder that
+// stays on its pCPU in its home pool is on no runqueue when the hook
+// starts (deferred). The reference is credit1's requeue-then-hook order:
+// a deferred yielder must be requeued just before the hook's first
+// migration, reported to CheckPick as a declined re-dispatch, and a hook
+// that migrates nothing leaves the choice to be reported after it returns.
+type hookedYield struct {
+	v        *hv.VCPU
+	deferred bool
+	settled  bool   // the deferred requeue was reported inside the hook
+	migrated uint64 // hv's migrate.micro count when the hook began
+}
+
+// wrapYieldHook runs hook under the hookedYield model.
+func (l *lockstep) wrapYieldHook(hook func(*hv.VCPU, hv.YieldReason)) func(*hv.VCPU, hv.YieldReason) {
+	migrations := l.h.Counters.Handle("migrate.micro")
+	return func(v *hv.VCPU, reason hv.YieldReason) {
+		y := &hookedYield{
+			v:        v,
+			deferred: v.State() == hv.StateRunnable && !queued(v),
+			migrated: migrations.Value(),
+		}
+		outer := l.yield
+		l.yield = y
+		hook(v, reason)
+		l.yield = outer
+		if l.err == nil && y.deferred && !y.settled && migrations.Value() != y.migrated {
+			l.err = fmt.Errorf("lockstep: t=%v OnYield hook of %v migrated work while the yielder was on no runqueue",
+				l.h.Clock.Now(), v)
+		}
+	}
+}
+
+// queued reports whether v is on a runqueue of its pool.
+func queued(v *hv.VCPU) bool {
+	for _, p := range v.Pool().PCPUs() {
+		for _, w := range p.Runqueue() {
+			if w == v {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func (l *lockstep) check(p *hv.PCPU, requeued, got *hv.VCPU) {
 	if l.mutant != nil {
 		got = l.mutant(l.h, p, requeued, got)
 	}
-	if l.err != nil || (requeued != nil && got == nil) {
-		// After the first mismatch the run no longer matters; a declined
-		// re-dispatch reports its pick later, from the regular path.
+	if l.err != nil {
+		return // after the first mismatch the run no longer matters
+	}
+	if y := l.yield; y != nil && requeued == y.v {
+		// Only the deferred requeue reports from inside the hook, once,
+		// before the hook's first migration takes effect.
+		switch {
+		case !y.deferred || y.settled:
+			l.err = fmt.Errorf("lockstep: t=%v p%d reported the yield of %v again inside its OnYield hook",
+				l.h.Clock.Now(), p.ID, requeued)
+		case got != nil:
+			l.err = fmt.Errorf("lockstep: t=%v p%d yield re-dispatch of %v chosen inside its OnYield hook, which is migrating work (runqueues: %s)",
+				l.h.Clock.Now(), p.ID, requeued, runqueues(p.Pool()))
+		}
+		y.settled = true
 		return
+	}
+	if requeued != nil && got == nil {
+		return // a declined re-dispatch reports its pick later, from the regular path
 	}
 	if want := refPick(p, requeued); got != want {
 		via := "pick"
@@ -112,6 +173,9 @@ func runLockstep(sc Scenario, m mutant) error {
 	s.Instrument = func(h *hv.Hypervisor) {
 		l.h = h
 		h.CheckPick = l.check
+		if hook := h.Hooks.OnYield; hook != nil {
+			h.Hooks.OnYield = l.wrapYieldHook(hook)
+		}
 	}
 	s.PostCheck = func(*experiment.PostRun) error { return l.err }
 	_, err = experiment.Run(s)
@@ -181,20 +245,24 @@ func TestPickerLockstepCatchesFlippedTieBreak(t *testing.T) {
 	expectCaught(t, flipped, "pick chose")
 }
 
-// TestPickerLockstepCatchesEqualHeadRedispatch: a yield shortcut that also
-// fires when p's runqueue head has the yielder's own priority (<= for <)
-// skips the queued vCPU the requeue would have put first, and must be
-// caught.
-func TestPickerLockstepCatchesEqualHeadRedispatch(t *testing.T) {
-	loose := func(h *hv.Hypervisor, p *hv.PCPU, v, got *hv.VCPU) *hv.VCPU {
-		if v == nil || got != nil || h.Hooks.OnYield != nil || !mayRun(v, p) {
+// redispatchMutant is Yield's in-place re-dispatch test transcribed with
+// the head comparison as a parameter: with strict it is redispatchable
+// itself, without it an equal-priority head no longer blocks the shortcut.
+// It replaces a declined yield choice with the yielder wherever its test
+// passes, and leaves every other choice alone.
+func redispatchMutant(strict bool) mutant {
+	blocks := func(head, v *hv.VCPU) bool {
+		return head.Priority() < v.Priority() || (strict && head.Priority() == v.Priority())
+	}
+	return func(h *hv.Hypervisor, p *hv.PCPU, v, got *hv.VCPU) *hv.VCPU {
+		if v == nil || got != nil || !mayRun(v, p) {
 			return got
 		}
 		pool := p.Pool()
 		if v.OnMicro() && pool.ReturnHome {
 			return got
 		}
-		if rq := p.Runqueue(); len(rq) > 0 && rq[0].Priority() < v.Priority() {
+		if rq := p.Runqueue(); len(rq) > 0 && blocks(rq[0], v) {
 			return got
 		}
 		if !pool.NoSteal {
@@ -206,7 +274,24 @@ func TestPickerLockstepCatchesEqualHeadRedispatch(t *testing.T) {
 		}
 		return v
 	}
-	expectCaught(t, loose, "yield re-dispatch")
+}
+
+// TestPickerLockstepCatchesEqualHeadRedispatch: a yield shortcut that also
+// fires when p's runqueue head has the yielder's own priority (<= for <)
+// skips the queued vCPU the requeue would have put first, and must be
+// caught.
+func TestPickerLockstepCatchesEqualHeadRedispatch(t *testing.T) {
+	expectCaught(t, redispatchMutant(false), "yield re-dispatch")
+}
+
+// TestPickerLockstepCatchesRedispatchBeforeHook: a Yield that decides the
+// in-place re-dispatch before its OnYield hook runs keeps the yielder off
+// the runqueues even when the hook then migrates work. The choice it makes
+// is the one the correct shortcut makes where no hook moves anything, so
+// the mutant is the strict test applied at the deferred requeue's report,
+// and only the hook model can catch it.
+func TestPickerLockstepCatchesRedispatchBeforeHook(t *testing.T) {
+	expectCaught(t, redispatchMutant(true), "inside its OnYield hook")
 }
 
 // expectCaught runs a small lockstep slice under the mutant and requires a

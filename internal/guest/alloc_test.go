@@ -2,9 +2,19 @@ package guest
 
 import (
 	"testing"
+	"unsafe"
 
 	"github.com/microslicedcore/microsliced/internal/simtime"
 )
+
+// TestOpSize: every op a program hands the engine is copied by value
+// (Program.Next, nextOp, startOp). Up to 64 bytes the compiler copies it
+// with a few vector moves; past that it calls runtime.duffcopy.
+func TestOpSize(t *testing.T) {
+	if n := unsafe.Sizeof(Op{}); n > 64 {
+		t.Fatalf("Op is %d bytes, past the 64 that copy without runtime.duffcopy", n)
+	}
+}
 
 // TestProgressRearmAllocFree: the progress event is re-armed in place on
 // every op completion, and cancelled and re-armed across every slice

@@ -219,7 +219,7 @@ func (v *VCPU) startNextIRQ() {
 // runIRQStage arms the timer for the current handler stage.
 func (v *VCPU) runIRQStage() {
 	c := v.irq
-	pr := v.k.Params
+	pr := &v.k.Params
 	switch c.vec {
 	case hv.VecCallFunc:
 		c.remaining = pr.TLBFlushCost
@@ -465,8 +465,8 @@ func (v *VCPU) opRIP(t *Thread) uint64 {
 	case OpCompute:
 		return v.k.addr.user
 	case OpKernel:
-		if t.op.Fn != "" {
-			return v.k.Sym.InnerAddr(t.op.Fn)
+		if t.op.RIP != 0 {
+			return t.op.RIP
 		}
 		return v.k.addr.user
 	case OpLock:
@@ -544,7 +544,7 @@ func (v *VCPU) startOp(t *Thread) {
 		}
 		t.state = ThreadBlockedIO
 		v.cur = nil
-		v.k.disk.Submit(op.Bytes, op.Write, t.diskFn)
+		v.k.disk.Submit(int(op.Bytes), op.Write, t.diskFn)
 		v.resume()
 	case OpExit:
 		t.state = ThreadDone
@@ -622,7 +622,7 @@ func (v *VCPU) opDone() {
 		}
 	case OpSend:
 		if v.k.nic != nil {
-			v.k.nic.Transmit(t.op.Bytes, now)
+			v.k.nic.Transmit(int(t.op.Bytes), now)
 		}
 	case OpRecv:
 		sock := t.op.Sock

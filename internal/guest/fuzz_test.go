@@ -24,7 +24,7 @@ func (p *randProg) Next(now simtime.Time) Op {
 	case 0, 1, 2:
 		return Op{Kind: OpCompute, Dur: simtime.Duration(p.r.ExpDur(int64(50 * simtime.Microsecond)))}
 	case 3:
-		return Op{Kind: OpKernel, Fn: "vfs_read", Dur: simtime.Duration(p.r.ExpDur(int64(3 * simtime.Microsecond)))}
+		return Op{Kind: OpKernel, RIP: p.k.Sym.InnerAddr("vfs_read"), Dur: simtime.Duration(p.r.ExpDur(int64(3 * simtime.Microsecond)))}
 	case 4, 5:
 		return Op{
 			Kind: OpLock,

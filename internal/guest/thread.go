@@ -49,7 +49,7 @@ type OpKind uint8
 // Operation kinds a Program can emit.
 const (
 	OpCompute  OpKind = iota // user-level computation for Dur
-	OpKernel                 // non-critical kernel work for Dur at RIP Fn
+	OpKernel                 // non-critical kernel work for Dur at RIP
 	OpLock                   // acquire Lock, hold Dur (critical section), release
 	OpTLBFlush               // mmap/munmap-style TLB shootdown to all live sibling vCPUs
 	OpSleep                  // sleep for Dur (timer wakeup)
@@ -88,15 +88,17 @@ func (k OpKind) String() string {
 	}
 }
 
-// Op is one operation of a thread program.
+// Op is one operation of a thread program. Kind, Write and Bytes share the
+// first word and the kernel function is a resolved address, so an Op is 56
+// bytes and copies without a loop.
 type Op struct {
 	Kind   OpKind
+	Write  bool             // OpDisk direction
+	Bytes  int32            // OpSend / OpDisk payload
 	Dur    simtime.Duration // compute time / critical-section hold / sleep time / path cost
-	Fn     string           // kernel function for OpKernel RIP (optional)
+	RIP    uint64           // OpKernel: an address inside the kernel function (Table.InnerAddr); 0 runs at the user RIP
 	Lock   *SpinLock        // OpLock target; for OpTLBFlush: held across the shootdown (mmap_sem)
 	Sock   *Socket          // OpRecv source
-	Bytes  int              // OpSend / OpDisk payload
-	Write  bool             // OpDisk direction
 	Target *Thread          // OpWake target
 	// Done, if set, fires when the op completes through the engine's normal
 	// completion path (opDone), after the op's effects, at the completion

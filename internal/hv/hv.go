@@ -543,8 +543,13 @@ func (pl *Pool) OnlineCount() int {
 // Hooks are the attachment points for the micro-sliced-core mechanism.
 // All hooks may be nil (vanilla Xen behaviour).
 type Hooks struct {
-	// OnYield fires after a vCPU yields (and has been re-queued), before
-	// the pCPU reschedules. The hook may migrate vCPUs between pools.
+	// OnYield fires after a vCPU yields, before the pCPU reschedules. The
+	// hook may migrate vCPUs to the micro pool, and MigrateToMicro is the
+	// only scheduling change it may make. While the yielder stays in its
+	// home pool on its own pCPU, its requeue waits until the hook's first
+	// migration gets past the capacity check, so a hook that moves nothing
+	// leaves the yield free to re-dispatch in place. Otherwise the yielder
+	// is re-queued before the hook runs.
 	OnYield func(v *VCPU, reason YieldReason)
 	// OnVIRQRelay fires when the hypervisor relays a device IRQ to a vCPU.
 	OnVIRQRelay func(target *VCPU)
@@ -616,6 +621,12 @@ type Hypervisor struct {
 	nsPerCredit int64         // runtime worth one credit: Tick / CreditDebitPerTick
 
 	stoleNext bool // pickNext→dispatch handoff: the pick came from a steal
+
+	// yieldV and yieldP are a hooked Yield's deferred requeue: the yielder
+	// and the pCPU it is queued on once the OnYield hook moves work
+	// (settleYield). yieldV is nil while no yield is pending.
+	yieldV *VCPU
+	yieldP *PCPU
 
 	// microSince/microArea integrate the micro pool's size over time
 	// (core·ns), maintained at every pool-membership change. The ledger is

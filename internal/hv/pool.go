@@ -47,6 +47,8 @@ func (h *Hypervisor) MigrateToMicro(v *VCPU) bool {
 		h.hot.microFull.Inc()
 		return false
 	}
+	// A hooked yield's requeue comes first: the yield hook is moving work.
+	h.settleYield()
 	if v.state == StateRunnable {
 		h.dequeue(v)
 	}

@@ -395,8 +395,16 @@ func (h *Hypervisor) sliceExpired(p *PCPU) {
 
 // Yield is the SCHEDOP_yield / PLE-VMEXIT path: the running vCPU gives up
 // its pCPU. The vCPU stays runnable and is re-queued at the tail of its
-// priority class; the OnYield hook (the micro-sliced detector) then gets a
+// priority class; the OnYield hook (the micro-sliced detector) gets a
 // chance to migrate vCPUs before the pCPU reschedules.
+//
+// A hooked yield defers the requeue while it is a plain local enqueue (v in
+// its home pool, allowed on p): the hook's first migration settles it
+// (settleYield) before changing anything, and a hook that moves nothing
+// leaves the yield as if no hook were set. Until that first migration the
+// hook reads only RIPs, vCPU states and the micro pool's occupancy, none of
+// which the enqueue touches. Any other requeue sends v
+// home or tickles another pCPU, so it settles before the hook runs.
 //
 // Most yields of the storm hand the pCPU straight back: when redispatchable
 // holds, the requeue-and-pick round trip would pick v again, so v is
@@ -411,7 +419,19 @@ func (h *Hypervisor) Yield(v *VCPU, reason YieldReason) {
 	h.emit(trace.KindYield, v, uint64(reason), v.Guest.RIP())
 	h.descheduleCurrent(p)
 	h.setRunnable(v)
-	again := h.Hooks.OnYield == nil && h.redispatchable(p, v)
+	if hook := h.Hooks.OnYield; hook != nil {
+		h.yieldV, h.yieldP = v, p
+		if v.pool != v.homePool || !v.canRunOn(p) {
+			h.settleYield()
+		}
+		hook(v, reason)
+		if h.yieldV == nil {
+			h.schedule(p)
+			return
+		}
+		h.yieldV, h.yieldP = nil, nil
+	}
+	again := h.redispatchable(p, v)
 	if h.CheckPick != nil {
 		var got *VCPU
 		if again {
@@ -427,18 +447,30 @@ func (h *Hypervisor) Yield(v *VCPU, reason YieldReason) {
 		return
 	}
 	h.requeuePreempted(p, v)
-	if h.Hooks.OnYield != nil {
-		h.Hooks.OnYield(v, reason)
-	}
 	h.schedule(p)
 }
 
-// redispatchable reports whether, with no OnYield hook to move work in
-// between (Yield checks that first), Yield's requeue-and-pick would hand p
-// straight back to v, which has just yielded it: requeuePreempted would
-// queue v on p itself, nothing on p's runqueue is queued ahead of v's class
-// tail (its head is strictly worse, or it is empty), and pickNext could
-// steal nothing (no sibling head beats v, or the pool never steals).
+// settleYield performs a pending yield's requeue, as the yield would have
+// without a hook: the yielder declines the pCPU (reported to CheckPick)
+// and is queued by requeuePreempted.
+func (h *Hypervisor) settleYield() {
+	v, p := h.yieldV, h.yieldP
+	if v == nil {
+		return
+	}
+	h.yieldV, h.yieldP = nil, nil
+	if h.CheckPick != nil {
+		h.CheckPick(p, v, nil)
+	}
+	h.requeuePreempted(p, v)
+}
+
+// redispatchable reports whether, with no pending OnYield migration to move
+// work in between, Yield's requeue-and-pick would hand p straight back to
+// v, which has just yielded it: requeuePreempted would queue v on p itself,
+// nothing on p's runqueue is queued ahead of v's class tail (its head is
+// strictly worse, or it is empty), and pickNext could steal nothing (no
+// sibling head beats v, or the pool never steals).
 func (h *Hypervisor) redispatchable(p *PCPU, v *VCPU) bool {
 	if (v.pool.ReturnHome && v.pool != v.homePool) || !v.canRunOn(p) {
 		return false

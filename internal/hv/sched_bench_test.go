@@ -84,44 +84,52 @@ func BenchmarkIdleTicks(b *testing.B) {
 }
 
 // BenchmarkYieldRedispatch measures one cycle of the yield storm on one
-// pCPU: a PLE yield with an OVER vCPU queued behind the yielder, which
-// takes the pCPU straight back. "in-place" is Yield's re-dispatch without
-// the queue; "requeue" forces the enqueue → pickNext → dequeue round trip
-// with a no-op OnYield hook.
+// pCPU. "in-place" is a PLE yield with an OVER vCPU queued behind the
+// yielder, which takes the pCPU straight back without the queue; "hooked"
+// is the same yield with a no-op OnYield hook, whose requeue is deferred
+// and never settled. "requeue" replaces the OVER vCPU with a second
+// yielder of the same priority, so every yield goes through the enqueue →
+// pickNext → dequeue round trip and hands the pCPU to the other yielder.
 func BenchmarkYieldRedispatch(b *testing.B) {
-	for _, regular := range []bool{false, true} {
-		name := "in-place"
-		if regular {
-			name = "requeue"
-		}
+	for _, name := range []string{"in-place", "hooked", "requeue"} {
 		b.Run(name, func(b *testing.B) {
 			// A 1000 s tick keeps credit accounting out of any run length:
-			// the yielder stays UNDER and the queued vCPU OVER.
+			// the yielders stay UNDER and the queued vCPU OVER.
 			cfg := testConfig(1)
 			cfg.Tick = 1000 * simtime.Second
 			clock := simtime.NewClock()
 			h := New(clock, cfg)
 			d := h.NewDomain("vm", nil)
 			g := newPLEGuest(h, d)
-			over := newIntrGuest(h, d).v
-			over.credits = -1
-			if regular {
+			var other *VCPU
+			var rival *pleGuest
+			if name == "requeue" {
+				rival = newPLEGuest(h, d)
+				other = rival.v
+			} else {
+				other = newIntrGuest(h, d).v
+				other.credits = -1
+			}
+			if name == "hooked" {
 				h.Hooks.OnYield = func(*VCPU, YieldReason) {}
 			}
 			h.Start()
 			h.Wake(g.v, false)
-			h.Wake(over, false)
+			h.Wake(other, false)
 			clock.RunUntil(simtime.Millisecond)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for yields := g.yields; g.yields == yields; {
+				for n := h.hot.yieldTotal.Value(); h.hot.yieldTotal.Value() == n; {
 					clock.Step()
 				}
 			}
 			b.StopTimer()
-			if over.queuedOn == nil {
+			if rival == nil && other.queuedOn == nil {
 				b.Fatal("the OVER vCPU ran")
+			}
+			if rival != nil && (g.yields < b.N/2 || rival.yields < b.N/2) {
+				b.Fatalf("the yielders did not alternate: %d and %d yields", g.yields, rival.yields)
 			}
 		})
 	}

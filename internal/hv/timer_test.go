@@ -114,27 +114,38 @@ func TestYieldRedispatchAllocFree(t *testing.T) {
 
 // TestRedispatchUnparksLikeEnqueue: a yield re-dispatched in place re-arms
 // a parked sibling's tick exactly as the requeue through enqueue does, at
-// the same instant on the sibling's stagger grid. The requeue side is
-// forced by a no-op OnYield hook.
+// the same instant on the sibling's stagger grid. Both runs queue an OVER
+// vCPU pinned to p0 behind the yielder, which p1 may not steal, so p1
+// parks. The requeue run boosts it just before the measured yield: a
+// queued vCPU better than the yielder forces the enqueue → pickNext path.
 func TestRedispatchUnparksLikeEnqueue(t *testing.T) {
-	rearm := func(regular bool) (simtime.Time, int) {
+	rearm := func(regular bool) (simtime.Time, bool) {
 		clock, h := setup(2)
-		g := newPLEGuest(h, h.NewDomain("vm", nil)) // runs on p0
-		inPlace := 0
+		d := h.NewDomain("vm", nil)
+		g := newPLEGuest(h, d) // runs on p0
+		w := newIntrGuest(h, d).v
+		w.Pin(0)
+		w.credits = -h.Cfg.CreditDebitPerTick
+		inPlace := false
 		h.CheckPick = func(p *PCPU, requeued, got *VCPU) {
-			if requeued != nil && got == requeued {
-				inPlace++
+			if requeued != nil {
+				inPlace = got == requeued
 			}
-		}
-		if regular {
-			h.Hooks.OnYield = func(*VCPU, YieldReason) {}
 		}
 		h.Start()
 		h.Wake(g.v, false)
-		p1 := h.pcpus[1]
+		h.Wake(w, false)
+		p0, p1 := h.pcpus[0], h.pcpus[1]
 		clock.RunUntil(h.Cfg.Tick + 1) // p1's first tick found nothing to run
 		if !p1.parked || p1.tick.Pending() {
 			t.Fatalf("regular=%v: idle p1 did not park (parked %v, tick armed %v)", regular, p1.parked, p1.tick.Pending())
+		}
+		if g.v.pcpu != p0 || w.queuedOn != p0 || w.prio != PrioOver {
+			t.Fatalf("regular=%v: yielder on %v, pinned vCPU %v queued on %v", regular, g.v.pcpu, w, w.queuedOn)
+		}
+		if regular {
+			w.prio, w.boosted = PrioBoost, true
+			resortRunq(p0)
 		}
 		for yields := g.yields; g.yields == yields; {
 			clock.Step()
@@ -147,8 +158,8 @@ func TestRedispatchUnparksLikeEnqueue(t *testing.T) {
 	}
 	fastAt, fast := rearm(false)
 	slowAt, slow := rearm(true)
-	if fast == 0 || slow != 0 {
-		t.Fatalf("%d in-place re-dispatches with no hook, %d with OnYield set", fast, slow)
+	if !fast || slow {
+		t.Fatalf("measured yield re-dispatched in place: %v behind an OVER vCPU, %v behind a boosted one", fast, slow)
 	}
 	if fastAt != slowAt {
 		t.Fatalf("in-place re-dispatch re-armed p1's tick at %v, the requeue at %v", fastAt, slowAt)

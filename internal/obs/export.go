@@ -2,9 +2,11 @@ package obs
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"github.com/microslicedcore/microsliced/internal/simtime"
 	"github.com/microslicedcore/microsliced/internal/trace"
@@ -139,9 +141,17 @@ func WriteChromeTrace(w io.Writer, recs []trace.Record, meta ExportMeta) error {
 			e.instant(r, "")
 		}
 	}
-	// Close intervals still running when the trace ends.
-	for k, o := range open {
-		if last > o.start {
+	// Close intervals still running when the trace ends, in pCPU then vCPU
+	// order: the map's order would change from one export to the next.
+	running := make([]runKey, 0, len(open))
+	for k := range open {
+		running = append(running, k)
+	}
+	slices.SortFunc(running, func(a, b runKey) int {
+		return cmp.Or(cmp.Compare(open[a].pcpu, open[b].pcpu), cmp.Compare(a.dom, b.dom), cmp.Compare(a.vcpu, b.vcpu))
+	})
+	for _, k := range running {
+		if o := open[k]; last > o.start {
 			e.complete(k.dom, k.vcpu, o, last)
 		}
 	}

@@ -41,7 +41,7 @@ func TestCycleProgReuseMatchesFresh(t *testing.T) {
 			for n := 0; n < 2000; n++ {
 				fresh[i].buf = nil // the reference: build into a new slice
 				a, b := reused[i].Next(0), fresh[i].Next(0)
-				if a.Kind != b.Kind || a.Dur != b.Dur || a.Fn != b.Fn || lockName(a) != lockName(b) ||
+				if a.Kind != b.Kind || a.Dur != b.Dur || a.RIP != b.RIP || lockName(a) != lockName(b) ||
 					a.Bytes != b.Bytes || a.Write != b.Write {
 					t.Fatalf("%s thread %d op %d: reused buffer gives %+v, fresh slice %+v", app, i, n, a, b)
 				}

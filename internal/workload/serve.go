@@ -27,7 +27,7 @@ type ServeProfile struct {
 	LockHold    simtime.Duration // mean critical-section hold
 	SyscallProb float64          // probability of an extra kernel read leg
 	SyscallCost simtime.Duration // mean syscall cost
-	ReplyBytes  int              // reply payload handed to Transmit
+	ReplyBytes  int32            // reply payload handed to Transmit
 	ReplyCost   simtime.Duration // kernel transmit-path cost
 }
 
@@ -106,6 +106,7 @@ func RequestServer(a *App, sink RequestSink, prof ServeProfile, seed uint64) (*S
 			r:    r.Fork(uint64(i)),
 			prof: prof,
 			lock: lock,
+			rip:  k.Sym.InnerAddr("vfs_read"),
 		}
 		p.doneFn = p.replyDone
 		sock.OnAppConsume = p.consume
@@ -124,6 +125,7 @@ type serveProg struct {
 	r    *rng.Source
 	prof ServeProfile
 	lock *guest.SpinLock
+	rip  uint64 // the syscall leg's RIP (inside vfs_read), resolved once
 
 	cur    guest.Packet
 	busy   bool
@@ -148,7 +150,7 @@ func (p *serveProg) buildService() {
 		q = append(q, guest.Op{Kind: guest.OpLock, Lock: p.lock, Dur: exp(p.r, p.prof.LockHold)})
 	}
 	if p.prof.SyscallProb > 0 && p.r.Bool(p.prof.SyscallProb) {
-		q = append(q, guest.Op{Kind: guest.OpKernel, Fn: "vfs_read", Dur: exp(p.r, p.prof.SyscallCost)})
+		q = append(q, guest.Op{Kind: guest.OpKernel, RIP: p.rip, Dur: exp(p.r, p.prof.SyscallCost)})
 	}
 	p.q, p.qi = q, 0
 }

@@ -167,11 +167,12 @@ func buildLookbusy(a *App, r *rng.Source) {
 // time (page-cache reads) keeps it realistic without making it
 // kernel-bound.
 func userLevelApp(a *App, r *rng.Source, burst simtime.Duration, threads int) {
+	vfsRead := a.Kernel.Sym.InnerAddr("vfs_read")
 	mk := func(r *rng.Source) guest.Program {
 		return newCycleProg(a, func(ops []guest.Op) []guest.Op {
 			ops = append(ops, guest.Op{Kind: guest.OpCompute, Dur: exp(r, burst)})
 			if r.Bool(0.02) {
-				ops = append(ops, guest.Op{Kind: guest.OpKernel, Fn: "vfs_read", Dur: exp(r, 3*us)})
+				ops = append(ops, guest.Op{Kind: guest.OpKernel, RIP: vfsRead, Dur: exp(r, 3*us)})
 			}
 			return ops
 		})
@@ -274,6 +275,7 @@ func buildExim(a *App, r *rng.Source) {
 	for i := range runq {
 		runq[i] = k.Lock("rq"+strconv.Itoa(i), "Runqueue", "enqueue_task_fair")
 	}
+	sysOpen := k.Sym.InnerAddr("do_sys_open")
 	for i := range k.VCPUs {
 		i := i
 		r := r.Fork(uint64(i))
@@ -289,7 +291,7 @@ func buildExim(a *App, r *rng.Source) {
 				guest.Op{Kind: guest.OpLock, Lock: zone[r.Intn(2)], Dur: exp(r, 4*us)},
 				guest.Op{Kind: guest.OpCompute, Dur: exp(r, 6*us)},
 				guest.Op{Kind: guest.OpLock, Lock: dentry[r.Intn(len(dentry))], Dur: exp(r, 6*us)},
-				guest.Op{Kind: guest.OpKernel, Fn: "do_sys_open", Dur: exp(r, 2*us)},
+				guest.Op{Kind: guest.OpKernel, RIP: sysOpen, Dur: exp(r, 2*us)},
 				guest.Op{Kind: guest.OpLock, Lock: dentry[r.Intn(len(dentry))], Dur: exp(r, 4*us)},
 			)
 			if r.Bool(0.3) {
