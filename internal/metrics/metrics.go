@@ -93,10 +93,15 @@ func finite(v float64) float64 {
 // divisions per power of two, up to 2^63. With subBuckets=8 the relative
 // quantile error is bounded by ~12.5%, which is ample for the latency-shape
 // comparisons in the paper.
+//
+// Beside the buckets it keeps the count, the float64 running sum behind
+// Mean, and the exact int64 extremes.
 type Histogram struct {
-	sub     int
-	buckets []uint64
-	summary Summary
+	sub      int
+	buckets  []uint64
+	count    uint64
+	sum      float64
+	min, max int64
 }
 
 const histMaxExp = 63
@@ -113,43 +118,49 @@ func NewHistogram(subBuckets int) *Histogram {
 	return &Histogram{
 		sub:     subBuckets,
 		buckets: make([]uint64, 1+histMaxExp*subBuckets),
+		min:     math.MaxInt64, // so the first sample sets both extremes
 	}
 }
 
+// histExactExp is the first octave whose sub-bucket bucketIndex computes in
+// float64. Below it the octave offset v-base is under 2^47, so
+// (v-base)*sub is under 2^53 for every sub in [1, 64]: the product fits a
+// float64 mantissa exactly, the division by the power of two base is exact,
+// and truncating the quotient equals the integer shift. From this octave up
+// the float64 conversion or product can round, and to keep every value in
+// the bucket it has always had, those octaves keep the float formula. The
+// first octaves where a rounded float result differs from the exact shift
+// are 48 (subs 41, 43 and 49) and 54 (sub 8, the resolution every caller
+// uses), so the bound is the lowest that is exact for every sub.
+const histExactExp = 48
+
+// bucketIndex maps v to its bucket in O(1): the octave is the position of
+// v's top bit, and the sub-bucket is floor((v-base)*sub/base), computed as
+// an integer shift in octaves below histExactExp and with the historical
+// float formula above (see histExactExp).
 func (h *Histogram) bucketIndex(v int64) int {
 	if v < 1 {
 		return 0
 	}
-	exp := 63 - leadingZeros64(uint64(v)) // floor(log2 v), 0..62
+	exp := 63 - bits.LeadingZeros64(uint64(v)) // floor(log2 v), 0..62
 	base := int64(1) << uint(exp)
-	// Position within the octave, [0, sub). Computed in float64 because the
-	// int64 product (v-base)*sub overflows for v near the top octaves; the
-	// result is identical for every v whose octave offset fits in a float64
-	// mantissa, and merely coarser (never out of range) above that.
+	if exp < histExactExp {
+		// frac < sub and exp < 48, so idx < 1+48*sub: always in range.
+		return 1 + exp*h.sub + int(uint64(v-base)*uint64(h.sub)>>uint(exp))
+	}
+	// Rounding can carry the float quotient up to sub at the top of an
+	// octave; clamp it to the octave's last sub-bucket. exp <= 62, so the
+	// index stays below 1+63*sub, the bucket count.
 	frac := int(float64(v-base) * float64(h.sub) / float64(base))
 	if frac >= h.sub {
 		frac = h.sub - 1
 	}
-	idx := 1 + exp*h.sub + frac
-	if idx >= len(h.buckets) {
-		idx = len(h.buckets) - 1
-	}
-	return idx
+	return 1 + exp*h.sub + frac
 }
 
-func leadingZeros64(x uint64) int {
-	n := 0
-	if x == 0 {
-		return 64
-	}
-	for x&(1<<63) == 0 {
-		x <<= 1
-		n++
-	}
-	return n
-}
-
-// bucketLower returns the inclusive lower bound of bucket idx.
+// bucketLower returns the inclusive lower bound of bucket idx: in the
+// octaves below histExactExp, the smallest v with bucketIndex(v) == idx
+// (or, for an empty sub-bucket of a small octave, the next bucket's).
 func (h *Histogram) bucketLower(idx int) int64 {
 	if idx == 0 {
 		return 0
@@ -158,10 +169,14 @@ func (h *Histogram) bucketLower(idx int) int64 {
 	exp := idx / h.sub
 	frac := idx % h.sub
 	base := int64(1) << uint(exp)
-	// base*frac needs up to 69 bits in the top octaves; compute the exact
-	// floor(base*frac/sub) through a 128-bit intermediate.
+	// v-base must reach base*frac/sub, so the bound is its ceiling. base*frac
+	// needs up to 69 bits in the top octaves; divide through a 128-bit
+	// intermediate.
 	hi, lo := bits.Mul64(uint64(base), uint64(frac))
-	q, _ := bits.Div64(hi, lo, uint64(h.sub))
+	q, r := bits.Div64(hi, lo, uint64(h.sub))
+	if r != 0 {
+		q++
+	}
 	return base + int64(q)
 }
 
@@ -171,33 +186,38 @@ func (h *Histogram) Observe(v int64) {
 		v = 0
 	}
 	h.buckets[h.bucketIndex(v)]++
-	h.summary.Observe(float64(v))
+	if v < h.min {
+		h.min = v
+	}
+	if v > h.max {
+		h.max = v
+	}
+	h.count++
+	h.sum += float64(v)
 }
 
 // Count returns the number of recorded values.
-func (h *Histogram) Count() uint64 { return h.summary.Count() }
+func (h *Histogram) Count() uint64 { return h.count }
 
-// Mean returns the exact mean of recorded values.
-func (h *Histogram) Mean() float64 { return h.summary.Mean() }
-
-// Min returns the exact minimum recorded value.
-func (h *Histogram) Min() int64 { return clampToInt64(h.summary.Min()) }
-
-// Max returns the exact maximum recorded value.
-func (h *Histogram) Max() int64 { return clampToInt64(h.summary.Max()) }
-
-// clampToInt64 converts a float64 tracked by the inner Summary back to
-// int64. float64(MaxInt64) rounds up to 2^63, which over-converts and wraps
-// negative; saturate instead.
-func clampToInt64(v float64) int64 {
-	if v >= math.MaxInt64 {
-		return math.MaxInt64
+// Mean returns the mean of recorded values (0 when empty), from a float64
+// running sum.
+func (h *Histogram) Mean() float64 {
+	if h.count == 0 {
+		return 0
 	}
-	if v <= math.MinInt64 {
-		return math.MinInt64
-	}
-	return int64(v)
+	return finite(h.sum / float64(h.count))
 }
+
+// Min returns the exact minimum recorded value (0 when empty).
+func (h *Histogram) Min() int64 {
+	if h.count == 0 {
+		return 0
+	}
+	return h.min
+}
+
+// Max returns the exact maximum recorded value (0 when empty).
+func (h *Histogram) Max() int64 { return h.max }
 
 // Quantile returns an approximation of the q-quantile (q in [0,1]).
 // It returns 0 for an empty histogram. The result is clamped into
@@ -205,7 +225,7 @@ func clampToInt64(v float64) int64 {
 // bucket boundaries (a single-sample histogram's p50 would come out below
 // the sample), and no sample outside the observed range can be a quantile.
 func (h *Histogram) Quantile(q float64) int64 {
-	n := h.summary.Count()
+	n := h.count
 	if n == 0 {
 		return 0
 	}
@@ -229,7 +249,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 }
 
 // clampToObserved bounds a bucket-derived estimate by the exact observed
-// range tracked in the inner summary.
+// range.
 func (h *Histogram) clampToObserved(v int64) int64 {
 	if min := h.Min(); v < min {
 		return min

@@ -61,6 +61,21 @@ func TestHistogramExactStats(t *testing.T) {
 	}
 }
 
+// Min, Max and the quantiles they clamp are exact past 2^53, where a
+// float64 running extreme would round 2^60+1 down to 2^60.
+func TestHistogramExtremesExactPastFloatMantissa(t *testing.T) {
+	h := NewHistogram(8)
+	lo, hi := int64(1)<<60+1, int64(1)<<61+3
+	h.Observe(hi)
+	h.Observe(lo)
+	if h.Min() != lo || h.Max() != hi {
+		t.Fatalf("min=%d max=%d, want %d %d", h.Min(), h.Max(), lo, hi)
+	}
+	if q := h.Quantile(0); q != lo {
+		t.Fatalf("Quantile(0)=%d, want %d", q, lo)
+	}
+}
+
 func TestHistogramNegativeClamps(t *testing.T) {
 	h := NewHistogram(8)
 	h.Observe(-5)
@@ -246,11 +261,26 @@ func TestSetRegistry(t *testing.T) {
 	}
 }
 
+// BenchmarkHistogramObserve records latencies spread from 100 ns to 10 ms:
+// exponential draws whose means are log-uniform over that range.
 func BenchmarkHistogramObserve(b *testing.B) {
+	r := rng.New(1)
+	vals := make([]int64, 4096)
+	for i := range vals {
+		vals[i] = r.ExpDur(int64(100 * math.Pow(10, 5*r.Float64())))
+	}
 	h := NewHistogram(8)
+	i := 0
+	if allocs := testing.AllocsPerRun(1000, func() {
+		h.Observe(vals[i&(len(vals)-1)])
+		i++
+	}); allocs != 0 {
+		b.Fatalf("Observe allocates %v per call, want 0", allocs)
+	}
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Observe(int64(i % 1000000))
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		h.Observe(vals[n&(len(vals)-1)])
 	}
 }
 
