@@ -6,65 +6,43 @@ import (
 	"testing"
 )
 
-// refBucketIndex is the float formula bucketIndex used for every octave
-// before its integer path existed, kept verbatim apart from the octave
-// search: the reference the integer path must reproduce value for value.
-func refBucketIndex(h *Histogram, v int64) int {
-	if v < 1 {
-		return 0
-	}
-	exp := 63 - bits.LeadingZeros64(uint64(v))
-	base := int64(1) << uint(exp)
-	frac := int(float64(v-base) * float64(h.sub) / float64(base))
-	if frac >= h.sub {
-		frac = h.sub - 1
-	}
-	idx := 1 + exp*h.sub + frac
-	if idx >= len(h.buckets) {
-		idx = len(h.buckets) - 1
-	}
-	return idx
-}
+// floatExactBelow bounds the values for which the float sub-bucket formula
+// the histogram used before is exact: below 2^48 the octave offset times
+// sub stays under 2^53 for every sub in 1..64. 2^48 ns is 78 hours, far
+// past any run, so below it bucketIndex must file every value where the
+// float formula did.
+const floatExactBelow = int64(1) << 48
 
-// integerBelow returns a bucket index that takes the integer sub-bucket
-// path in every octave below limit and defers to bucketIndex above: the
-// production index with its threshold moved to limit.
-func integerBelow(limit int) func(*Histogram, int64) int {
-	return func(h *Histogram, v int64) int {
-		if v >= 1 {
-			exp := 63 - bits.LeadingZeros64(uint64(v))
-			if exp < limit {
-				base := int64(1) << uint(exp)
-				return 1 + exp*h.sub + int(uint64(v-base)*uint64(h.sub)>>uint(exp))
-			}
+// checkBucket fails t unless v (>= 0) lies in its bucket's bounds
+// [bucketLower(idx), bucketLower(idx+1)), the top bucket ending at 2^63,
+// and, for 1 <= v < floatExactBelow, idx is the float formula's.
+func checkBucket(t *testing.T, h *Histogram, v int64) {
+	t.Helper()
+	idx := h.bucketIndex(v)
+	lo, next := uint64(h.bucketLower(idx)), uint64(1)<<63
+	if idx+1 < len(h.buckets) {
+		next = uint64(h.bucketLower(idx + 1))
+	}
+	if uint64(v) < lo || uint64(v) >= next {
+		t.Fatalf("sub=%d v=%d: bucket %d spans [%d, %d)", h.sub, v, idx, lo, next)
+	}
+	if v >= 1 && v < floatExactBelow {
+		exp := 63 - bits.LeadingZeros64(uint64(v))
+		base := int64(1) << uint(exp)
+		if want := 1 + exp*h.sub + int(float64(v-base)*float64(h.sub)/float64(base)); idx != want {
+			t.Fatalf("sub=%d v=%d: bucketIndex=%d, float formula %d", h.sub, v, idx, want)
 		}
-		return h.bucketIndex(v)
 	}
 }
 
-// firstDivergence scans, for every sub in 1..64, every octave 0..62 and
-// every sub-bucket boundary base+ceil(base*k/sub) ±2 (k in 0..sub), plus 0
-// and MaxInt64, and returns the first octave per sub where index disagrees
-// with refBucketIndex. An empty map means no value there changes bucket.
-func firstDivergence(index func(*Histogram, int64) int) map[int]int {
-	first := map[int]int{}
+// TestBucketIndexExact checks, for every sub in 1..64, 0, MaxInt64 and
+// every sub-bucket boundary base+ceil(base*k/sub) ±2 (k in 0..sub) of
+// every octave 0..62.
+func TestBucketIndexExact(t *testing.T) {
 	for sub := 1; sub <= 64; sub++ {
 		h := NewHistogram(sub)
-		check := func(v int64) bool {
-			if index(h, v) == refBucketIndex(h, v) {
-				return true
-			}
-			exp := 0
-			if v > 0 {
-				exp = 63 - bits.LeadingZeros64(uint64(v))
-			}
-			first[sub] = exp
-			return false
-		}
-		if !check(0) || !check(math.MaxInt64) {
-			continue
-		}
-	octaves:
+		checkBucket(t, h, 0)
+		checkBucket(t, h, math.MaxInt64)
 		for exp := 0; exp < 63; exp++ {
 			base := uint64(1) << uint(exp)
 			for k := 0; k <= sub; k++ {
@@ -73,51 +51,17 @@ func firstDivergence(index func(*Histogram, int64) int) map[int]int {
 				if r != 0 {
 					q++
 				}
-				b := base + q
 				for d := uint64(0); d <= 4; d++ {
-					v := b + d - 2
-					if v < 1 || v > math.MaxInt64 {
-						continue
-					}
-					if !check(int64(v)) {
-						break octaves
+					if v := base + q + d - 2; v >= 1 && v <= math.MaxInt64 {
+						checkBucket(t, h, int64(v))
 					}
 				}
 			}
 		}
 	}
-	return first
 }
 
-// TestBucketIndexMatchesFloatFormula proves the integer sub-bucket path
-// puts every value in the bucket the float formula did, and that its
-// threshold is where it must be.
-func TestBucketIndexMatchesFloatFormula(t *testing.T) {
-	if got := firstDivergence((*Histogram).bucketIndex); len(got) != 0 {
-		t.Fatalf("bucketIndex diverges from the float formula at {sub: octave} %v", got)
-	}
-
-	// Teeth. The threshold mutant at the production bound agrees (so the
-	// mutant is built right); moving the bound up one octave breaks subs 41,
-	// 43 and 49 at octave 48, and moving it to 55 breaks sub 8, the
-	// resolution every caller uses, at octave 54.
-	if got := firstDivergence(integerBelow(histExactExp)); len(got) != 0 {
-		t.Fatalf("integer path below %d diverges at %v", histExactExp, got)
-	}
-	got49 := firstDivergence(integerBelow(49))
-	for _, sub := range []int{41, 43, 49} {
-		if exp, ok := got49[sub]; !ok || exp != 48 {
-			t.Errorf("integer path below 49: sub %d first diverges at %v, want octave 48 (all: %v)", sub, exp, got49)
-		}
-	}
-	got55 := firstDivergence(integerBelow(55))
-	if exp, ok := got55[8]; !ok || exp != 54 {
-		t.Errorf("integer path below 55: sub 8 first diverges at %v (ok=%v), want octave 54 (all: %v)", exp, ok, got55)
-	}
-}
-
-// FuzzHistogramBucketIndex checks random (v, sub) against the float
-// formula and, in the integer octaves, that v lies in its bucket's bounds.
+// FuzzHistogramBucketIndex runs checkBucket on random (v, sub).
 func FuzzHistogramBucketIndex(f *testing.F) {
 	f.Add(int64(0), uint8(7))
 	f.Add(int64(30000), uint8(7))
@@ -129,32 +73,6 @@ func FuzzHistogramBucketIndex(f *testing.F) {
 		hists[sub] = NewHistogram(sub)
 	}
 	f.Fuzz(func(t *testing.T, v int64, subRaw uint8) {
-		h := hists[int(subRaw)%64+1]
-		idx := h.bucketIndex(v)
-		if want := refBucketIndex(h, v); idx != want {
-			t.Fatalf("sub=%d v=%d: bucketIndex=%d, float formula %d", h.sub, v, idx, want)
-		}
-		if v >= 0 && v < 1<<histExactExp {
-			lo, next := h.bucketLower(idx), h.bucketLower(idx+1)
-			if lo > v || v >= next {
-				t.Fatalf("sub=%d v=%d: bucket %d spans [%d, %d)", h.sub, v, idx, lo, next)
-			}
-		}
+		checkBucket(t, hists[int(subRaw)%64+1], v&math.MaxInt64)
 	})
-}
-
-// Every v below 2^14 lies in its bucket's bounds, for every sub: a
-// bucket's lower bound is its smallest member. The floor of the fractional
-// boundary was not: with sub 3 it made 1365, a member of the bucket below,
-// the lower bound of the bucket above.
-func TestHistogramBucketBoundsExhaustive(t *testing.T) {
-	for sub := 1; sub <= 64; sub++ {
-		h := NewHistogram(sub)
-		for v := int64(0); v < 1<<14; v++ {
-			idx := h.bucketIndex(v)
-			if lo, next := h.bucketLower(idx), h.bucketLower(idx+1); lo > v || v >= next {
-				t.Fatalf("sub=%d v=%d: bucket %d spans [%d, %d)", sub, v, idx, lo, next)
-			}
-		}
-	}
 }

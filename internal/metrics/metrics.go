@@ -93,15 +93,10 @@ func finite(v float64) float64 {
 // divisions per power of two, up to 2^63. With subBuckets=8 the relative
 // quantile error is bounded by ~12.5%, which is ample for the latency-shape
 // comparisons in the paper.
-//
-// Beside the buckets it keeps the count, the float64 running sum behind
-// Mean, and the exact int64 extremes.
 type Histogram struct {
-	sub      int
-	buckets  []uint64
-	count    uint64
-	sum      float64
-	min, max int64
+	sub     int
+	buckets []uint64
+	summary Summary
 }
 
 const histMaxExp = 63
@@ -118,49 +113,29 @@ func NewHistogram(subBuckets int) *Histogram {
 	return &Histogram{
 		sub:     subBuckets,
 		buckets: make([]uint64, 1+histMaxExp*subBuckets),
-		min:     math.MaxInt64, // so the first sample sets both extremes
 	}
 }
 
-// histExactExp is the first octave whose sub-bucket bucketIndex computes in
-// float64. Below it the octave offset v-base is under 2^47, so
-// (v-base)*sub is under 2^53 for every sub in [1, 64]: the product fits a
-// float64 mantissa exactly, the division by the power of two base is exact,
-// and truncating the quotient equals the integer shift. From this octave up
-// the float64 conversion or product can round, and to keep every value in
-// the bucket it has always had, those octaves keep the float formula. The
-// first octaves where a rounded float result differs from the exact shift
-// are 48 (subs 41, 43 and 49) and 54 (sub 8, the resolution every caller
-// uses), so the bound is the lowest that is exact for every sub.
-const histExactExp = 48
-
-// bucketIndex maps v to its bucket in O(1): the octave is the position of
-// v's top bit, and the sub-bucket is floor((v-base)*sub/base), computed as
-// an integer shift in octaves below histExactExp and with the historical
-// float formula above (see histExactExp).
+// bucketIndex maps v to its bucket in O(1): the octave exp is the position
+// of v's top bit, and the sub-bucket is floor((v-2^exp)*sub / 2^exp), exact
+// in every octave. The product needs up to 68 bits in the top octaves, so
+// it is formed in 128 bits and shifted down. The sub-bucket is below sub
+// and exp is at most 62, so the index is below 1+63*sub, the bucket count.
 func (h *Histogram) bucketIndex(v int64) int {
 	if v < 1 {
 		return 0
 	}
-	exp := 63 - bits.LeadingZeros64(uint64(v)) // floor(log2 v), 0..62
-	base := int64(1) << uint(exp)
-	if exp < histExactExp {
-		// frac < sub and exp < 48, so idx < 1+48*sub: always in range.
-		return 1 + exp*h.sub + int(uint64(v-base)*uint64(h.sub)>>uint(exp))
-	}
-	// Rounding can carry the float quotient up to sub at the top of an
-	// octave; clamp it to the octave's last sub-bucket. exp <= 62, so the
-	// index stays below 1+63*sub, the bucket count.
-	frac := int(float64(v-base) * float64(h.sub) / float64(base))
-	if frac >= h.sub {
-		frac = h.sub - 1
-	}
-	return 1 + exp*h.sub + frac
+	exp := uint(63 - bits.LeadingZeros64(uint64(v))) // floor(log2 v), 0..62
+	hi, lo := bits.Mul64(uint64(v)-1<<exp, uint64(h.sub))
+	// The shift counts are masked to 6 bits so they compile to bare shifts.
+	// Only exp 0 changes (64 becomes 0), where the product is 0 anyway.
+	frac := hi<<((64-exp)&63) | lo>>(exp&63)
+	return 1 + int(exp)*h.sub + int(frac)
 }
 
-// bucketLower returns the inclusive lower bound of bucket idx: in the
-// octaves below histExactExp, the smallest v with bucketIndex(v) == idx
-// (or, for an empty sub-bucket of a small octave, the next bucket's).
+// bucketLower returns the inclusive lower bound of bucket idx: the smallest
+// v with bucketIndex(v) == idx (or, for an empty sub-bucket of a small
+// octave, the next bucket's).
 func (h *Histogram) bucketLower(idx int) int64 {
 	if idx == 0 {
 		return 0
@@ -186,38 +161,33 @@ func (h *Histogram) Observe(v int64) {
 		v = 0
 	}
 	h.buckets[h.bucketIndex(v)]++
-	if v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
-	h.count++
-	h.sum += float64(v)
+	h.summary.Observe(float64(v))
 }
 
 // Count returns the number of recorded values.
-func (h *Histogram) Count() uint64 { return h.count }
+func (h *Histogram) Count() uint64 { return h.summary.Count() }
 
-// Mean returns the mean of recorded values (0 when empty), from a float64
-// running sum.
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
+// Mean returns the exact mean of recorded values.
+func (h *Histogram) Mean() float64 { return h.summary.Mean() }
+
+// Min returns the exact minimum recorded value.
+func (h *Histogram) Min() int64 { return clampToInt64(h.summary.Min()) }
+
+// Max returns the exact maximum recorded value.
+func (h *Histogram) Max() int64 { return clampToInt64(h.summary.Max()) }
+
+// clampToInt64 converts a float64 tracked by the inner Summary back to
+// int64. float64(MaxInt64) rounds up to 2^63, which over-converts and wraps
+// negative; saturate instead.
+func clampToInt64(v float64) int64 {
+	if v >= math.MaxInt64 {
+		return math.MaxInt64
 	}
-	return finite(h.sum / float64(h.count))
-}
-
-// Min returns the exact minimum recorded value (0 when empty).
-func (h *Histogram) Min() int64 {
-	if h.count == 0 {
-		return 0
+	if v <= math.MinInt64 {
+		return math.MinInt64
 	}
-	return h.min
+	return int64(v)
 }
-
-// Max returns the exact maximum recorded value (0 when empty).
-func (h *Histogram) Max() int64 { return h.max }
 
 // Quantile returns an approximation of the q-quantile (q in [0,1]).
 // It returns 0 for an empty histogram. The result is clamped into
@@ -225,7 +195,7 @@ func (h *Histogram) Max() int64 { return h.max }
 // bucket boundaries (a single-sample histogram's p50 would come out below
 // the sample), and no sample outside the observed range can be a quantile.
 func (h *Histogram) Quantile(q float64) int64 {
-	n := h.count
+	n := h.summary.Count()
 	if n == 0 {
 		return 0
 	}
@@ -249,7 +219,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 }
 
 // clampToObserved bounds a bucket-derived estimate by the exact observed
-// range.
+// range tracked in the inner summary.
 func (h *Histogram) clampToObserved(v int64) int64 {
 	if min := h.Min(); v < min {
 		return min

@@ -61,21 +61,6 @@ func TestHistogramExactStats(t *testing.T) {
 	}
 }
 
-// Min, Max and the quantiles they clamp are exact past 2^53, where a
-// float64 running extreme would round 2^60+1 down to 2^60.
-func TestHistogramExtremesExactPastFloatMantissa(t *testing.T) {
-	h := NewHistogram(8)
-	lo, hi := int64(1)<<60+1, int64(1)<<61+3
-	h.Observe(hi)
-	h.Observe(lo)
-	if h.Min() != lo || h.Max() != hi {
-		t.Fatalf("min=%d max=%d, want %d %d", h.Min(), h.Max(), lo, hi)
-	}
-	if q := h.Quantile(0); q != lo {
-		t.Fatalf("Quantile(0)=%d, want %d", q, lo)
-	}
-}
-
 func TestHistogramNegativeClamps(t *testing.T) {
 	h := NewHistogram(8)
 	h.Observe(-5)

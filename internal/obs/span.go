@@ -151,11 +151,10 @@ func (o *Observer) End(ref SpanRef, now simtime.Time) {
 	o.hists[k].Observe(int64(now - s.start))
 	s.stages[spanFinalStage[k]] += now - s.mark
 	o.spanTotal[k] += int64(now - s.start)
-	totals := &o.stageTotal[k]
-	for i, h := range o.stageHists[k] {
+	for i := 0; i < len(spanStageNames[k]); i++ {
 		if d := s.stages[i]; d != 0 {
-			totals[i] += int64(d)
-			h.Observe(int64(d))
+			o.stageTotal[k][i] += int64(d)
+			o.stageHists[k][i].Observe(int64(d))
 		}
 	}
 	s.live = false
