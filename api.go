@@ -280,191 +280,27 @@ func (s Scenario) Validate() error {
 	return nil
 }
 
-// VMStats is one VM's outcome.
-type VMStats struct {
-	Name string
-	App  string
-	// WorkUnits counts completed application iterations (messages,
-	// flush cycles, compute bursts, ...). Ratios of WorkUnits between
-	// runs of equal Seconds give normalized execution time / throughput.
-	WorkUnits uint64
-	// Yields decomposed by source.
-	YieldsIPI, YieldsSpinlock, YieldsHalt, YieldsOther uint64
-	// CPUSeconds of virtual execution time across the VM's vCPUs.
-	CPUSeconds float64
-	// TLBSyncAvgUs / TLBSyncMaxUs summarize TLB-shootdown latency.
-	TLBSyncAvgUs, TLBSyncMaxUs float64
-	// LockWaitAvgUs is the mean contended spinlock wait per Lockstat
-	// class.
-	LockWaitAvgUs map[string]float64
-	// Requests is the serving read-out (nil unless the VM had a Serve
-	// config).
-	Requests *RequestStats
-}
-
-// RequestStats is the end-to-end outcome of a VM's request-serving
-// workload. The ledger is exact and conserved: Offered == Dropped +
-// Completed + InFlight.
-type RequestStats struct {
-	// Offered counts arrivals fired at their intended instants; Dropped
-	// those tail-dropped at the full NIC ring (SLO violations); Completed
-	// those whose reply was transmitted; Late the completed ones that
-	// missed the SLO; InFlight those still in the pipeline at run end.
-	Offered, Dropped, Completed, Late, InFlight uint64
-	// SLOMs is the objective the run was judged against.
-	SLOMs float64
-	// Latency quantiles (ms) of completed requests, measured from the
-	// intended arrival (coordinated-omission-free).
-	P50Ms, P99Ms, P999Ms, MaxMs float64
-	// OfferedRPS and GoodputRPS are offered load and completed-within-SLO
-	// throughput over the run.
-	OfferedRPS, GoodputRPS float64
-}
-
-// SLOAttainment is the fraction of offered requests served within the
-// SLO (1 when nothing was offered).
-func (r *RequestStats) SLOAttainment() float64 {
-	if r.Offered == 0 {
-		return 1
-	}
-	return 1 - float64(r.Dropped+r.Late)/float64(r.Offered)
-}
-
-// TotalYields sums the yield sources.
-func (s *VMStats) TotalYields() uint64 {
-	return s.YieldsIPI + s.YieldsSpinlock + s.YieldsHalt + s.YieldsOther
-}
-
-// Results is the outcome of Simulate.
-type Results struct {
-	VMs []VMStats
-	// MicroCoresAvg is the time-weighted mean size of the micro pool.
-	MicroCoresAvg float64
-	// HypervisorCounters exposes raw scheduler counters (dispatches,
-	// migrations, boosts, ...).
-	HypervisorCounters map[string]uint64
-	// DetectorCounters exposes the micro-sliced controller's counters.
-	DetectorCounters map[string]uint64
-	// CriticalSymbolHits histograms the critical kernel symbols observed
-	// at preempted vCPUs' instruction pointers.
-	CriticalSymbolHits map[string]uint64
-	// InvariantViolations lists what the scheduler auditor found (empty
-	// unless Scenario.Audit or fault injection was enabled; always empty
-	// on a healthy scheduler).
-	InvariantViolations []string
-	// FaultErrors lists injected faults the hypervisor refused to apply.
-	FaultErrors []string
-	// Repairs lists the supervisor's retained detections and repairs in
-	// order (empty unless Scenario.Recovery was set), and RepairCount the
-	// exact total including any that aged out of the retained ring.
-	Repairs     []string
-	RepairCount uint64
-	// MTTRSeconds is the quiesce→last-repair convergence time (0 without a
-	// supervisor, a fault quiesce point, or any post-quiesce repairs).
-	MTTRSeconds float64
-	// LostIPIs counts interrupts still in the lost-IPI ledger at run end; a
-	// converged recovery run drains it to zero.
-	LostIPIs int
-	// Telemetry is the observability read-out (nil unless
-	// Scenario.Telemetry was set).
-	Telemetry *Telemetry
-}
-
-// SpanStats summarizes one latency span kind's distribution and names its
-// dominant stage (the struct stays comparable: stage detail lives in
-// Telemetry.Stages).
-type SpanStats struct {
-	Count  uint64  `json:"count"`
-	P50us  float64 `json:"p50_us"`
-	P99us  float64 `json:"p99_us"`
-	P999us float64 `json:"p999_us"`
-	MaxUs  float64 `json:"max_us"`
-	// Blame names the stage that consumed the largest share of the kind's
-	// total closed-span time, and BlamePct that share in percent.
-	Blame    string  `json:"blame,omitempty"`
-	BlamePct float64 `json:"blame_pct,omitempty"`
-}
-
-// StageStats summarizes one stage of a span kind: its share of the kind's
-// total time (a kind's shares sum to exactly 100.0) and the distribution of
-// its per-span accumulation.
-type StageStats struct {
-	Count    uint64  `json:"count"`
-	SharePct float64 `json:"share_pct"`
-	TotalMs  float64 `json:"total_ms"`
-	P50us    float64 `json:"p50_us"`
-	P99us    float64 `json:"p99_us"`
-	P999us   float64 `json:"p999_us"`
-	MaxUs    float64 `json:"max_us"`
-}
-
-// Telemetry is a scenario's observability read-out.
-type Telemetry struct {
-	// Spans maps span kind — "wake_dispatch", "ipi_deliver",
-	// "lock_acquire", "disk_io", "net_rx" — to its latency distribution.
-	// Kinds never observed are absent.
-	Spans map[string]SpanStats `json:"spans"`
-	// Stages decomposes each recorded span kind causally: Stages[kind] maps
-	// stage name (e.g. "runq_wait", "preempt_wait") to its latency budget.
-	// Σ stage durations == span duration exactly for every closed span.
-	Stages map[string]map[string]StageStats `json:"stages,omitempty"`
-	// OpenSpans attributes spans still open at run end to their kinds
-	// (kinds with none open are absent) — a persistent entry here means a
-	// span leak on that path.
-	OpenSpans map[string]int `json:"open_spans,omitempty"`
-	// BusiestPCPU is the pCPU with the most execution time, and
-	// BusiestPCPUSeconds that time.
-	BusiestPCPU        int     `json:"busiest_pcpu"`
-	BusiestPCPUSeconds float64 `json:"busiest_pcpu_seconds"`
-	// Dispatches and Steals count scheduler dispatches host-wide and how
-	// many of them ran a vCPU stolen from another pCPU's runqueue.
-	Dispatches uint64 `json:"dispatches"`
-	Steals     uint64 `json:"steals"`
-	// FlightDumps counts flight-recorder triggers during the run.
-	FlightDumps int `json:"flight_dumps"`
-	// Decisions is the adaptive controller's retained decision audit trail
-	// (oldest first; a bounded ring) and DecisionCount its exact total
-	// including entries that aged out of the ring. Empty unless the
-	// scenario ran the dynamic controller.
-	Decisions     []ControllerDecision `json:"decisions,omitempty"`
-	DecisionCount uint64               `json:"decision_count,omitempty"`
-}
-
-// ControllerDecision is one Algorithm 1 sizing decision from the adaptive
-// controller's audit trail.
-type ControllerDecision struct {
-	TimeMs float64 `json:"t_ms"`
-	Epoch  uint64  `json:"epoch"`
-	// Reason is the decision path taken: "idle", "single", "ipi-search",
-	// "best-pick", "stability-skip" or "capacity-clamp".
-	Reason string `json:"reason"`
-	// MicroCores is the achieved pool size; Ceiling the live capacity
-	// bound the decision ran under (smaller than the configured maximum
-	// after pCPU hot-unplug).
-	MicroCores int `json:"micro_cores"`
-	Ceiling    int `json:"ceiling"`
-	// IPIs/PLEs/IRQs are the urgent-event counts of the classified sample.
-	IPIs uint64 `json:"ipis"`
-	PLEs uint64 `json:"ples"`
-	IRQs uint64 `json:"irqs"`
-}
-
-// Span returns the stats of one span kind (zero value if never observed).
-func (t *Telemetry) Span(kind string) SpanStats { return t.Spans[kind] }
-
-// Stage returns the stats of one (kind, stage) cell (zero value if never
-// observed).
-func (t *Telemetry) Stage(kind, stage string) StageStats { return t.Stages[kind][stage] }
-
-// VM returns the stats of the named VM (nil if absent).
-func (r *Results) VM(name string) *VMStats {
-	for i := range r.VMs {
-		if r.VMs[i].Name == name {
-			return &r.VMs[i]
-		}
-	}
-	return nil
-}
+// The result types are the harness's own read-out of a run
+// (experiment.Result.View); their fields are documented there.
+type (
+	// Results is the outcome of Simulate.
+	Results = experiment.Results
+	// VMStats is one VM's outcome.
+	VMStats = experiment.VMStats
+	// RequestStats is the end-to-end outcome of a VM's request-serving
+	// workload.
+	RequestStats = experiment.ServeStats
+	// Telemetry is a scenario's observability read-out.
+	Telemetry = experiment.Telemetry
+	// SpanStats summarizes one latency span kind's distribution and names
+	// its dominant stage.
+	SpanStats = experiment.SpanStats
+	// StageStats summarizes one stage of a span kind.
+	StageStats = experiment.StageStats
+	// ControllerDecision is one Algorithm 1 sizing decision from the
+	// adaptive controller's audit trail.
+	ControllerDecision = experiment.ControllerDecision
+)
 
 // Workloads lists the available applications (the paper's suite).
 func Workloads() []string { return workload.Catalog() }
@@ -520,135 +356,7 @@ func Simulate(s Scenario) (*Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Results{
-		MicroCoresAvg:      res.MicroAvg,
-		HypervisorCounters: res.HV,
-		DetectorCounters:   res.Core,
-		CriticalSymbolHits: res.SymbolHits,
-		FaultErrors:        res.FaultErrs,
-		RepairCount:        res.RepairCount,
-		MTTRSeconds:        res.MTTR.Seconds(),
-		LostIPIs:           res.LostIPIs,
-	}
-	for i := range res.Violations {
-		out.InvariantViolations = append(out.InvariantViolations, res.Violations[i].Error())
-	}
-	for _, e := range res.Repairs {
-		out.Repairs = append(out.Repairs, e.String())
-	}
-	if res.Telemetry != nil {
-		out.Telemetry = publicTelemetry(res)
-	}
-	for _, vm := range res.VMs {
-		st := VMStats{
-			Name:           vm.Name,
-			App:            vm.App,
-			WorkUnits:      vm.Units,
-			YieldsIPI:      vm.Yields.IPI,
-			YieldsSpinlock: vm.Yields.PLE,
-			YieldsHalt:     vm.Yields.Halt,
-			YieldsOther:    vm.Yields.Other,
-			CPUSeconds:     vm.RanTotal.Seconds(),
-			LockWaitAvgUs:  map[string]float64{},
-		}
-		if vm.TLB.Count() > 0 {
-			st.TLBSyncAvgUs = vm.TLB.Mean() / 1000
-			st.TLBSyncMaxUs = float64(vm.TLB.Max()) / 1000
-		}
-		for class, h := range vm.LockStat {
-			if h.Count() > 0 {
-				st.LockWaitAvgUs[class] = h.Mean() / 1000
-			}
-		}
-		if rq := vm.Requests; rq != nil {
-			st.Requests = &RequestStats{
-				Offered:    rq.Offered,
-				Dropped:    rq.Dropped,
-				Completed:  rq.Completed,
-				Late:       rq.Late,
-				InFlight:   rq.InFlight,
-				SLOMs:      float64(rq.SLO) / 1e6,
-				P50Ms:      float64(rq.P50) / 1e6,
-				P99Ms:      float64(rq.P99) / 1e6,
-				P999Ms:     float64(rq.P999) / 1e6,
-				MaxMs:      float64(rq.Max) / 1e6,
-				OfferedRPS: rq.OfferedRPS,
-				GoodputRPS: rq.GoodputRPS,
-			}
-		}
-		out.VMs = append(out.VMs, st)
-	}
-	return out, nil
-}
-
-// publicTelemetry converts the run's observability summary and decision
-// trail to the exported shape (nanoseconds become microseconds, residency
-// collapses to headline figures).
-func publicTelemetry(res *experiment.Result) *Telemetry {
-	sum := res.Telemetry
-	t := &Telemetry{
-		Spans:       make(map[string]SpanStats, len(sum.Spans)),
-		FlightDumps: len(sum.Flights),
-	}
-	for _, sp := range sum.Spans {
-		if sp.Open > 0 {
-			if t.OpenSpans == nil {
-				t.OpenSpans = make(map[string]int)
-			}
-			t.OpenSpans[sp.Kind] = sp.Open
-		}
-		if sp.Count == 0 {
-			continue
-		}
-		t.Spans[sp.Kind] = SpanStats{
-			Count:    sp.Count,
-			P50us:    float64(sp.P50) / 1000,
-			P99us:    float64(sp.P99) / 1000,
-			P999us:   float64(sp.P999) / 1000,
-			MaxUs:    float64(sp.Max) / 1000,
-			Blame:    sp.Blame,
-			BlamePct: sp.BlamePct,
-		}
-		if len(sp.Stages) > 0 {
-			if t.Stages == nil {
-				t.Stages = make(map[string]map[string]StageStats)
-			}
-			cells := make(map[string]StageStats, len(sp.Stages))
-			for _, st := range sp.Stages {
-				cells[st.Name] = StageStats{
-					Count:    st.Count,
-					SharePct: st.Share,
-					TotalMs:  float64(st.Total) / 1e6,
-					P50us:    float64(st.P50) / 1000,
-					P99us:    float64(st.P99) / 1000,
-					P999us:   float64(st.P999) / 1000,
-					MaxUs:    float64(st.Max) / 1000,
-				}
-			}
-			t.Stages[sp.Kind] = cells
-		}
-	}
-	id, busy := sum.BusiestPCPU()
-	t.BusiestPCPU = id
-	t.BusiestPCPUSeconds = busy.Seconds()
-	for _, p := range sum.PCPUs {
-		t.Dispatches += p.Dispatches
-		t.Steals += p.Steals
-	}
-	for _, d := range res.Decisions {
-		t.Decisions = append(t.Decisions, ControllerDecision{
-			TimeMs:     float64(d.Time) / 1e6,
-			Epoch:      d.Epoch,
-			Reason:     d.Reason.String(),
-			MicroCores: d.Chosen,
-			Ceiling:    d.Ceiling,
-			IPIs:       d.IPIs,
-			PLEs:       d.PLEs,
-			IRQs:       d.IRQs,
-		})
-	}
-	t.DecisionCount = res.DecisionCount
-	return t
+	return res.View(), nil
 }
 
 // IPerfResult is the outcome of an iPerf scenario.

@@ -449,15 +449,9 @@ func runBaseline(path string, tol float64) (regressed bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	if res.Telemetry == nil {
+	tel := res.View().Telemetry
+	if tel == nil {
 		return false, fmt.Errorf("demo run produced no telemetry")
-	}
-	cur := map[string]*obs.SpanStat{}
-	for i := range res.Telemetry.Spans {
-		sp := &res.Telemetry.Spans[i]
-		if sp.Count > 0 {
-			cur[sp.Kind] = sp
-		}
 	}
 
 	var fails []string
@@ -479,21 +473,17 @@ func runBaseline(path string, tol float64) (regressed bool, err error) {
 	sort.Strings(kinds)
 	for _, kind := range kinds {
 		base := doc.DemoSpans.Spans[kind]
-		sp := cur[kind]
-		if sp == nil {
+		sp := tel.Span(kind)
+		if sp.Count == 0 {
 			fails = append(fails, fmt.Sprintf("%s: recorded in baseline (n=%d) but absent now", kind, base.Count))
 			fmt.Printf("  %-44s ABSENT (baseline n=%d)  <-- REGRESSION\n", kind, base.Count)
 			continue
 		}
-		gate(kind+" p50", base.P50us, float64(sp.P50)/1e3)
-		gate(kind+" p99", base.P99us, float64(sp.P99)/1e3)
-		gate(kind+" p999", base.P999us, float64(sp.P999)/1e3)
+		gate(kind+" p50", base.P50us, sp.P50us)
+		gate(kind+" p99", base.P99us, sp.P99us)
+		gate(kind+" p999", base.P999us, sp.P999us)
 		if base.Dominant != "" && sp.Blame != base.Dominant {
 			fmt.Printf("  %-44s dominant stage %s -> %s (informational)\n", kind, base.Dominant, sp.Blame)
-		}
-		curStage := map[string]obs.StageStat{}
-		for _, st := range sp.Stages {
-			curStage[st.Name] = st
 		}
 		stages := make([]string, 0, len(base.Stages))
 		for s := range base.Stages {
@@ -502,16 +492,16 @@ func runBaseline(path string, tol float64) (regressed bool, err error) {
 		sort.Strings(stages)
 		for _, name := range stages {
 			bs := base.Stages[name]
-			cs := curStage[name]
-			gate(kind+"/"+name+" p99", bs.P99us, float64(cs.P99)/1e3)
-			drift := math.Abs(cs.Share - bs.SharePct)
+			cs := tel.Stage(kind, name)
+			gate(kind+"/"+name+" p99", bs.P99us, cs.P99us)
+			drift := math.Abs(cs.SharePct - bs.SharePct)
 			mark := ""
 			if drift > tol*100 {
 				mark = "  <-- REGRESSION"
 				fails = append(fails, fmt.Sprintf("%s/%s share drifted %.1f points (%.1f%% -> %.1f%%)",
-					kind, name, drift, bs.SharePct, cs.Share))
+					kind, name, drift, bs.SharePct, cs.SharePct))
 			}
-			fmt.Printf("  %-44s %9.1f%% -> %9.1f%% share%s\n", kind+"/"+name, bs.SharePct, cs.Share, mark)
+			fmt.Printf("  %-44s %9.1f%% -> %9.1f%% share%s\n", kind+"/"+name, bs.SharePct, cs.SharePct, mark)
 		}
 	}
 	if len(fails) > 0 {

@@ -3,7 +3,6 @@ package experiment
 import (
 	"github.com/microslicedcore/microsliced/internal/obs"
 	"github.com/microslicedcore/microsliced/internal/report"
-	"github.com/microslicedcore/microsliced/internal/simtime"
 )
 
 // BlameFromSummary converts one run's telemetry read-out into the causal
@@ -44,6 +43,3 @@ func BlameFromSummary(scenario string, sum *obs.Summary) *report.Blame {
 	}
 	return b
 }
-
-func us(d simtime.Duration) float64 { return float64(d) / 1e3 }
-func ms(d simtime.Duration) float64 { return float64(d) / 1e6 }
