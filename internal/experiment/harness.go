@@ -550,10 +550,7 @@ func buildServe(clock *simtime.Clock, h *hv.Hypervisor, k *guest.Kernel, app *wo
 	if err != nil {
 		return serveRig{}, err
 	}
-	pool, err := workload.RequestServer(app, flow, workload.DefaultServeProfile(), sv.Seed+1)
-	if err != nil {
-		return serveRig{}, err
-	}
+	pool := workload.RequestServer(app, flow, sv.Seed+1)
 	return serveRig{nic: nic, flow: flow, pool: pool, kernel: k}, nil
 }
 

@@ -29,10 +29,7 @@ func serveWorld(t *testing.T, rate int, ringCap int) (*simtime.Clock, *hv.Hyperv
 		t.Fatal(err)
 	}
 	app := workload.Empty("serve", k)
-	pool, err := workload.RequestServer(app, flow, workload.DefaultServeProfile(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := workload.RequestServer(app, flow, 8)
 	h.Start()
 	k.StartAll()
 	return clock, h, o, flow, pool

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"strconv"
 
 	"github.com/microslicedcore/microsliced/internal/guest"
@@ -18,46 +17,19 @@ type RequestSink interface {
 	Complete(p guest.Packet, now simtime.Time)
 }
 
-// ServeProfile is the per-request work a server thread performs between
-// consuming a request and transmitting its reply — the knobs of the
-// RPC-style serving workload.
-type ServeProfile struct {
-	ServiceMean simtime.Duration // mean user-level service time (exponential)
-	LockProb    float64          // probability the request takes the shared dcache lock
-	LockHold    simtime.Duration // mean critical-section hold
-	SyscallProb float64          // probability of an extra kernel read leg
-	SyscallCost simtime.Duration // mean syscall cost
-	ReplyBytes  int32            // reply payload handed to Transmit
-	ReplyCost   simtime.Duration // kernel transmit-path cost
-}
-
-// DefaultServeProfile is a short-request RPC profile: tens of microseconds
-// of work per request, occasionally contending a kernel lock — small
-// enough that micro-slices cover whole requests.
-func DefaultServeProfile() ServeProfile {
-	return ServeProfile{
-		ServiceMean: 20 * us,
-		LockProb:    0.2,
-		LockHold:    2 * us,
-		SyscallProb: 0.3,
-		SyscallCost: 2 * us,
-		ReplyBytes:  512,
-		ReplyCost:   2 * us,
-	}
-}
-
-func (p ServeProfile) validate() error {
-	if p.ServiceMean <= 0 {
-		return fmt.Errorf("workload: serve profile: service mean %v must be positive", p.ServiceMean)
-	}
-	if p.LockProb < 0 || p.LockProb > 1 || p.SyscallProb < 0 || p.SyscallProb > 1 {
-		return fmt.Errorf("workload: serve profile: probabilities must be in [0,1]")
-	}
-	if p.ReplyBytes <= 0 {
-		return fmt.Errorf("workload: serve profile: reply size %d must be positive", p.ReplyBytes)
-	}
-	return nil
-}
+// The per-request work a server thread performs between consuming a
+// request and transmitting its reply: a short-request RPC profile, tens of
+// microseconds of work per request, occasionally contending a kernel lock
+// — small enough that micro-slices cover whole requests.
+const (
+	serveMean        = 20 * us // mean user-level service time (exponential)
+	serveLockProb    = 0.2     // probability the request takes the shared dcache lock
+	serveLockHold    = 2 * us  // mean critical-section hold
+	serveSyscallProb = 0.3     // probability of an extra kernel read leg
+	serveSyscallCost = 2 * us  // mean syscall cost
+	serveReplyBytes  = 512     // reply payload handed to Transmit
+	serveReplyCost   = 2 * us  // kernel transmit-path cost
+)
 
 // ServerPool is a deployed request-serving pool: one server thread per
 // vCPU, each receiving from its own socket (flow ID == vCPU index,
@@ -80,19 +52,13 @@ func (sp *ServerPool) InService() int {
 }
 
 // RequestServer deploys the serving pool into a's kernel: a socket and a
-// server thread per vCPU. Each request runs the profile's service ops and
-// replies with an OpSend whose completion reports to sink at the exact
-// transmit instant. Each completed request counts one work unit.
-func RequestServer(a *App, sink RequestSink, prof ServeProfile, seed uint64) (*ServerPool, error) {
-	if err := prof.validate(); err != nil {
-		return nil, err
-	}
+// server thread per vCPU. Each request runs the service ops and replies
+// with an OpSend whose completion reports to sink at the exact transmit
+// instant. Each completed request counts one work unit.
+func RequestServer(a *App, sink RequestSink, seed uint64) *ServerPool {
 	k := a.Kernel
 	r := rng.New(seed)
-	var lock *guest.SpinLock
-	if prof.LockProb > 0 {
-		lock = k.Lock("svc-dcache", "Dentry", "__d_lookup")
-	}
+	lock := k.Lock("svc-dcache", "Dentry", "__d_lookup")
 	sp := &ServerPool{
 		Sockets: make([]*guest.Socket, len(k.VCPUs)),
 		progs:   make([]*serveProg, len(k.VCPUs)),
@@ -104,7 +70,6 @@ func RequestServer(a *App, sink RequestSink, prof ServeProfile, seed uint64) (*S
 			sink: sink,
 			sock: sock,
 			r:    r.Fork(uint64(i)),
-			prof: prof,
 			lock: lock,
 			rip:  k.Sym.InnerAddr("vfs_read"),
 		}
@@ -114,7 +79,7 @@ func RequestServer(a *App, sink RequestSink, prof ServeProfile, seed uint64) (*S
 		sp.Sockets[i] = sock
 		sp.progs[i] = p
 	}
-	return sp, nil
+	return sp
 }
 
 // serveProg is one server thread's program: recv → service ops → reply.
@@ -123,7 +88,6 @@ type serveProg struct {
 	sink RequestSink
 	sock *guest.Socket
 	r    *rng.Source
-	prof ServeProfile
 	lock *guest.SpinLock
 	rip  uint64 // the syscall leg's RIP (inside vfs_read), resolved once
 
@@ -142,15 +106,15 @@ func (p *serveProg) consume(pkt guest.Packet, now simtime.Time) {
 	p.buildService()
 }
 
-// buildService draws the current request's service ops from the profile.
+// buildService draws the current request's service ops.
 func (p *serveProg) buildService() {
 	q := p.q[:0]
-	q = append(q, guest.Op{Kind: guest.OpCompute, Dur: exp(p.r, p.prof.ServiceMean)})
-	if p.lock != nil && p.r.Bool(p.prof.LockProb) {
-		q = append(q, guest.Op{Kind: guest.OpLock, Lock: p.lock, Dur: exp(p.r, p.prof.LockHold)})
+	q = append(q, guest.Op{Kind: guest.OpCompute, Dur: exp(p.r, serveMean)})
+	if p.r.Bool(serveLockProb) {
+		q = append(q, guest.Op{Kind: guest.OpLock, Lock: p.lock, Dur: exp(p.r, serveLockHold)})
 	}
-	if p.prof.SyscallProb > 0 && p.r.Bool(p.prof.SyscallProb) {
-		q = append(q, guest.Op{Kind: guest.OpKernel, RIP: p.rip, Dur: exp(p.r, p.prof.SyscallCost)})
+	if p.r.Bool(serveSyscallProb) {
+		q = append(q, guest.Op{Kind: guest.OpKernel, RIP: p.rip, Dur: exp(p.r, serveSyscallCost)})
 	}
 	p.q, p.qi = q, 0
 }
@@ -168,7 +132,7 @@ func (p *serveProg) Next(now simtime.Time) guest.Op {
 		return op
 	}
 	p.sink.MarkService(p.cur, now)
-	return guest.Op{Kind: guest.OpSend, Bytes: p.prof.ReplyBytes, Dur: p.prof.ReplyCost, Done: p.doneFn}
+	return guest.Op{Kind: guest.OpSend, Bytes: serveReplyBytes, Dur: serveReplyCost, Done: p.doneFn}
 }
 
 // replyDone fires at the reply OpSend's completion — the transmit instant.
