@@ -160,11 +160,6 @@ func (e *ScenarioError) Error() string {
 	return fmt.Sprintf("microsliced: invalid scenario: %s: %s", e.Field, e.Reason)
 }
 
-// rivalNames are the accepted Scenario.Rival values.
-var rivalNames = map[string]bool{
-	"fixed-usliced": true, "vturbo": true, "vtrs": true, "cosched": true,
-}
-
 // Validate checks the scenario without running it, returning a
 // *ScenarioError describing the first problem found (nil if valid).
 func (s Scenario) Validate() error {
@@ -248,8 +243,8 @@ func (s Scenario) Validate() error {
 		}
 	}
 	if s.Rival != "" {
-		if !rivalNames[s.Rival] {
-			return &ScenarioError{Field: "Rival", Reason: fmt.Sprintf("unknown rival %q", s.Rival)}
+		if _, err := experiment.ParseRival(s.Rival); err != nil {
+			return &ScenarioError{Field: "Rival", Reason: err.Error()}
 		}
 		if s.Mode != Off && s.Mode != "" {
 			return &ScenarioError{
@@ -386,12 +381,33 @@ func SimulateIPerf(proto string, mixed bool, mode Mode, staticCores int, seconds
 	return &IPerfResult{Mbps: m.Mbps, JitterMs: m.JitterMs, Loss: m.Loss}, nil
 }
 
+// experiments are the reproducible artefacts of the paper's evaluation, in
+// the order Experiments lists them, each with the run that renders it.
+var experiments = []struct {
+	name string
+	run  func(simtime.Duration) (renderer, error)
+}{
+	{"table1", func(d simtime.Duration) (renderer, error) { return experiment.Table1(d) }},
+	{"table2", func(d simtime.Duration) (renderer, error) { return experiment.Table2(d) }},
+	{"table3", func(d simtime.Duration) (renderer, error) { return experiment.Table3(d) }},
+	{"table4a", func(d simtime.Duration) (renderer, error) { return experiment.Table4a(d) }},
+	{"table4b", func(d simtime.Duration) (renderer, error) { return experiment.Table4b(d) }},
+	{"table4c", func(d simtime.Duration) (renderer, error) { return experiment.Table4c(d) }},
+	{"fig4", func(d simtime.Duration) (renderer, error) { return experiment.Figure4(d) }},
+	{"fig5", func(d simtime.Duration) (renderer, error) { return experiment.Figure5(d) }},
+	{"fig6", func(d simtime.Duration) (renderer, error) { return experiment.Figure6(d, nil) }},
+	{"fig7", func(d simtime.Duration) (renderer, error) { return experiment.Figure7(d, nil) }},
+	{"fig8", func(d simtime.Duration) (renderer, error) { return experiment.Figure8(d) }},
+	{"fig9", func(d simtime.Duration) (renderer, error) { return experiment.Figure9(d) }},
+}
+
 // Experiments lists the reproducible artefacts of the paper's evaluation.
 func Experiments() []string {
-	return []string{
-		"table1", "table2", "table3", "table4a", "table4b", "table4c",
-		"fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
 	}
+	return names
 }
 
 // Reproduce regenerates one of the paper's tables or figures (see
@@ -402,54 +418,17 @@ func Reproduce(name string, seconds float64, w io.Writer) error {
 	if dur <= 0 {
 		dur = experiment.DefaultDuration
 	}
-	switch name {
-	case "table1":
-		r, err := experiment.Table1(dur)
-		return render(r, err, w)
-	case "table2":
-		r, err := experiment.Table2(dur)
-		return render(r, err, w)
-	case "table3":
-		r, err := experiment.Table3(dur)
-		return render(r, err, w)
-	case "table4a":
-		r, err := experiment.Table4a(dur)
-		return render(r, err, w)
-	case "table4b":
-		r, err := experiment.Table4b(dur)
-		return render(r, err, w)
-	case "table4c":
-		r, err := experiment.Table4c(dur)
-		return render(r, err, w)
-	case "fig4":
-		r, err := experiment.Figure4(dur)
-		return render(r, err, w)
-	case "fig5":
-		r, err := experiment.Figure5(dur)
-		return render(r, err, w)
-	case "fig6":
-		r, err := experiment.Figure6(dur, nil)
-		return render(r, err, w)
-	case "fig7":
-		r, err := experiment.Figure7(dur, nil)
-		return render(r, err, w)
-	case "fig8":
-		r, err := experiment.Figure8(dur)
-		return render(r, err, w)
-	case "fig9":
-		r, err := experiment.Figure9(dur)
-		return render(r, err, w)
-	default:
-		return fmt.Errorf("microsliced: unknown experiment %q (have %v)", name, Experiments())
+	for _, e := range experiments {
+		if e.name == name {
+			r, err := e.run(dur)
+			if err != nil {
+				return err
+			}
+			r.Render(w)
+			return nil
+		}
 	}
+	return fmt.Errorf("microsliced: unknown experiment %q (have %v)", name, Experiments())
 }
 
 type renderer interface{ Render(io.Writer) }
-
-func render(r renderer, err error, w io.Writer) error {
-	if err != nil {
-		return err
-	}
-	r.Render(w)
-	return nil
-}

@@ -23,25 +23,33 @@ const (
 	RivalCoSched Rival = "cosched"
 )
 
+// rivalSystems installs each rival on a freshly built hypervisor and
+// returns its start function. A new rival is a constant and an entry here.
+var rivalSystems = map[Rival]func(*hv.Hypervisor) func(){
+	RivalFixed:   func(h *hv.Hypervisor) func() { return rivals.NewFixedMicroSliced(h, 100*simtime.Microsecond).Start },
+	RivalVTurbo:  func(h *hv.Hypervisor) func() { return rivals.NewVTurbo(h, 1).Start },
+	RivalVTRS:    func(h *hv.Hypervisor) func() { return rivals.NewVTRS(h).Start },
+	RivalCoSched: func(h *hv.Hypervisor) func() { return rivals.NewCoSched(h, 0).Start },
+}
+
+// ParseRival lowers a rival name to the Rival a Setup runs: "" is
+// RivalNone, and a name no system answers to is an error.
+func ParseRival(name string) (Rival, error) {
+	r := Rival(name)
+	if _, ok := rivalSystems[r]; !ok && r != RivalNone {
+		return RivalNone, fmt.Errorf("unknown rival %q", name)
+	}
+	return r, nil
+}
+
 // attachRival installs a rival system on a freshly built hypervisor and
 // returns its start function.
 func attachRival(h *hv.Hypervisor, r Rival) (func(), error) {
-	switch r {
-	case RivalFixed:
-		s := rivals.NewFixedMicroSliced(h, 100*simtime.Microsecond)
-		return s.Start, nil
-	case RivalVTurbo:
-		s := rivals.NewVTurbo(h, 1)
-		return s.Start, nil
-	case RivalVTRS:
-		s := rivals.NewVTRS(h)
-		return s.Start, nil
-	case RivalCoSched:
-		s := rivals.NewCoSched(h, 0)
-		return s.Start, nil
-	default:
+	install, ok := rivalSystems[r]
+	if !ok {
 		return nil, fmt.Errorf("experiment: unknown rival %q", r)
 	}
+	return install(h), nil
 }
 
 // Table1Row is one system's outcome across the three symptom scenarios.
