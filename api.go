@@ -3,6 +3,7 @@ package microsliced
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"github.com/microslicedcore/microsliced/internal/experiment"
 	"github.com/microslicedcore/microsliced/internal/fault"
@@ -166,6 +167,9 @@ func (s Scenario) Validate() error {
 	if len(s.VMs) == 0 {
 		return &ScenarioError{Field: "VMs", Reason: "scenario has no VMs"}
 	}
+	if err := s.checkFloats(); err != nil {
+		return err
+	}
 	if s.PCPUs < 0 {
 		return &ScenarioError{Field: "PCPUs", Reason: fmt.Sprintf("%d is negative", s.PCPUs)}
 	}
@@ -270,6 +274,48 @@ func (s Scenario) Validate() error {
 		}
 		if r.StarveBoundMs < 0 {
 			return &ScenarioError{Field: "Recovery.StarveBoundMs", Reason: fmt.Sprintf("%v is negative", r.StarveBoundMs)}
+		}
+	}
+	return nil
+}
+
+// checkFloats rejects a float field that is NaN or infinite, or that
+// names a duration the simulated clock cannot hold (2^63 ns, about 292
+// years).
+func (s Scenario) checkFloats() error {
+	type field struct {
+		name string
+		v    float64
+		unit simtime.Duration // 0 for a field that is not a duration
+	}
+	fields := []field{{"Seconds", s.Seconds, simtime.Second}}
+	for i, vm := range s.VMs {
+		if vm.Serve != nil {
+			fields = append(fields, field{fmt.Sprintf("VMs[%d].Serve.SLOMs", i), vm.Serve.SLOMs, simtime.Millisecond})
+		}
+	}
+	if f := s.Faults; f != nil {
+		fields = append(fields,
+			field{"Faults.IPIDelayProb", f.IPIDelayProb, 0},
+			field{"Faults.IPIDelayMaxUs", f.IPIDelayMaxUs, simtime.Microsecond},
+			field{"Faults.IPIDropProb", f.IPIDropProb, 0},
+			field{"Faults.TickJitterUs", f.TickJitterUs, simtime.Microsecond},
+			field{"Faults.LockStallProb", f.LockStallProb, 0},
+			field{"Faults.LockStallFactor", f.LockStallFactor, 0},
+			field{"Faults.StormLenMs", f.StormLenMs, simtime.Millisecond},
+			field{"Faults.QuiesceAtMs", f.QuiesceAtMs, simtime.Millisecond})
+	}
+	if r := s.Recovery; r != nil {
+		fields = append(fields,
+			field{"Recovery.IntervalMs", r.IntervalMs, simtime.Millisecond},
+			field{"Recovery.StarveBoundMs", r.StarveBoundMs, simtime.Millisecond})
+	}
+	for _, f := range fields {
+		switch {
+		case math.IsNaN(f.v) || math.IsInf(f.v, 0):
+			return &ScenarioError{Field: f.name, Reason: fmt.Sprintf("%v is not a finite number", f.v)}
+		case math.Abs(f.v*float64(f.unit)) >= math.MaxInt64:
+			return &ScenarioError{Field: f.name, Reason: fmt.Sprintf("%v overflows the simulated clock", f.v)}
 		}
 	}
 	return nil

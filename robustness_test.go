@@ -114,19 +114,75 @@ func TestValidateTypedErrors(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonFinite: a float field that is NaN or infinite, or
+// a duration the simulated clock cannot hold, is a *ScenarioError naming
+// the field. Before, NaN seconds ran the default duration, +Inf seconds
+// and SLOs failed inside the run with untyped errors, recovery periods
+// fell back to their defaults, and NaN fault parameters were accepted.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	vms := func() []VM { return []VM{{App: "exim", Serve: &ServeConfig{RatePerSec: 1000}}} }
+	cases := []struct {
+		name  string
+		edit  func(*Scenario)
+		field string
+	}{
+		{"seconds-nan", func(s *Scenario) { s.Seconds = nan }, "Seconds"},
+		{"seconds-inf", func(s *Scenario) { s.Seconds = inf }, "Seconds"},
+		{"seconds-overflow", func(s *Scenario) { s.Seconds = 1e300 }, "Seconds"},
+		{"slo-nan", func(s *Scenario) { s.VMs[0].Serve.SLOMs = nan }, "VMs[0].Serve.SLOMs"},
+		{"slo-inf", func(s *Scenario) { s.VMs[0].Serve.SLOMs = inf }, "VMs[0].Serve.SLOMs"},
+		{"slo-overflow", func(s *Scenario) { s.VMs[0].Serve.SLOMs = 1e300 }, "VMs[0].Serve.SLOMs"},
+		{"interval-nan", func(s *Scenario) { s.Recovery = &RecoveryPlan{IntervalMs: nan} }, "Recovery.IntervalMs"},
+		{"interval-inf", func(s *Scenario) { s.Recovery = &RecoveryPlan{IntervalMs: inf} }, "Recovery.IntervalMs"},
+		{"starve-nan", func(s *Scenario) { s.Recovery = &RecoveryPlan{StarveBoundMs: nan} }, "Recovery.StarveBoundMs"},
+		{"starve-inf", func(s *Scenario) { s.Recovery = &RecoveryPlan{StarveBoundMs: inf} }, "Recovery.StarveBoundMs"},
+		{"drop-nan", func(s *Scenario) { s.Faults = &FaultPlan{IPIDropProb: nan} }, "Faults.IPIDropProb"},
+		{"stall-factor-nan", func(s *Scenario) { s.Faults = &FaultPlan{LockStallProb: 0.1, LockStallFactor: nan} }, "Faults.LockStallFactor"},
+		{"jitter-inf", func(s *Scenario) { s.Faults = &FaultPlan{TickJitterUs: inf} }, "Faults.TickJitterUs"},
+		{"quiesce-overflow", func(s *Scenario) { s.Faults = &FaultPlan{IPIDropProb: 0.1, QuiesceAtMs: 1e300} }, "Faults.QuiesceAtMs"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := Scenario{VMs: vms()}
+			c.edit(&s)
+			err := s.Validate()
+			var se *ScenarioError
+			if !errors.As(err, &se) {
+				t.Fatalf("Validate returned %v, want a *ScenarioError", err)
+			}
+			if se.Field != c.field {
+				t.Fatalf("blamed field %q, want %q (%v)", se.Field, c.field, err)
+			}
+		})
+	}
+}
+
 // FuzzScenarioValidate: Validate must never panic, and every rejection must
 // be a typed *ScenarioError.
 func FuzzScenarioValidate(f *testing.F) {
-	f.Add(12, 12, "exim", "static", 2, "", 3.0, uint64(1), 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-	f.Add(-1, -1, "", "off", -1, "vturbo", -1.0, uint64(0), -1, 2.0, -1.0, 0.5, 1e9, 0.5, 0.0)
-	f.Add(2, 0, "dedup", "dynamic", 99, "zen5", 0.0, uint64(7), 5, 0.3, 200.0, 0.2, 500.0, 0.1, 8.0)
-	f.Add(0, 3, "no-such-app", "", 0, "cosched", math.NaN(), uint64(3), 1, math.Inf(1), math.NaN(), -0.0, -500.0, 1.0, 0.5)
+	nan, inf := math.NaN(), math.Inf(1)
+	f.Add(12, 12, "exim", "static", 2, "", 3.0, uint64(1), 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 0.0, 0.0)
+	f.Add(-1, -1, "", "off", -1, "vturbo", -1.0, uint64(0), -1, 2.0, -1.0, 0.5, 1e9, 0.5, 0.0, -1.0, -1.0, -1.0)
+	f.Add(2, 0, "dedup", "dynamic", 99, "zen5", 0.0, uint64(7), 5, 0.3, 200.0, 0.2, 500.0, 0.1, 8.0, 2.0, 10.0, 50.0)
+	f.Add(0, 3, "no-such-app", "", 0, "cosched", nan, uint64(3), 1, inf, nan, -0.0, -500.0, 1.0, 0.5, 0.0, 0.0, 0.0)
+	// TestValidateRejectsNonFinite's cases, on an otherwise valid scenario.
+	f.Add(12, 12, "exim", "off", 0, "", nan, uint64(1), 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 0.0, 0.0)
+	f.Add(12, 12, "exim", "off", 0, "", inf, uint64(1), 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 0.0, 0.0)
+	f.Add(12, 12, "exim", "off", 0, "", 1e300, uint64(1), 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 0.0, 0.0)
+	f.Add(12, 12, "exim", "off", 0, "", 1.0, uint64(1), 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, nan, 0.0, 0.0)
+	f.Add(12, 12, "exim", "off", 0, "", 1.0, uint64(1), 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, inf, 0.0, 0.0)
+	f.Add(12, 12, "exim", "off", 0, "", 1.0, uint64(1), 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5.0, nan, inf)
+	f.Add(12, 12, "exim", "off", 0, "", 1.0, uint64(1), 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5.0, inf, nan)
+	f.Add(12, 12, "exim", "off", 0, "", 1.0, uint64(1), 0, nan, 0.0, 0.0, 0.0, 0.1, nan, 5.0, 0.0, 0.0)
 	f.Fuzz(func(t *testing.T, pcpus, vcpus int, app, mode string, static int,
 		rival string, seconds float64, seed uint64, offline int,
-		dropProb, delayUs, delayProb, jitterUs, stallProb, stallFactor float64) {
+		dropProb, delayUs, delayProb, jitterUs, stallProb, stallFactor,
+		sloMs, intervalMs, starveMs float64) {
 		s := Scenario{
-			PCPUs:       pcpus,
-			VMs:         []VM{{App: app, VCPUs: vcpus, Seed: seed}},
+			PCPUs: pcpus,
+			VMs: []VM{{App: app, VCPUs: vcpus, Seed: seed,
+				Serve: &ServeConfig{RatePerSec: 1000, SLOMs: sloMs}}},
 			Mode:        Mode(mode),
 			StaticCores: static,
 			Rival:       rival,
@@ -141,15 +197,23 @@ func FuzzScenarioValidate(f *testing.F) {
 				LockStallProb:   stallProb,
 				LockStallFactor: stallFactor,
 			},
+			Recovery: &RecoveryPlan{IntervalMs: intervalMs, StarveBoundMs: starveMs},
 		}
-		if err := s.Validate(); err != nil {
-			var se *ScenarioError
-			if !errors.As(err, &se) {
-				t.Fatalf("Validate returned %T, want *ScenarioError: %v", err, err)
+		err := s.Validate()
+		if err == nil {
+			for _, v := range []float64{seconds, dropProb, delayUs, delayProb, jitterUs, stallProb, stallFactor, sloMs, intervalMs, starveMs} {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("Validate accepted a non-finite field: %+v", s)
+				}
 			}
-			if se.Field == "" || se.Reason == "" {
-				t.Fatalf("ScenarioError missing field/reason: %+v", se)
-			}
+			return
+		}
+		var se *ScenarioError
+		if !errors.As(err, &se) {
+			t.Fatalf("Validate returned %T, want *ScenarioError: %v", err, err)
+		}
+		if se.Field == "" || se.Reason == "" {
+			t.Fatalf("ScenarioError missing field/reason: %+v", se)
 		}
 	})
 }
