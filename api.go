@@ -167,14 +167,11 @@ func (s Scenario) Validate() error {
 	if len(s.VMs) == 0 {
 		return &ScenarioError{Field: "VMs", Reason: "scenario has no VMs"}
 	}
-	if err := s.checkFloats(); err != nil {
-		return err
-	}
 	if s.PCPUs < 0 {
 		return &ScenarioError{Field: "PCPUs", Reason: fmt.Sprintf("%d is negative", s.PCPUs)}
 	}
-	if s.Seconds < 0 {
-		return &ScenarioError{Field: "Seconds", Reason: fmt.Sprintf("%v is negative", s.Seconds)}
+	if err := checkFloat("Seconds", s.Seconds, simtime.Second); err != nil {
+		return err
 	}
 	pcpus := s.PCPUs
 	if pcpus == 0 {
@@ -214,11 +211,8 @@ func (s Scenario) Validate() error {
 					Reason: fmt.Sprintf("%d must be positive", sv.RatePerSec),
 				}
 			}
-			if sv.SLOMs < 0 {
-				return &ScenarioError{
-					Field:  fmt.Sprintf("VMs[%d].Serve.SLOMs", i),
-					Reason: fmt.Sprintf("%v is negative", sv.SLOMs),
-				}
+			if err := checkFloat(fmt.Sprintf("VMs[%d].Serve.SLOMs", i), sv.SLOMs, simtime.Millisecond); err != nil {
+				return err
 			}
 			if sv.ReqBytes < 0 {
 				return &ScenarioError{
@@ -257,11 +251,29 @@ func (s Scenario) Validate() error {
 			}
 		}
 	}
-	if s.Faults != nil {
-		if err := s.Faults.toConfig().Validate(); err != nil {
+	if f := s.Faults; f != nil {
+		for _, c := range []struct {
+			field string
+			v     float64
+			unit  simtime.Duration
+		}{
+			{"Faults.IPIDelayProb", f.IPIDelayProb, 0},
+			{"Faults.IPIDelayMaxUs", f.IPIDelayMaxUs, simtime.Microsecond},
+			{"Faults.IPIDropProb", f.IPIDropProb, 0},
+			{"Faults.TickJitterUs", f.TickJitterUs, simtime.Microsecond},
+			{"Faults.LockStallProb", f.LockStallProb, 0},
+			{"Faults.LockStallFactor", f.LockStallFactor, 0},
+			{"Faults.StormLenMs", f.StormLenMs, simtime.Millisecond},
+			{"Faults.QuiesceAtMs", f.QuiesceAtMs, simtime.Millisecond},
+		} {
+			if err := checkFloat(c.field, c.v, c.unit); err != nil {
+				return err
+			}
+		}
+		if err := f.toConfig().Validate(); err != nil {
 			return &ScenarioError{Field: "Faults", Reason: err.Error()}
 		}
-		if off := s.Faults.OfflinePCPUs + s.Faults.PermanentOfflinePCPUs; off > pcpus-1 {
+		if off := f.OfflinePCPUs + f.PermanentOfflinePCPUs; off > pcpus-1 {
 			return &ScenarioError{
 				Field:  "Faults.OfflinePCPUs",
 				Reason: fmt.Sprintf("%d offline pCPUs leave no core online (host has %d)", off, pcpus),
@@ -269,78 +281,44 @@ func (s Scenario) Validate() error {
 		}
 	}
 	if r := s.Recovery; r != nil {
-		if r.IntervalMs < 0 {
-			return &ScenarioError{Field: "Recovery.IntervalMs", Reason: fmt.Sprintf("%v is negative", r.IntervalMs)}
+		if err := checkFloat("Recovery.IntervalMs", r.IntervalMs, simtime.Millisecond); err != nil {
+			return err
 		}
-		if r.StarveBoundMs < 0 {
-			return &ScenarioError{Field: "Recovery.StarveBoundMs", Reason: fmt.Sprintf("%v is negative", r.StarveBoundMs)}
-		}
-	}
-	return nil
-}
-
-// checkFloats rejects a float field that is NaN or infinite, or that
-// names a duration the simulated clock cannot hold (2^63 ns, about 292
-// years).
-func (s Scenario) checkFloats() error {
-	type field struct {
-		name string
-		v    float64
-		unit simtime.Duration // 0 for a field that is not a duration
-	}
-	fields := []field{{"Seconds", s.Seconds, simtime.Second}}
-	for i, vm := range s.VMs {
-		if vm.Serve != nil {
-			fields = append(fields, field{fmt.Sprintf("VMs[%d].Serve.SLOMs", i), vm.Serve.SLOMs, simtime.Millisecond})
-		}
-	}
-	if f := s.Faults; f != nil {
-		fields = append(fields,
-			field{"Faults.IPIDelayProb", f.IPIDelayProb, 0},
-			field{"Faults.IPIDelayMaxUs", f.IPIDelayMaxUs, simtime.Microsecond},
-			field{"Faults.IPIDropProb", f.IPIDropProb, 0},
-			field{"Faults.TickJitterUs", f.TickJitterUs, simtime.Microsecond},
-			field{"Faults.LockStallProb", f.LockStallProb, 0},
-			field{"Faults.LockStallFactor", f.LockStallFactor, 0},
-			field{"Faults.StormLenMs", f.StormLenMs, simtime.Millisecond},
-			field{"Faults.QuiesceAtMs", f.QuiesceAtMs, simtime.Millisecond})
-	}
-	if r := s.Recovery; r != nil {
-		fields = append(fields,
-			field{"Recovery.IntervalMs", r.IntervalMs, simtime.Millisecond},
-			field{"Recovery.StarveBoundMs", r.StarveBoundMs, simtime.Millisecond})
-	}
-	for _, f := range fields {
-		switch {
-		case math.IsNaN(f.v) || math.IsInf(f.v, 0):
-			return &ScenarioError{Field: f.name, Reason: fmt.Sprintf("%v is not a finite number", f.v)}
-		case math.Abs(f.v*float64(f.unit)) >= math.MaxInt64:
-			return &ScenarioError{Field: f.name, Reason: fmt.Sprintf("%v overflows the simulated clock", f.v)}
+		if err := checkFloat("Recovery.StarveBoundMs", r.StarveBoundMs, simtime.Millisecond); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// The result types are the harness's own read-out of a run
-// (experiment.Result.View); their fields are documented there.
+// checkFloat rejects a field that is NaN or infinite and, for a duration
+// in units of unit, one that is negative or too long for the simulated
+// clock (2^63 ns, about 292 years).
+func checkFloat(field string, v float64, unit simtime.Duration) error {
+	var reason string
+	switch {
+	case math.IsNaN(v) || math.IsInf(v, 0):
+		reason = "is not a finite number"
+	case unit > 0 && v < 0:
+		reason = "is negative"
+	case v*float64(unit) >= math.MaxInt64:
+		reason = "overflows the simulated clock"
+	default:
+		return nil
+	}
+	return &ScenarioError{Field: field, Reason: fmt.Sprintf("%v %s", v, reason)}
+}
+
+// The result types: Simulate returns the harness's own read-out of the run
+// (experiment.Result.View), whose types document each field.
 type (
-	// Results is the outcome of Simulate.
-	Results = experiment.Results
-	// VMStats is one VM's outcome.
-	VMStats = experiment.VMStats
-	// RequestStats is the end-to-end outcome of a VM's request-serving
-	// workload.
-	RequestStats = experiment.ServeStats
-	// Telemetry is a scenario's observability read-out.
-	Telemetry = experiment.Telemetry
-	// SpanStats summarizes one latency span kind's distribution and names
-	// its dominant stage.
-	SpanStats = experiment.SpanStats
-	// StageStats summarizes one stage of a span kind.
-	StageStats = experiment.StageStats
-	// ControllerDecision is one Algorithm 1 sizing decision from the
-	// adaptive controller's audit trail.
-	ControllerDecision = experiment.ControllerDecision
+	Results            = experiment.Results            // the outcome of Simulate
+	VMStats            = experiment.VMStats            // one VM's outcome
+	RequestStats       = experiment.ServeStats         // a VM's request-serving outcome
+	Telemetry          = experiment.Telemetry          // the observability read-out
+	SpanStats          = experiment.SpanStats          // one latency span kind
+	StageStats         = experiment.StageStats         // one stage of a span kind
+	ControllerDecision = experiment.ControllerDecision // one Algorithm 1 sizing decision
 )
 
 // Workloads lists the available applications (the paper's suite).

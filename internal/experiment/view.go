@@ -1,10 +1,5 @@
 package experiment
 
-// The public read-out of a run. The facade (package microsliced) aliases
-// these types; Result.View computes them, so it is the one place where the
-// harness's nanosecond ledgers become seconds, milliseconds and
-// microseconds.
-
 // VMStats is one VM's outcome.
 type VMStats struct {
 	Name string
@@ -191,10 +186,12 @@ func (r *Results) VM(name string) *VMStats {
 	return nil
 }
 
-// View computes the run's public read-out: durations in seconds,
-// milliseconds or microseconds, and no internal ledgers. The counter maps
-// and FaultErrors are shared with r. Nothing is stored in r, so its JSON
-// encoding stays the harness's own.
+// View computes the run's public read-out, which the facade (package
+// microsliced) returns from Simulate under aliased type names. It is the
+// one place where the harness's nanoseconds become seconds, milliseconds
+// or microseconds, and it leaves the internal ledgers out. The counter
+// maps and FaultErrors are shared with r. Nothing is stored in r, so r's
+// JSON encoding stays the harness's own.
 func (r *Result) View() *Results {
 	out := &Results{
 		MicroCoresAvg:      r.MicroAvg,
