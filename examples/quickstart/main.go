@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 
 	microsliced "github.com/microslicedcore/microsliced"
 )
@@ -44,11 +45,19 @@ func main() {
 	fmt.Printf("detector migrations:     %d\n", accelerated.DetectorCounters["migrate.ok"])
 
 	fmt.Println("\ntop critical symbols the hypervisor saw at preempted vCPUs:")
-	n := 0
-	for sym, hits := range accelerated.CriticalSymbolHits {
-		fmt.Printf("   %-36s %d\n", sym, hits)
-		if n++; n >= 5 {
-			break
+	hits := accelerated.CriticalSymbolHits
+	syms := make([]string, 0, len(hits))
+	for sym := range hits {
+		syms = append(syms, sym)
+	}
+	// Most hits first, ties by name, so the list does not follow map order.
+	sort.Slice(syms, func(i, j int) bool {
+		if hits[syms[i]] != hits[syms[j]] {
+			return hits[syms[i]] > hits[syms[j]]
 		}
+		return syms[i] < syms[j]
+	})
+	for _, sym := range syms[:min(5, len(syms))] {
+		fmt.Printf("   %-36s %d\n", sym, hits[sym])
 	}
 }
