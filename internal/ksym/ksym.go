@@ -16,11 +16,14 @@ package ksym
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"github.com/microslicedcore/microsliced/internal/rng"
 )
@@ -397,19 +400,34 @@ const defaultLastSize = 4096
 // Aliases — several names at one address — keep their file order, and all
 // but the last-listed get size 0, so the last-listed alias is the one an
 // address inside the function resolves to.
+//
+// The stream is read into one string and cut into lines and fields by
+// index, so symbol names are substrings of it and a line allocates
+// nothing. Lines and errors are those of a bufio.Scanner over the stream:
+// a line of bufio.MaxScanTokenSize bytes or more fails as too long, and a
+// read error is reported after every line read before it has parsed.
 func Parse(r io.Reader) (*Table, error) {
-	sc := bufio.NewScanner(r)
-	var syms []Symbol
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+	var b strings.Builder
+	if l, ok := r.(interface{ Len() int }); ok {
+		b.Grow(l.Len())
+	}
+	_, rerr := io.Copy(&b, r)
+	text := b.String()
+	syms := make([]Symbol, 0, strings.Count(text, "\n")+1)
+	for lineno := 1; text != ""; lineno++ {
+		var line string
+		line, text, _ = strings.Cut(text, "\n")
+		if len(line) >= bufio.MaxScanTokenSize {
+			rerr = bufio.ErrTooLong
+			break
+		}
+		line = strings.TrimSpace(line)
+		if line == "" || line[0] == '#' {
 			continue
 		}
-		fields := strings.Fields(line)
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("ksym: line %d: want 3 fields, got %d", lineno, len(fields))
+		fields, n := fields3(line)
+		if n != 3 {
+			return nil, fmt.Errorf("ksym: line %d: want 3 fields, got %d", lineno, n)
 		}
 		addr, err := strconv.ParseUint(fields[0], 16, 64)
 		if err != nil {
@@ -420,13 +438,13 @@ func Parse(r io.Reader) (*Table, error) {
 		}
 		syms = append(syms, Symbol{Addr: addr, Type: fields[1][0], Name: fields[2]})
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("ksym: read: %v", err)
+	if rerr != nil {
+		return nil, fmt.Errorf("ksym: read: %v", rerr)
 	}
 	if len(syms) == 0 {
 		return nil, fmt.Errorf("ksym: empty symbol table")
 	}
-	sort.SliceStable(syms, func(i, j int) bool { return syms[i].Addr < syms[j].Addr })
+	slices.SortStableFunc(syms, func(a, b Symbol) int { return cmp.Compare(a.Addr, b.Addr) })
 	for i := range syms {
 		if i+1 < len(syms) {
 			syms[i].Size = syms[i+1].Addr - syms[i].Addr
@@ -435,4 +453,35 @@ func Parse(r io.Reader) (*Table, error) {
 		}
 	}
 	return newTable(syms), nil
+}
+
+// fields3 splits s around runs of white space exactly as strings.Fields
+// does, returning the first three fields and the number of fields.
+func fields3(s string) (f [3]string, n int) {
+	start := -1 // start of the field being scanned, or -1 between fields
+	for i := 0; i < len(s); {
+		c, size := rune(s[i]), 1
+		if c >= utf8.RuneSelf {
+			c, size = utf8.DecodeRuneInString(s[i:])
+		}
+		if unicode.IsSpace(c) {
+			if start >= 0 {
+				if n < len(f) {
+					f[n] = s[start:i]
+				}
+				n++
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+		i += size
+	}
+	if start >= 0 {
+		if n < len(f) {
+			f[n] = s[start:]
+		}
+		n++
+	}
+	return f, n
 }
