@@ -613,9 +613,9 @@ type Hypervisor struct {
 	lostIPIs []LostIPI
 	lostSeq  uint64
 
-	// freeInject is the free list of interrupt records waiting out the
-	// injection latency to a running vCPU (see deliver).
-	freeInject *pendingInject
+	// freeIRQ holds, per kind, the free list of records of interrupts in
+	// flight (see pendingIRQ).
+	freeIRQ [numIRQKinds]*pendingIRQ
 
 	acct        simtime.Event // the global credit-accounting tick
 	nsPerCredit int64         // runtime worth one credit: Tick / CreditDebitPerTick

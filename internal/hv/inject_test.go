@@ -3,6 +3,7 @@ package hv
 import (
 	"testing"
 
+	"github.com/microslicedcore/microsliced/internal/obs"
 	"github.com/microslicedcore/microsliced/internal/simtime"
 )
 
@@ -79,10 +80,68 @@ func TestIPIInjectReentrant(t *testing.T) {
 	if a.got != 50 || b.got != 50 {
 		t.Fatalf("a got %d, b got %d IPIs, want 50 each", a.got, b.got)
 	}
-	if h.freeInject == nil || h.freeInject.next != nil {
+	if f := h.freeIRQ[irqInject]; f == nil || f.next != nil {
 		t.Fatal("ping-pong used more than one injection record")
 	}
 	if v := h.Counters.Value("vipi.sent"); v != 100 {
 		t.Fatalf("vipi.sent = %d, want 100", v)
+	}
+}
+
+// TestPIRQAllocFree: a device interrupt, through the hypervisor's handling
+// cost, the vIRQ relay and the injection latency to OnInterrupt, allocates
+// nothing in steady state, whether routed to the domain's IRQ vCPU
+// (InjectPIRQ) or to a given vCPU (InjectPIRQTo).
+func TestPIRQAllocFree(t *testing.T) {
+	rounds := 0
+	clock, h, a, b := pingWorld(t, &rounds)
+	irq := func() {
+		h.InjectPIRQ(a.v.Dom, VecNet, 0)
+		h.InjectPIRQTo(b.v, VecNet, 0)
+		clock.RunUntil(clock.Now() + 2*simtime.Microsecond)
+	}
+	irq() // allocates the first free-list records
+	if allocs := testing.AllocsPerRun(1000, irq); allocs != 0 {
+		t.Errorf("%v allocs per pair of device interrupts, want 0", allocs)
+	}
+	if a.got != 1002 || b.got != 1002 {
+		t.Fatalf("a got %d, b got %d interrupts, want 1002 each", a.got, b.got)
+	}
+	if v := h.Counters.Value("virq.sent"); v != 2004 {
+		t.Fatalf("virq.sent = %d, want 2004", v)
+	}
+}
+
+// TestFaultyIPIAllocFree: under an IPI fault hook that drops every first
+// attempt and delays every retry, the send → ipi-retry → ipi-delay →
+// inject cycle allocates nothing in steady state, with the observer
+// staging the interrupt's ipi_deliver span through the retry.
+func TestFaultyIPIAllocFree(t *testing.T) {
+	rounds := 0
+	clock, h, a, b := pingWorld(t, &rounds)
+	h.SetObserver(obs.New(obs.Config{}))
+	attempts := 0
+	h.Hooks.IPIFault = func(Vector) (simtime.Duration, bool) {
+		attempts++
+		if attempts%2 == 1 {
+			return 0, true
+		}
+		return 3 * simtime.Microsecond, false
+	}
+	send := func() {
+		h.SendVIPI(a.v, b.v, VecCallFunc, 0)
+		clock.RunUntil(clock.Now() + 20*simtime.Microsecond)
+	}
+	send() // allocates the first free-list records
+	if allocs := testing.AllocsPerRun(1000, send); allocs != 0 {
+		t.Errorf("%v allocs per dropped, retried and delayed IPI, want 0", allocs)
+	}
+	if b.got != 1002 {
+		t.Fatalf("%d IPIs injected, want 1002", b.got)
+	}
+	for _, c := range []string{"vipi.dropped", "vipi.retried"} {
+		if v := h.Counters.Value(c); v != 1002 {
+			t.Fatalf("%s = %d, want 1002", c, v)
+		}
 	}
 }

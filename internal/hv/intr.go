@@ -73,14 +73,10 @@ func (h *Hypervisor) sendVIPIFaulty(dst *VCPU, vec Vector, data uint64, attempt,
 	delay, drop := h.Hooks.IPIFault(vec)
 	if drop && attempt < h.Cfg.IPIRetryLimit {
 		h.hot.vipiDropped.Inc()
-		h.Clock.AfterLabeled(h.Cfg.IPIRetryDelay, "ipi-retry", func() {
-			// The backoff the dropped attempt cost is retry time, not send
-			// time: attribute it before the next attempt begins.
-			if h.Obs != nil {
-				h.Obs.Stage(span, obs.IPIStageRetry, h.Clock.Now())
-			}
-			h.sendVIPIFaulty(dst, vec, data, attempt+1, redrives, span)
-		})
+		r := h.takeIRQ(irqRetry)
+		r.dst, r.vec, r.data, r.span = dst, vec, data, span
+		r.attempt, r.redrives = attempt+1, redrives
+		r.ev.Arm(h.Cfg.IPIRetryDelay)
 		return
 	}
 	if drop && h.Hooks.IPILoss != nil && h.Hooks.IPILoss(vec) {
@@ -98,9 +94,9 @@ func (h *Hypervisor) sendVIPIFaulty(dst *VCPU, vec Vector, data uint64, attempt,
 		h.hot.vipiRetried.Inc()
 	}
 	if delay > 0 {
-		h.Clock.AfterLabeled(delay, "ipi-delay", func() {
-			h.deliver(dst, vec, data, span)
-		})
+		r := h.takeIRQ(irqDelay)
+		r.dst, r.vec, r.data, r.span = dst, vec, data, span
+		r.ev.Arm(delay)
 		return
 	}
 	h.deliver(dst, vec, data, span)
@@ -142,24 +138,14 @@ func (h *Hypervisor) RedriveLostIPI(seq uint64) bool {
 
 // InjectPIRQ is called by device models (internal/vnet) when a physical
 // interrupt arrives. The hypervisor spends PIRQCost handling the VMEXIT and
-// then forwards a virtual IRQ to the domain's designated IRQ vCPU.
+// then forwards a virtual IRQ to the domain's designated IRQ vCPU, which it
+// resolves when the cost has elapsed.
 func (h *Hypervisor) InjectPIRQ(d *Domain, vec Vector, data uint64) {
 	h.hot.pirq.Inc()
 	h.emit(trace.KindPIRQ, nil, uint64(vec), uint64(d.ID))
-	h.Clock.AfterLabeled(h.Cfg.PIRQCost, "pirq", func() {
-		if d.IRQVCPU < 0 || d.IRQVCPU >= len(d.VCPUs) {
-			panic(fmt.Sprintf("hv: domain %s has bad IRQ vCPU %d", d.Name, d.IRQVCPU))
-		}
-		target := d.VCPUs[d.IRQVCPU]
-		target.virqRecv++
-		h.hot.virqSent.Inc()
-		d.hot.virqSent.Inc()
-		h.emit(trace.KindVIRQ, target, uint64(vec), 0)
-		if h.Hooks.OnVIRQRelay != nil {
-			h.Hooks.OnVIRQRelay(target)
-		}
-		h.deliver(target, vec, data, 0)
-	})
+	r := h.takeIRQ(irqPIRQ)
+	r.dom, r.dst, r.vec, r.data = d, nil, vec, data
+	r.ev.Arm(h.Cfg.PIRQCost)
 }
 
 // InjectPIRQTo routes a device interrupt to a specific vCPU — per-queue
@@ -169,16 +155,28 @@ func (h *Hypervisor) InjectPIRQ(d *Domain, vec Vector, data uint64) {
 func (h *Hypervisor) InjectPIRQTo(target *VCPU, vec Vector, data uint64) {
 	h.hot.pirq.Inc()
 	h.emit(trace.KindPIRQ, target, uint64(vec), uint64(target.DomID))
-	h.Clock.AfterLabeled(h.Cfg.PIRQCost, "pirq", func() {
-		target.virqRecv++
-		h.hot.virqSent.Inc()
-		target.Dom.hot.virqSent.Inc()
-		h.emit(trace.KindVIRQ, target, uint64(vec), 0)
-		if h.Hooks.OnVIRQRelay != nil {
-			h.Hooks.OnVIRQRelay(target)
+	r := h.takeIRQ(irqPIRQ)
+	r.dom, r.dst, r.vec, r.data = nil, target, vec, data
+	r.ev.Arm(h.Cfg.PIRQCost)
+}
+
+// relayVIRQ forwards a physical interrupt, its handling cost spent, to the
+// domain's IRQ vCPU (d non-nil) or to target as a virtual IRQ.
+func (h *Hypervisor) relayVIRQ(d *Domain, target *VCPU, vec Vector, data uint64) {
+	if d != nil {
+		if d.IRQVCPU < 0 || d.IRQVCPU >= len(d.VCPUs) {
+			panic(fmt.Sprintf("hv: domain %s has bad IRQ vCPU %d", d.Name, d.IRQVCPU))
 		}
-		h.deliver(target, vec, data, 0)
-	})
+		target = d.VCPUs[d.IRQVCPU]
+	}
+	target.virqRecv++
+	h.hot.virqSent.Inc()
+	target.Dom.hot.virqSent.Inc()
+	h.emit(trace.KindVIRQ, target, uint64(vec), 0)
+	if h.Hooks.OnVIRQRelay != nil {
+		h.Hooks.OnVIRQRelay(target)
+	}
+	h.deliver(target, vec, data, 0)
 }
 
 // deliver routes an interrupt to dst according to its scheduling state.
@@ -190,15 +188,9 @@ func (h *Hypervisor) deliver(dst *VCPU, vec Vector, data uint64, span obs.SpanRe
 	}
 	switch dst.state {
 	case StateRunning:
-		pi := h.freeInject
-		if pi == nil {
-			pi = &pendingInject{h: h}
-			h.Clock.Bind(&pi.ev, "inject", pi.inject)
-		} else {
-			h.freeInject = pi.next
-		}
-		pi.dst, pi.vec, pi.data, pi.span = dst, vec, data, span
-		pi.ev.Arm(h.Cfg.IPILatency)
+		r := h.takeIRQ(irqInject)
+		r.dst, r.vec, r.data, r.span = dst, vec, data, span
+		r.ev.Arm(h.Cfg.IPILatency)
 	case StateBlocked:
 		dst.pending = append(dst.pending, PendingIRQ{Vec: vec, Data: data, Span: span})
 		h.Wake(dst, true)
@@ -210,28 +202,88 @@ func (h *Hypervisor) deliver(dst *VCPU, vec Vector, data uint64, span obs.SpanRe
 	}
 }
 
-// pendingInject is an interrupt waiting out the injection latency to a
-// running vCPU. Records live on the hypervisor's free list, each with its
-// own event bound once to inject, so delivering an IPI allocates nothing
-// in steady state.
-type pendingInject struct {
-	h    *Hypervisor
-	dst  *VCPU
-	vec  Vector
-	data uint64
-	span obs.SpanRef
-	next *pendingInject // free-list link
-	ev   simtime.Event  // owned, bound to inject at allocation
+// irqKind names what a pendingIRQ is waiting for. Each kind has its own
+// event label and free list, so a record's owned event is bound once, to
+// its kind's label, for life.
+type irqKind uint8
+
+const (
+	irqInject irqKind = iota // injection latency to a running vCPU
+	irqPIRQ                  // hypervisor handling of a physical IRQ
+	irqRetry                 // backoff before resending a dropped IPI
+	irqDelay                 // fault-injected IPI delivery delay
+	numIRQKinds
+)
+
+var irqLabels = [numIRQKinds]string{
+	irqInject: "inject",
+	irqPIRQ:   "pirq",
+	irqRetry:  "ipi-retry",
+	irqDelay:  "ipi-delay",
 }
 
-// inject copies the interrupt out and returns the record to the free list
-// before injecting: injectOrQueue can re-enter deliver, which then reuses
-// this record instead of allocating another.
-func (pi *pendingInject) inject() {
-	h, dst, vec, data, span := pi.h, pi.dst, pi.vec, pi.data, pi.span
-	pi.dst = nil
-	pi.next, h.freeInject = h.freeInject, pi
-	h.injectOrQueue(dst, vec, data, span)
+// pendingIRQ is an interrupt in flight between two steps of its delivery:
+// the injection latency to a running vCPU, the handling cost of a physical
+// IRQ, a dropped IPI's retry backoff or a fault-injected delay. Records
+// live on the hypervisor's per-kind free lists, each with its own event
+// bound once to fire, so delivering device interrupts and IPIs, faulty or
+// not, allocates nothing in steady state. Arm draws the sequence number
+// AfterLabeled would have, so events fire in the same order as with a
+// fresh closure per interrupt.
+type pendingIRQ struct {
+	h    *Hypervisor
+	kind irqKind
+	dom  *Domain // irqPIRQ from InjectPIRQ: route to its IRQ vCPU at fire time
+	dst  *VCPU
+	data uint64
+	span obs.SpanRef
+	vec  Vector
+	// attempt and redrives are an irqRetry's sendVIPIFaulty state.
+	attempt, redrives int
+	next              *pendingIRQ   // free-list link
+	ev                simtime.Event // owned, bound to fire at allocation
+}
+
+// takeIRQ takes a record of kind k off its free list. The caller sets
+// every field its kind reads, then arms the record's event.
+func (h *Hypervisor) takeIRQ(k irqKind) *pendingIRQ {
+	r := h.freeIRQ[k]
+	if r == nil {
+		return h.newIRQ(k)
+	}
+	h.freeIRQ[k] = r.next
+	return r
+}
+
+// newIRQ allocates a record of kind k and binds its event for life.
+func (h *Hypervisor) newIRQ(k irqKind) *pendingIRQ {
+	r := &pendingIRQ{h: h, kind: k}
+	h.Clock.Bind(&r.ev, irqLabels[k], r.fire)
+	return r
+}
+
+// fire copies the interrupt out and returns the record to its free list
+// before acting on it: every next step can re-enter takeIRQ, which then
+// reuses this record instead of allocating another.
+func (r *pendingIRQ) fire() {
+	h, kind, dom, dst, vec, data, span := r.h, r.kind, r.dom, r.dst, r.vec, r.data, r.span
+	attempt, redrives := r.attempt, r.redrives
+	r.next, h.freeIRQ[kind] = h.freeIRQ[kind], r
+	switch kind {
+	case irqInject:
+		h.injectOrQueue(dst, vec, data, span)
+	case irqPIRQ:
+		h.relayVIRQ(dom, dst, vec, data)
+	case irqRetry:
+		// The backoff the dropped attempt cost is retry time, not send
+		// time: attribute it before the next attempt begins.
+		if h.Obs != nil {
+			h.Obs.Stage(span, obs.IPIStageRetry, h.Clock.Now())
+		}
+		h.sendVIPIFaulty(dst, vec, data, attempt, redrives, span)
+	case irqDelay:
+		h.deliver(dst, vec, data, span)
+	}
 }
 
 // injectOrQueue fires OnInterrupt if dst is still running with the guest
