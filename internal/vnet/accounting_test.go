@@ -163,16 +163,17 @@ func TestRingWraparoundFIFO(t *testing.T) {
 
 // quietRing returns a warmed-up NIC whose IRQ side is held inert (latch
 // pre-raised, moderation timer pinned), so Rx/Fetch exercise only the ring
-// machinery. Raising a (p)IRQ schedules a clock event, which allocates by
-// design — that is the event-driven clock's cost, not the ring's; the
-// zero-alloc claim under test is about the ring and the fetch scratch (the
-// old implementation allocated two slices per partial-drain Fetch).
+// machinery: the zero-alloc claim under test is about the ring and the
+// fetch scratch (the old implementation allocated two slices per
+// partial-drain Fetch). TestReassertRearmAllocFree covers the IRQ side.
 func quietRing(cap, warm int) *NIC {
 	clock := simtime.NewClock()
 	h := hv.New(clock, hv.DefaultConfig())
 	nic := NewNIC(h, bareDom(h), cap)
 	nic.irqRaised = true
-	nic.reassertEv = &simtime.Event{} // pin: armReassert sees it as pending
+	// Pin: the clock never runs, so the re-assert stays pending and every
+	// coalesced Rx must leave it alone; re-arming a queued event panics.
+	nic.reassertEv.Arm(simtime.Second)
 	for i := 0; i < warm; i++ {
 		nic.Rx(guest.Packet{Seq: uint64(i), Bytes: 64})
 	}
@@ -243,5 +244,45 @@ func TestIRQReassert(t *testing.T) {
 	clock.RunUntil(clock.Now() + simtime.Millisecond)
 	if nic2.IRQs != 1 {
 		t.Fatalf("disabled reassert: IRQs=%d, want 1", nic2.IRQs)
+	}
+}
+
+// deafGuest runs forever and ignores its interrupts, so a NIC attached to
+// its domain keeps an unserviced backlog.
+type deafGuest struct{ irqs int }
+
+func (g *deafGuest) OnScheduled(simtime.Time)                    {}
+func (g *deafGuest) OnDescheduled(simtime.Time)                  {}
+func (g *deafGuest) OnInterrupt(simtime.Time, hv.Vector, uint64) { g.irqs++ }
+func (g *deafGuest) RIP() uint64                                 { return ksym.UserRIP }
+
+// TestReassertRearmAllocFree: while the backlog sits unfetched, each
+// moderation period re-raises the IRQ all the way to the running IRQ vCPU
+// and re-arms the owned timer in place, allocating nothing.
+func TestReassertRearmAllocFree(t *testing.T) {
+	clock := simtime.NewClock()
+	h := hv.New(clock, hv.DefaultConfig())
+	d := h.NewDomain("vm", nil)
+	g := &deafGuest{}
+	v := h.AddVCPU(d, g)
+	h.Start()
+	h.Wake(v, false)
+	nic := NewNIC(h, d, 64)
+	nic.Rx(guest.Packet{Seq: 1, Bytes: 64}) // edge IRQ
+	nic.Rx(guest.Packet{Seq: 2, Bytes: 64}) // coalesced: arms the timer
+	period := func() { clock.RunUntil(clock.Now() + DefaultIRQReassert) }
+	period() // allocates the first interrupt records
+	if v.State() != hv.StateRunning {
+		t.Fatalf("IRQ vCPU %v, want running", v.State())
+	}
+	before, irqs := nic.Reasserts, g.irqs
+	if allocs := testing.AllocsPerRun(1000, period); allocs != 0 {
+		t.Errorf("%v allocs per re-assert period, want 0", allocs)
+	}
+	if got := nic.Reasserts - before; got != 1001 {
+		t.Fatalf("%d re-asserts in 1001 periods, want one each", got)
+	}
+	if got := g.irqs - irqs; got != 1001 {
+		t.Fatalf("%d interrupts reached the vCPU in 1001 periods, want one each", got)
 	}
 }

@@ -58,9 +58,10 @@ type NIC struct {
 	irqRaised bool // NAPI-style coalescing: one IRQ until the ring drains
 	// reassert is the interrupt-moderation re-assert interval,
 	// DefaultIRQReassert; <= 0 disables re-assertion (pure edge-triggered
-	// coalescing).
+	// coalescing). reassertEv is the moderation timer, owned and bound to
+	// fireReassert once, in NewNIC.
 	reassert   simtime.Duration
-	reassertEv *simtime.Event
+	reassertEv simtime.Event
 
 	RxPackets uint64
 	RxDrops   uint64
@@ -75,7 +76,9 @@ func NewNIC(h *hv.Hypervisor, dom *hv.Domain, ringCap int) *NIC {
 	if ringCap <= 0 {
 		ringCap = DefaultRingSize
 	}
-	return &NIC{h: h, dom: dom, ringCap: ringCap, reassert: DefaultIRQReassert}
+	n := &NIC{h: h, dom: dom, ringCap: ringCap, reassert: DefaultIRQReassert}
+	h.Clock.Bind(&n.reassertEv, "", n.fireReassert)
+	return n
 }
 
 // RingLen returns the current RX ring occupancy.
@@ -116,16 +119,15 @@ func (n *NIC) Rx(p guest.Packet) bool {
 
 // armReassert schedules the moderation re-assert if not already pending.
 func (n *NIC) armReassert() {
-	if n.reassert <= 0 || n.reassertEv != nil {
+	if n.reassert <= 0 || n.reassertEv.Pending() {
 		return
 	}
-	n.reassertEv = n.h.Clock.After(n.reassert, n.fireReassert)
+	n.reassertEv.Arm(n.reassert)
 }
 
 // fireReassert re-raises the physical IRQ if the backlog is still
 // unserviced, and re-arms so a long guest stall keeps producing edges.
 func (n *NIC) fireReassert() {
-	n.reassertEv = nil
 	if n.n == 0 || !n.irqRaised {
 		return // ring drained since arming; nothing to re-assert
 	}
