@@ -38,3 +38,25 @@ func TestProgressRearmAllocFree(t *testing.T) {
 		t.Fatalf("%d slice preemptions over 21 spans, want one per span at least", n)
 	}
 }
+
+// TestSleepingLockHandoffAllocFree: handing a contended sleeping lock to
+// the head of its FIFO, and queueing the next waiter behind it, allocates
+// nothing once the waiter queue has grown to its deepest.
+func TestSleepingLockHandoffAllocFree(t *testing.T) {
+	clock, h, k := boot(t, 2, 4)
+	sem := k.RWSem("mmap_sem", "Memory mapping", "rwsem_wake")
+	for i := 0; i < 4; i++ {
+		k.NewThread(i, "w", &loopProg{op: Op{Kind: OpLock, Lock: sem, Dur: 20 * simtime.Microsecond}})
+	}
+	h.Start()
+	k.StartAll()
+	clock.RunUntil(100 * simtime.Millisecond)
+	contended := sem.Contended
+	span := func() { clock.RunUntil(clock.Now() + 10*simtime.Millisecond) }
+	if allocs := testing.AllocsPerRun(20, span); allocs != 0 {
+		t.Errorf("%v allocs per 10 ms of contended handoffs, want 0", allocs)
+	}
+	if n := sem.Contended - contended; n < 100 {
+		t.Fatalf("%d contended acquisitions over 21 spans, want at least 100", n)
+	}
+}

@@ -86,9 +86,15 @@ type BlockDevice interface {
 // Socket is a minimal in-kernel receive queue connecting the softIRQ path
 // to one application thread.
 type Socket struct {
-	k      *Kernel
-	Flow   int
+	k    *Kernel
+	Flow int
+	// The receive queue is a ring over buf, whose length is zero or a power
+	// of two: head indexes the oldest packet and n counts the queued ones.
+	// A full ring doubles, so delivery and consumption allocate nothing
+	// once buf has grown to the deepest backlog.
 	buf    []Packet
+	head   int
+	n      int
 	waiter *Thread
 	// OnAppConsume fires when the application-level thread consumes a
 	// packet (iPerf accounts throughput and jitter here; TCP-like flows
@@ -99,16 +105,39 @@ type Socket struct {
 }
 
 // Len returns the number of buffered packets.
-func (s *Socket) Len() int { return len(s.buf) }
+func (s *Socket) Len() int { return s.n }
 
-// deliver appends a packet (softIRQ context) and returns the waiter to wake,
+// socketRingMin is the ring size a socket's first packet allocates.
+const socketRingMin = 16
+
+// deliver queues a packet (softIRQ context) and returns the waiter to wake,
 // if any.
 func (s *Socket) deliver(p Packet) *Thread {
-	s.buf = append(s.buf, p)
+	if s.n == len(s.buf) {
+		s.grow()
+	}
+	s.buf[(s.head+s.n)&(len(s.buf)-1)] = p
+	s.n++
 	s.Delivered++
 	w := s.waiter
 	s.waiter = nil
 	return w
+}
+
+// pop dequeues the oldest packet; the queue must not be empty.
+func (s *Socket) pop() Packet {
+	p := s.buf[s.head]
+	s.head = (s.head + 1) & (len(s.buf) - 1)
+	s.n--
+	return p
+}
+
+// grow doubles the full ring, unwrapping it to the front of the new one.
+func (s *Socket) grow() {
+	nb := make([]Packet, max(2*len(s.buf), socketRingMin))
+	k := copy(nb, s.buf[s.head:])
+	copy(nb[k:], s.buf[:s.head])
+	s.buf, s.head = nb, 0
 }
 
 // Kernel is the guest OS instance of one domain.

@@ -96,8 +96,10 @@ func (l *SpinLock) release(t *Thread, now simtime.Time) {
 	if l.sleeping {
 		// rwsem_wake: hand to the FIFO head and wake it through the
 		// scheduler (cross-vCPU: a reschedule IPI).
+		// Pop by copy-down, not re-slicing: l.waiters[1:] would strand
+		// the array's head and make the next contended acquire reallocate.
 		w := l.waiters[0]
-		l.waiters = l.waiters[1:]
+		l.waiters = append(l.waiters[:0], l.waiters[1:]...)
 		l.holder = w
 		l.Acquisitions++
 		l.stat.Observe(int64(now - w.spinStart))
