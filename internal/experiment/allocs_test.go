@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -76,6 +77,43 @@ func TestRunAllocationsIndependentOfGC(t *testing.T) {
 		}
 		if tc.setup.Recovery != nil && res.RepairCount == 0 {
 			t.Errorf("%s: the supervisor recorded nothing; the case does not exercise its details", tc.name)
+		}
+	}
+}
+
+// TestServeCellAllocFree: once a serving cell has run a simulated second,
+// running it further allocates nothing. Each packet crosses the whole
+// interrupt path, pIRQ → hypervisor → vIRQ → guest softirq → socket →
+// server thread, so a per-packet allocation anywhere on it shows as about
+// a hundred per 10 ms run. The cells cover the plain credit scheduler
+// with the host's own co-runner, and Algorithm 1 against swaptions at the
+// rate where its micro pool works hardest.
+func TestServeCellAllocFree(t *testing.T) {
+	for _, tc := range []struct {
+		cfg   int // index into serveConfigs
+		rate  int
+		corun string
+	}{
+		{0, 3000, "lookbusy"},
+		{3, 9000, "swaptions"},
+	} {
+		name := fmt.Sprintf("%s/%s/%d", serveConfigs[tc.cfg].name, tc.corun, tc.rate)
+		s := serveSetup(tc.cfg, tc.rate, tc.corun, simtime.Second)
+		allocs := -1.0
+		s.PostCheck = func(pr *PostRun) error {
+			c := pr.HV.Clock
+			allocs = testing.AllocsPerRun(50, func() { c.RunUntil(c.Now() + 10*simtime.Millisecond) })
+			return nil
+		}
+		res, err := Run(s)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.VM("serve").Requests.Completed == 0 {
+			t.Fatalf("%s: no request completed; the cell does not exercise the path", name)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: %v allocs per 10 ms of simulated time, want 0", name, allocs)
 		}
 	}
 }
