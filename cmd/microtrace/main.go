@@ -20,7 +20,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -126,7 +125,7 @@ func analyzeMain(args []string) {
 		// Resolve RIPs against the System.map each guest handed the
 		// hypervisor, as the detector does.
 		for _, d := range pr.HV.Domains() {
-			tab, err := ksym.Parse(bytes.NewReader(d.SymbolMap))
+			tab, _, err := ksym.ParseShared(d.SymbolMap)
 			if err != nil {
 				return err
 			}

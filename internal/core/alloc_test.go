@@ -1,9 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 
+	"github.com/microslicedcore/microsliced/internal/guest"
 	"github.com/microslicedcore/microsliced/internal/hv"
 	"github.com/microslicedcore/microsliced/internal/ksym"
 	"github.com/microslicedcore/microsliced/internal/simtime"
@@ -30,12 +30,8 @@ func yieldWorld(t *testing.T, yielderFn string) (*Controller, *hv.Hypervisor, *h
 	cfg.PCPUs = 2
 	h := hv.New(clock, cfg)
 	tab := ksym.Generate(1)
-	var sm bytes.Buffer
-	if err := tab.Format(&sm); err != nil {
-		t.Fatal(err)
-	}
-	vm := h.NewDomain("vm", sm.Bytes())
-	hog := h.NewDomain("hog", sm.Bytes())
+	vm := h.NewDomain("vm", tab.SystemMap())
+	hog := h.NewDomain("hog", tab.SystemMap())
 	fns := []string{"get_page_from_freelist", "vfs_read", "_raw_spin_lock", "flush_tlb_func",
 		"__raw_spin_unlock", "schedule", "irq_exit", "default_idle", "scheduler_ipi", "do_fork", "rwsem_wake"}
 	var vcpus []*hv.VCPU
@@ -101,5 +97,34 @@ func TestOnYieldAllocFree(t *testing.T) {
 		if hits[tc.yielderFn] == 0 || hits["get_page_from_freelist"] == 0 || hits["vfs_read"] != 0 {
 			t.Fatalf("%v: symbol hits %v", tc.reason, hits)
 		}
+	}
+}
+
+// kernelAttachAllocs is what booting a one-vCPU guest kernel and attaching
+// a controller allocate past hv.New when the symbol tables are shared: 33
+// objects for the kernel (its maps, lock-wait histogram, vCPU and hv
+// domain) and 17 for the controller (its counter set, decision ring,
+// per-domain hit counts). Generating the table and its System.map again
+// adds 10 objects, parsing the map again 11.
+const kernelAttachAllocs = 50
+
+// TestAttachSharedSymbolsAllocFree: over a seed and a System.map seen
+// before, guest.NewKernel and Attach build, format and parse no symbol
+// table. The table, its blob and its parse come from the ksym caches; only
+// the per-controller hit counts are new.
+func TestAttachSharedSymbolsAllocFree(t *testing.T) {
+	newHV := func() *hv.Hypervisor { return hv.New(simtime.NewClock(), hv.DefaultConfig()) }
+	boot := func() {
+		h := newHV()
+		guest.NewKernel(h, "vm", 1, ksym.Generate(1000), guest.DefaultParams())
+		if _, err := Attach(h, DefaultConfig()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	boot() // warm-up: the first boot of a seed builds its tables
+	hvAllocs := testing.AllocsPerRun(20, func() { newHV() })
+	if allocs := testing.AllocsPerRun(20, boot) - hvAllocs; allocs > kernelAttachAllocs {
+		t.Fatalf("NewKernel+Attach allocate %v objects past hv.New, want at most %d: a symbol table was rebuilt",
+			allocs, kernelAttachAllocs)
 	}
 }

@@ -26,7 +26,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 
 	"github.com/microslicedcore/microsliced/internal/hv"
@@ -254,11 +253,13 @@ func Attach(h *hv.Hypervisor, cfg Config) (*Controller, error) {
 		if len(d.SymbolMap) == 0 {
 			return nil, fmt.Errorf("core: domain %s provided no System.map", d.Name)
 		}
-		tab, err := ksym.Parse(bytes.NewReader(d.SymbolMap))
+		// The parse is shared by every controller that sees the same
+		// bytes; the hit counts and the RIP memo are this controller's.
+		tab, classes, err := ksym.ParseShared(d.SymbolMap)
 		if err != nil {
 			return nil, fmt.Errorf("core: parsing System.map of %s: %v", d.Name, err)
 		}
-		c.doms[d.ID] = domSyms{tab: tab, classes: tab.Classes(), hits: make([]uint64, tab.Len())}
+		c.doms[d.ID] = domSyms{tab: tab, classes: classes, hits: make([]uint64, tab.Len())}
 	}
 	if cfg.Mode == ModeOff {
 		return c, nil

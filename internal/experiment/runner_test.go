@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -65,6 +66,37 @@ func TestRunAllMatchesSerial(t *testing.T) {
 	for i := range serial {
 		if !reflect.DeepEqual(serial[i], par[i]) {
 			t.Fatalf("setup %d: serial and RunAll results differ", i)
+		}
+	}
+}
+
+// TestSharedSymbolsConcurrentRuns runs the two-VM cell from four
+// goroutines at once, so the cells race to generate, format and parse the
+// same symbol tables (run it under -race), and requires every result to
+// equal a serial run's.
+func TestSharedSymbolsConcurrentRuns(t *testing.T) {
+	const workers = 4
+	par := make([]*Result, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for i := range par {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			par[i], errs[i] = Run(twoVMSetup())
+		}()
+	}
+	wg.Wait()
+	serial, err := Run(twoVMSetup())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range par {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !reflect.DeepEqual(par[i], serial) {
+			t.Fatalf("goroutine %d: result differs from the serial run", i)
 		}
 	}
 }

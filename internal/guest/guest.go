@@ -191,14 +191,14 @@ type addrs struct {
 }
 
 // NewKernel boots a guest kernel with nvcpus virtual CPUs on hypervisor h.
-// The domain is created internally with the formatted System.map attached
-// (the paper's "guest provides its symbol table" step).
+// The domain is created internally with sym's System.map attached (the
+// paper's "guest provides its symbol table" step); the blob is the table's
+// shared one, formatted once per table.
 func NewKernel(h *hv.Hypervisor, name string, nvcpus int, sym *ksym.Table, p Params) *Kernel {
 	if nvcpus <= 0 {
 		panic("guest: need at least one vCPU")
 	}
-	blob := formatSym(sym)
-	dom := h.NewDomain(name, blob)
+	dom := h.NewDomain(name, sym.SystemMap())
 	k := &Kernel{
 		HV:       h,
 		Dom:      dom,
@@ -237,21 +237,6 @@ func NewKernel(h *hv.Hypervisor, name string, nvcpus int, sym *ksym.Table, p Par
 		k.VCPUs = append(k.VCPUs, vc)
 	}
 	return k
-}
-
-func formatSym(sym *ksym.Table) []byte {
-	var buf writerBuf
-	if err := sym.Format(&buf); err != nil {
-		panic(fmt.Sprintf("guest: formatting System.map: %v", err))
-	}
-	return buf.b
-}
-
-type writerBuf struct{ b []byte }
-
-func (w *writerBuf) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
 }
 
 // Lock returns (creating on first use) the named kernel lock. The class

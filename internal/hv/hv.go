@@ -385,7 +385,8 @@ type Domain struct {
 
 	// SymbolMap is the System.map blob the guest "provides" to the
 	// hypervisor (paper §4.4). The detector parses it; the hypervisor
-	// proper never looks inside.
+	// proper never looks inside. Domains booted from one kernel build
+	// share the bytes, so nothing may modify them.
 	SymbolMap []byte
 
 	hot domHot // interned per-domain counters for the per-event paths

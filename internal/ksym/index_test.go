@@ -11,7 +11,7 @@ import (
 )
 
 // refResolve is the detector's original resolution path, kept as the
-// reference that Index and Classes are checked against: sort.Search with a
+// reference that Index and classes are checked against: sort.Search with a
 // closure over the symbols, then a by-name class lookup.
 func refResolve(t *Table, addr uint64) (int, Class, string) {
 	i := sort.Search(len(t.syms), func(i int) bool { return t.syms[i].Addr > addr })
@@ -60,14 +60,14 @@ ffffffff81000600 T schedule
 	return tabs
 }
 
-// TestIndexMatchesReference checks Index, Classes and At against the
+// TestIndexMatchesReference checks Index, classes and At against the
 // reference resolution at every symbol's start, start+8, end-1 and end,
 // at every address of every gap between symbols, and at 10k random kernel
 // and user addresses per table.
 func TestIndexMatchesReference(t *testing.T) {
 	r := rng.New(2024)
 	for name, tab := range indexTables(t) {
-		classes := tab.Classes()
+		classes := tab.classes()
 		if len(classes) != tab.Len() {
 			t.Fatalf("%s: %d classes for %d symbols", name, len(classes), tab.Len())
 		}
@@ -106,7 +106,7 @@ func TestIndexMatchesReference(t *testing.T) {
 // on tables with and without duplicate names.
 func TestClassesMatchClassify(t *testing.T) {
 	for name, tab := range indexTables(t) {
-		classes := tab.Classes()
+		classes := tab.classes()
 		critical := 0
 		for i, s := range tab.Symbols() {
 			if classes[i] != Classify(s.Name) {

@@ -12,6 +12,12 @@
 // functions while executing kernel services, and the *hypervisor* side is
 // only allowed to look at (RIP, System.map) — never at guest state — which
 // preserves the guest-transparency property under test.
+//
+// A real hypervisor parses each kernel build's System.map once, and so does
+// this package: Generate returns one shared table per seed, a table formats
+// its System.map once (SystemMap), and ParseShared parses each distinct blob
+// once. Tables are immutable after construction, so every scenario of a
+// process, on any goroutine, may hold the same one. See shared.go.
 package ksym
 
 import (
@@ -22,6 +28,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"unicode"
 	"unicode/utf8"
 
@@ -210,10 +217,15 @@ type Symbol struct {
 // End returns the first address past the symbol.
 func (s Symbol) End() uint64 { return s.Addr + s.Size }
 
-// Table is an address-sorted kernel symbol table with name lookup.
+// Table is an address-sorted kernel symbol table with name lookup. It is
+// immutable once built, so one table may be shared between scenarios and
+// goroutines.
 type Table struct {
 	syms   []Symbol
 	byName map[string]int
+
+	mapOnce sync.Once
+	blob    []byte // the System.map text, formatted on first use
 }
 
 // Len returns the number of symbols.
@@ -259,10 +271,11 @@ func (t *Table) Lookup(addr uint64) (Symbol, bool) {
 	return t.syms[i], true
 }
 
-// Classes returns the critical-service class of every symbol, indexed like
+// classes returns the critical-service class of every symbol, indexed like
 // Index, so a detector can classify a RIP without hashing its name. The
-// table does not keep the result: only the hypervisor side classifies.
-func (t *Table) Classes() []Class {
+// table does not keep the result: only the hypervisor side classifies,
+// through ParseShared.
+func (t *Table) classes() []Class {
 	cls := make([]Class, len(t.syms))
 	for i, s := range t.syms {
 		cls[i] = Classify(s.Name)
@@ -327,11 +340,15 @@ var whitelistByName = func() map[string]Class {
 	return m
 }()
 
-// Generate builds the synthetic System.map. The seed controls function
-// sizes and the interleaving of filler symbols, so different "kernel builds"
-// can be simulated; all whitelist, idle and filler symbols are always
-// present exactly once.
-func Generate(seed uint64) *Table {
+// Generate returns the synthetic System.map of one "kernel build". The seed
+// controls function sizes and the interleaving of filler symbols, so
+// different builds can be simulated; all whitelist, idle and filler symbols
+// are always present exactly once. The table is built once per seed and
+// shared by every caller (see shared.go).
+func Generate(seed uint64) *Table { return tables.generate(seed) }
+
+// generate builds the table of Generate(seed).
+func generate(seed uint64) *Table {
 	r := rng.New(seed)
 	names := make([]string, 0, len(Whitelist)+len(idleSymbols)+len(fillerSymbols))
 	for _, e := range Whitelist {
@@ -366,21 +383,32 @@ func newTable(syms []Symbol) *Table {
 	return &Table{syms: syms, byName: byName}
 }
 
-// Format writes the table in System.map format ("%016x %c %s\n").
-// Sizes are not part of the format, exactly as in real System.map files.
+// Format writes the table in System.map format (SystemMap).
 func (t *Table) Format(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	var line []byte
-	for _, s := range t.syms {
-		line = appendHex16(line[:0], s.Addr)
-		line = append(line, ' ', s.Type, ' ')
-		line = append(line, s.Name...)
-		line = append(line, '\n')
-		if _, err := bw.Write(line); err != nil {
-			return err
+	_, err := w.Write(t.SystemMap())
+	return err
+}
+
+// SystemMap returns the table in System.map format ("%016x %c %s\n" per
+// symbol). Sizes are not part of the format, exactly as in real System.map
+// files. The text is formatted on the first call and the same bytes are
+// returned to every caller, which must not modify them.
+func (t *Table) SystemMap() []byte {
+	t.mapOnce.Do(func() {
+		n := 0
+		for _, s := range t.syms {
+			n += 16 + 3 + len(s.Name) + 1
 		}
-	}
-	return bw.Flush()
+		b := make([]byte, 0, n)
+		for _, s := range t.syms {
+			b = appendHex16(b, s.Addr)
+			b = append(b, ' ', s.Type, ' ')
+			b = append(b, s.Name...)
+			b = append(b, '\n')
+		}
+		t.blob = b
+	})
+	return t.blob
 }
 
 // appendHex16 appends x as 16 zero-padded lowercase hex digits (%016x).
@@ -412,7 +440,12 @@ func Parse(r io.Reader) (*Table, error) {
 		b.Grow(l.Len())
 	}
 	_, rerr := io.Copy(&b, r)
-	text := b.String()
+	return parse(b.String(), rerr)
+}
+
+// parse parses System.map text; rerr is the error that ended reading it,
+// reported after every line of text has parsed.
+func parse(text string, rerr error) (*Table, error) {
 	syms := make([]Symbol, 0, strings.Count(text, "\n")+1)
 	for lineno := 1; text != ""; lineno++ {
 		var line string

@@ -31,8 +31,9 @@ func TestGenerateContainsAllWhitelist(t *testing.T) {
 	}
 }
 
+// TestGenerateDeterministic builds seed 7 twice past the shared cache.
 func TestGenerateDeterministic(t *testing.T) {
-	a, b := Generate(7), Generate(7)
+	a, b := generate(7), generate(7)
 	if a.Len() != b.Len() {
 		t.Fatal("lengths differ")
 	}
