@@ -30,21 +30,23 @@ type phasedProg struct {
 	i    int
 }
 
-func (p *phasedProg) Next(now simtime.Time) guest.Op {
+func (p *phasedProg) Next(now simtime.Time, op *guest.Op) {
 	p.i++
 	switch {
 	case now < 2*simtime.Second: // lock-bound phase
 		if p.i%2 == 0 {
-			return guest.Op{Kind: guest.OpLock, Lock: p.lock, Dur: simtime.Duration(p.r.ExpDur(2000))}
+			*op = guest.Op{Kind: guest.OpLock, Lock: p.lock, Dur: simtime.Duration(p.r.ExpDur(2000))}
+			return
 		}
-		return guest.Op{Kind: guest.OpCompute, Dur: simtime.Duration(p.r.ExpDur(int64(12 * simtime.Microsecond)))}
+		*op = guest.Op{Kind: guest.OpCompute, Dur: simtime.Duration(p.r.ExpDur(int64(12 * simtime.Microsecond)))}
 	case now < 4*simtime.Second: // quiet phase: plain computation
-		return guest.Op{Kind: guest.OpCompute, Dur: simtime.Duration(p.r.ExpDur(int64(300 * simtime.Microsecond)))}
+		*op = guest.Op{Kind: guest.OpCompute, Dur: simtime.Duration(p.r.ExpDur(int64(300 * simtime.Microsecond)))}
 	default: // TLB-bound phase
 		if p.i%2 == 0 {
-			return guest.Op{Kind: guest.OpTLBFlush}
+			*op = guest.Op{Kind: guest.OpTLBFlush}
+			return
 		}
-		return guest.Op{Kind: guest.OpCompute, Dur: simtime.Duration(p.r.ExpDur(int64(150 * simtime.Microsecond)))}
+		*op = guest.Op{Kind: guest.OpCompute, Dur: simtime.Duration(p.r.ExpDur(int64(150 * simtime.Microsecond)))}
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 
 type loopProg struct{ op guest.Op }
 
-func (p *loopProg) Next(now simtime.Time) guest.Op { return p.op }
+func (p *loopProg) Next(now simtime.Time, op *guest.Op) { *op = p.op }
 
 // lockProg alternates a user-compute burst with a short critical section —
 // the gmake/exim kernel-interaction shape. The lock is shared between two
@@ -25,12 +25,13 @@ type lockProg struct {
 	i     int
 }
 
-func (p *lockProg) Next(now simtime.Time) guest.Op {
+func (p *lockProg) Next(now simtime.Time, op *guest.Op) {
 	p.i++
 	if p.i%2 == 1 {
-		return guest.Op{Kind: guest.OpCompute, Dur: p.burst}
+		*op = guest.Op{Kind: guest.OpCompute, Dur: p.burst}
+		return
 	}
-	return guest.Op{Kind: guest.OpLock, Lock: p.l, Dur: 2 * simtime.Microsecond}
+	*op = guest.Op{Kind: guest.OpLock, Lock: p.l, Dur: 2 * simtime.Microsecond}
 }
 
 // lockScenario builds the paper's LHP shape: a lock-intensive VM co-running
@@ -201,12 +202,13 @@ type tlbProg struct {
 	burst simtime.Duration
 }
 
-func (p *tlbProg) Next(now simtime.Time) guest.Op {
+func (p *tlbProg) Next(now simtime.Time, op *guest.Op) {
 	p.i++
 	if p.i%2 == 1 {
-		return guest.Op{Kind: guest.OpCompute, Dur: p.burst}
+		*op = guest.Op{Kind: guest.OpCompute, Dur: p.burst}
+		return
 	}
-	return guest.Op{Kind: guest.OpTLBFlush}
+	*op = guest.Op{Kind: guest.OpTLBFlush}
 }
 
 // hogProg computes in long bursts with a short sleep in between, keeping
@@ -216,12 +218,13 @@ type hogProg struct {
 	burst simtime.Duration
 }
 
-func (p *hogProg) Next(now simtime.Time) guest.Op {
+func (p *hogProg) Next(now simtime.Time, op *guest.Op) {
 	p.i++
 	if p.i%8 == 0 {
-		return guest.Op{Kind: guest.OpSleep, Dur: 200 * simtime.Microsecond}
+		*op = guest.Op{Kind: guest.OpSleep, Dur: 200 * simtime.Microsecond}
+		return
 	}
-	return guest.Op{Kind: guest.OpCompute, Dur: p.burst}
+	*op = guest.Op{Kind: guest.OpCompute, Dur: p.burst}
 }
 
 func runTLB(t *testing.T, cfg Config, dur simtime.Duration) (float64, uint64, *Controller) {

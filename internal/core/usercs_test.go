@@ -17,12 +17,13 @@ type userLockProg struct {
 	i     int
 }
 
-func (p *userLockProg) Next(now simtime.Time) guest.Op {
+func (p *userLockProg) Next(now simtime.Time, op *guest.Op) {
 	p.i++
 	if p.i%2 == 1 {
-		return guest.Op{Kind: guest.OpCompute, Dur: p.burst}
+		*op = guest.Op{Kind: guest.OpCompute, Dur: p.burst}
+		return
 	}
-	return guest.Op{Kind: guest.OpLock, Lock: p.l, Dur: 2 * simtime.Microsecond}
+	*op = guest.Op{Kind: guest.OpLock, Lock: p.l, Dur: 2 * simtime.Microsecond}
 }
 
 // userCSScenario: an application with its own spinlocks (a game server, a

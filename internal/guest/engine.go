@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/microslicedcore/microsliced/internal/hv"
+	"github.com/microslicedcore/microsliced/internal/hv/fifo"
 	"github.com/microslicedcore/microsliced/internal/obs"
 	"github.com/microslicedcore/microsliced/internal/simtime"
 )
@@ -79,7 +80,7 @@ type VCPU struct {
 
 	irq      *irqCtx
 	irqBuf   irqCtx // backing store reused for every v.irq handler context
-	irqQueue []pendingGuestIRQ
+	irqQueue fifo.FIFO[pendingGuestIRQ]
 	irqStart simtime.Time
 	savedRIP uint64
 
@@ -137,7 +138,7 @@ func (v *VCPU) OnScheduled(now simtime.Time) {
 		v.resumeIRQ()
 		return
 	}
-	if len(v.irqQueue) > 0 {
+	if v.irqQueue.Len() > 0 {
 		// The vCPU was descheduled between two queued handlers.
 		v.startNextIRQ()
 		return
@@ -180,7 +181,7 @@ func (v *VCPU) OnInterrupt(now simtime.Time, vec hv.Vector, data uint64) {
 	if !v.running {
 		panic(fmt.Sprintf("guest: interrupt on idle vCPU %d", v.idx))
 	}
-	v.irqQueue = append(v.irqQueue, pendingGuestIRQ{vec, data})
+	v.irqQueue.Push(pendingGuestIRQ{vec, data})
 	if v.irq != nil {
 		return // current handler finishes first; queued behind it
 	}
@@ -200,17 +201,16 @@ func (v *VCPU) startNextIRQ() {
 		// continues the queue later.
 		return
 	}
-	if len(v.irqQueue) == 0 {
+	if v.irqQueue.Len() == 0 {
 		v.irq = nil
 		v.setRIP(v.savedRIP)
 		v.resume()
 		return
 	}
-	p := v.irqQueue[0]
-	// Pop by copy-down so the queue's backing array keeps its capacity
-	// (re-slicing would strand the head and force appends to reallocate).
-	n := copy(v.irqQueue, v.irqQueue[1:])
-	v.irqQueue = v.irqQueue[:n]
+	// An O(1) pop: the hypervisor drains a returning vCPU's whole backlog
+	// into this queue at once, hundreds of net interrupts deep after an
+	// off-CPU slice, so a copy-down pop would make the drain quadratic.
+	p := v.irqQueue.Pop()
 	v.irqBuf = irqCtx{vec: p.vec, data: p.data}
 	v.irq = &v.irqBuf
 	v.runIRQStage()
@@ -454,8 +454,7 @@ func (v *VCPU) nextOp() {
 		}
 		t = v.cur
 	}
-	op := t.prog.Next(v.now())
-	t.op = op
+	t.prog.Next(v.now(), &t.op)
 	t.opStage = 0
 	v.startOp(t)
 }

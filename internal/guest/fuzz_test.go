@@ -19,32 +19,31 @@ type randProg struct {
 	self  int
 }
 
-func (p *randProg) Next(now simtime.Time) Op {
+func (p *randProg) Next(now simtime.Time, op *Op) {
 	switch p.r.Intn(10) {
 	case 0, 1, 2:
-		return Op{Kind: OpCompute, Dur: simtime.Duration(p.r.ExpDur(int64(50 * simtime.Microsecond)))}
+		*op = Op{Kind: OpCompute, Dur: simtime.Duration(p.r.ExpDur(int64(50 * simtime.Microsecond)))}
 	case 3:
-		return Op{Kind: OpKernel, RIP: p.k.Sym.InnerAddr("vfs_read"), Dur: simtime.Duration(p.r.ExpDur(int64(3 * simtime.Microsecond)))}
+		*op = Op{Kind: OpKernel, RIP: p.k.Sym.InnerAddr("vfs_read"), Dur: simtime.Duration(p.r.ExpDur(int64(3 * simtime.Microsecond)))}
 	case 4, 5:
-		return Op{
+		*op = Op{
 			Kind: OpLock,
 			Lock: p.locks[p.r.Intn(len(p.locks))],
 			Dur:  simtime.Duration(p.r.ExpDur(int64(2 * simtime.Microsecond))),
 		}
 	case 6:
-		op := Op{Kind: OpTLBFlush}
+		*op = Op{Kind: OpTLBFlush}
 		if p.r.Bool(0.3) {
 			op.Lock = p.locks[len(p.locks)-1] // the sleeping one
 		}
-		return op
 	case 7:
-		return Op{Kind: OpSleep, Dur: simtime.Duration(p.r.ExpDur(int64(30 * simtime.Microsecond)))}
+		*op = Op{Kind: OpSleep, Dur: simtime.Duration(p.r.ExpDur(int64(30 * simtime.Microsecond)))}
 	case 8:
 		// Wake a random sibling thread.
 		ths := p.k.Threads()
-		return Op{Kind: OpWake, Dur: 700, Target: ths[p.r.Intn(len(ths))]}
+		*op = Op{Kind: OpWake, Dur: 700, Target: ths[p.r.Intn(len(ths))]}
 	default:
-		return Op{Kind: OpCompute, Dur: simtime.Duration(1 + p.r.Intn(1000))}
+		*op = Op{Kind: OpCompute, Dur: simtime.Duration(1 + p.r.Intn(1000))}
 	}
 }
 

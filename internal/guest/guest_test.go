@@ -24,19 +24,19 @@ type seqProg struct {
 	i   int
 }
 
-func (p *seqProg) Next(now simtime.Time) Op {
+func (p *seqProg) Next(now simtime.Time, op *Op) {
 	if p.i >= len(p.ops) {
-		return Op{Kind: OpExit}
+		*op = Op{Kind: OpExit}
+		return
 	}
-	op := p.ops[p.i]
+	*op = p.ops[p.i]
 	p.i++
-	return op
 }
 
 // loopProg repeats one op forever.
 type loopProg struct{ op Op }
 
-func (p *loopProg) Next(now simtime.Time) Op { return p.op }
+func (p *loopProg) Next(now simtime.Time, op *Op) { *op = p.op }
 
 func TestComputeThreadRunsAndExits(t *testing.T) {
 	clock, h, k := boot(t, 1, 1)
@@ -262,12 +262,13 @@ type flushLoopProg struct {
 	i       int
 }
 
-func (p *flushLoopProg) Next(now simtime.Time) Op {
+func (p *flushLoopProg) Next(now simtime.Time, op *Op) {
 	p.i++
 	if p.i%2 == 1 {
-		return Op{Kind: OpCompute, Dur: p.compute}
+		*op = Op{Kind: OpCompute, Dur: p.compute}
+		return
 	}
-	return Op{Kind: OpTLBFlush}
+	*op = Op{Kind: OpTLBFlush}
 }
 
 func TestSleepAndTimerWake(t *testing.T) {

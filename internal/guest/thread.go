@@ -108,16 +108,21 @@ type Op struct {
 }
 
 // Program generates a thread's operation sequence. Next is called each time
-// the previous operation completes; returning OpExit ends the thread.
+// the previous operation completes and overwrites *op, the thread's op
+// slot, with the whole next operation; writing OpExit ends the thread.
+// Filling the slot in place spares a copy of a returned Op, whose 8-byte
+// reload of the first word stalls: the CPU cannot forward the 1-byte store
+// of Kind that produced it.
 type Program interface {
-	Next(now simtime.Time) Op
+	Next(now simtime.Time, op *Op)
 }
 
-// ProgramFunc adapts a function to the Program interface.
+// ProgramFunc adapts a function returning each operation to the Program
+// interface.
 type ProgramFunc func(now simtime.Time) Op
 
 // Next implements Program.
-func (f ProgramFunc) Next(now simtime.Time) Op { return f(now) }
+func (f ProgramFunc) Next(now simtime.Time, op *Op) { *op = f(now) }
 
 // phase is the execution sub-state of the current thread of a vCPU.
 type phase uint8

@@ -17,6 +17,7 @@ package hv
 import (
 	"fmt"
 
+	"github.com/microslicedcore/microsliced/internal/hv/fifo"
 	"github.com/microslicedcore/microsliced/internal/metrics"
 	"github.com/microslicedcore/microsliced/internal/obs"
 	"github.com/microslicedcore/microsliced/internal/simtime"
@@ -295,7 +296,7 @@ type VCPU struct {
 	lastPCPU int   // affinity hint
 	pin      int   // pinned pCPU id, -1 if unpinned
 
-	pending []PendingIRQ
+	pending fifo.FIFO[PendingIRQ]
 
 	runningSince  simtime.Time
 	runnableSince simtime.Time // when the vCPU last left a pCPU/blocked state
@@ -346,7 +347,7 @@ func (v *VCPU) RanTotal() simtime.Duration { return v.ranTotal }
 func (v *VCPU) MicroVisits() uint64 { return v.microVisits }
 
 // PendingCount returns the number of undelivered interrupts.
-func (v *VCPU) PendingCount() int { return len(v.pending) }
+func (v *VCPU) PendingCount() int { return v.pending.Len() }
 
 // SetSliceOverride gives the vCPU its own scheduling quantum regardless of
 // its pool (0 restores the pool default). Prior-work schedulers that pick

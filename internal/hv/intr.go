@@ -192,11 +192,11 @@ func (h *Hypervisor) deliver(dst *VCPU, vec Vector, data uint64, span obs.SpanRe
 		r.dst, r.vec, r.data, r.span = dst, vec, data, span
 		r.ev.Arm(h.Cfg.IPILatency)
 	case StateBlocked:
-		dst.pending = append(dst.pending, PendingIRQ{Vec: vec, Data: data, Span: span})
+		dst.pending.Push(PendingIRQ{Vec: vec, Data: data, Span: span})
 		h.Wake(dst, true)
 	case StateRunnable:
 		// The VTD case: the interrupt sits until the next scheduling turn.
-		dst.pending = append(dst.pending, PendingIRQ{Vec: vec, Data: data, Span: span})
+		dst.pending.Push(PendingIRQ{Vec: vec, Data: data, Span: span})
 		h.hot.irqDeferred.Inc()
 		dst.Dom.hot.irqDeferred.Inc()
 	}
@@ -303,7 +303,7 @@ func (h *Hypervisor) injectOrQueue(dst *VCPU, vec Vector, data uint64, span obs.
 		dst.Guest.OnInterrupt(h.Clock.Now(), vec, data)
 		return
 	}
-	dst.pending = append(dst.pending, PendingIRQ{Vec: vec, Data: data, Span: span})
+	dst.pending.Push(PendingIRQ{Vec: vec, Data: data, Span: span})
 	if dst.state == StateBlocked {
 		h.Wake(dst, true)
 	}
@@ -313,13 +313,11 @@ func (h *Hypervisor) injectOrQueue(dst *VCPU, vec Vector, data uint64, span obs.
 // running. Each OnInterrupt may change guest state; delivery stops if the
 // guest yields or blocks mid-drain.
 func (h *Hypervisor) drainPending(v *VCPU) {
-	for len(v.pending) > 0 && v.state == StateRunning {
-		irq := v.pending[0]
-		// Pop by copy-down, not re-slicing: v.pending = v.pending[1:] would
-		// strand the backing array's head and make every later append
-		// reallocate; shifting keeps the array reusable forever.
-		n := copy(v.pending, v.pending[1:])
-		v.pending = v.pending[:n]
+	for v.pending.Len() > 0 && v.state == StateRunning {
+		// An O(1) pop: the backlog of a vCPU that was off its pCPU can be
+		// hundreds deep (a NIC re-asserts every 100 µs of a 30 ms slice), so
+		// a copy-down pop would make the drain quadratic.
+		irq := v.pending.Pop()
 		if h.Obs != nil {
 			h.Obs.End(irq.Span, h.Clock.Now())
 		}

@@ -12,8 +12,8 @@ import (
 // recvLoop is an iPerf-server-like program: receive forever.
 type recvLoop struct{ sock *guest.Socket }
 
-func (p *recvLoop) Next(now simtime.Time) guest.Op {
-	return guest.Op{Kind: guest.OpRecv, Sock: p.sock}
+func (p *recvLoop) Next(now simtime.Time, op *guest.Op) {
+	*op = guest.Op{Kind: guest.OpRecv, Sock: p.sock}
 }
 
 // bareDom creates a minimal 1-vCPU domain for NIC-only tests.
@@ -24,8 +24,8 @@ func bareDom(h *hv.Hypervisor) *hv.Domain {
 // busyLoop burns CPU forever.
 type busyLoop struct{}
 
-func (p *busyLoop) Next(now simtime.Time) guest.Op {
-	return guest.Op{Kind: guest.OpCompute, Dur: simtime.Millisecond}
+func (p *busyLoop) Next(now simtime.Time, op *guest.Op) {
+	*op = guest.Op{Kind: guest.OpCompute, Dur: simtime.Millisecond}
 }
 
 func ioSetup(t *testing.T, pcpus int) (*simtime.Clock, *hv.Hypervisor, *guest.Kernel, *NIC, *guest.Socket) {

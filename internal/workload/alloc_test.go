@@ -40,7 +40,9 @@ func TestCycleProgReuseMatchesFresh(t *testing.T) {
 		for i := range reused {
 			for n := 0; n < 2000; n++ {
 				fresh[i].buf = nil // the reference: build into a new slice
-				a, b := reused[i].Next(0), fresh[i].Next(0)
+				var a, b guest.Op
+				reused[i].Next(0, &a)
+				fresh[i].Next(0, &b)
 				if a.Kind != b.Kind || a.Dur != b.Dur || a.RIP != b.RIP || lockName(a) != lockName(b) ||
 					a.Bytes != b.Bytes || a.Write != b.Write {
 					t.Fatalf("%s thread %d op %d: reused buffer gives %+v, fresh slice %+v", app, i, n, a, b)
@@ -58,9 +60,10 @@ func TestCycleProgReuseMatchesFresh(t *testing.T) {
 func TestCycleProgAllocFree(t *testing.T) {
 	for _, app := range []string{"gmake", "exim"} {
 		progs := cyclePrograms(t, app, 11)
+		var op guest.Op
 		next := func() {
 			for _, p := range progs {
-				p.Next(0)
+				p.Next(0, &op)
 			}
 		}
 		for i := 0; i < 5000; i++ {

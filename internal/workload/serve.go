@@ -121,18 +121,19 @@ func (p *serveProg) buildService() {
 
 // Next implements guest.Program. Because the engine resolves guest-slice
 // rotation before calling Next, now is the exact dispatch instant of the
-// returned op — so staging the service→reply boundary here is exact.
-func (p *serveProg) Next(now simtime.Time) guest.Op {
+// op it writes — so staging the service→reply boundary here is exact.
+func (p *serveProg) Next(now simtime.Time, op *guest.Op) {
 	if !p.busy {
-		return guest.Op{Kind: guest.OpRecv, Sock: p.sock}
+		*op = guest.Op{Kind: guest.OpRecv, Sock: p.sock}
+		return
 	}
 	if p.qi < len(p.q) {
-		op := p.q[p.qi]
+		*op = p.q[p.qi]
 		p.qi++
-		return op
+		return
 	}
 	p.sink.MarkService(p.cur, now)
-	return guest.Op{Kind: guest.OpSend, Bytes: serveReplyBytes, Dur: serveReplyCost, Done: p.doneFn}
+	*op = guest.Op{Kind: guest.OpSend, Bytes: serveReplyBytes, Dur: serveReplyCost, Done: p.doneFn}
 }
 
 // replyDone fires at the reply OpSend's completion — the transmit instant.

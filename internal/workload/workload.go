@@ -108,7 +108,7 @@ func newCycleProg(a *App, build func(ops []guest.Op) []guest.Op) *cycleProg {
 }
 
 // Next implements guest.Program.
-func (p *cycleProg) Next(now simtime.Time) guest.Op {
+func (p *cycleProg) Next(now simtime.Time, op *guest.Op) {
 	if len(p.queue) == 0 {
 		if !p.first {
 			p.app.units++
@@ -117,12 +117,12 @@ func (p *cycleProg) Next(now simtime.Time) guest.Op {
 		p.buf = p.build(p.buf[:0])
 		p.queue = p.buf
 		if len(p.queue) == 0 {
-			return guest.Op{Kind: guest.OpExit}
+			*op = guest.Op{Kind: guest.OpExit}
+			return
 		}
 	}
-	op := p.queue[0]
+	*op = p.queue[0]
 	p.queue = p.queue[1:]
-	return op
 }
 
 func exp(r *rng.Source, mean simtime.Duration) simtime.Duration {
