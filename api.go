@@ -79,77 +79,16 @@ type Scenario struct {
 // error.
 type TelemetryConfig = obs.Config
 
-// FaultPlan configures seeded, deterministic fault injection: the same
-// plan on the same scenario always reproduces identical results. The zero
-// value injects nothing.
-type FaultPlan struct {
-	// Seed seeds the fault plan's RNG streams.
-	Seed uint64
-	// OfflinePCPUs hot-unplugs this many pCPUs mid-run and brings them
-	// back later; the scheduler and micro-pool controller must rebalance.
-	OfflinePCPUs int
-	// IPIDelayProb delays a virtual IPI with this probability by up to
-	// IPIDelayMaxUs microseconds.
-	IPIDelayProb  float64
-	IPIDelayMaxUs float64
-	// IPIDropProb drops an IPI delivery attempt with this probability
-	// (dropped IPIs are retried with bounded backoff, never lost).
-	IPIDropProb float64
-	// TickJitterUs perturbs scheduler ticks by up to ±TickJitterUs
-	// microseconds.
-	TickJitterUs float64
-	// LockStallProb amplifies a guest critical section with this
-	// probability by LockStallFactor.
-	LockStallProb   float64
-	LockStallFactor float64
-	// PermanentOfflinePCPUs hot-unplugs this many additional pCPUs that
-	// never come back — permanent capacity loss the supervisor (Recovery)
-	// reacts to by re-homing vCPUs and shrinking the micro pool.
-	PermanentOfflinePCPUs int
-	// Storms overlays this many correlated fault bursts: inside each storm
-	// window the IPI drop/delay probabilities, tick jitter and lock-stall
-	// amplification are raised to harsh floors simultaneously.
-	Storms int
-	// StormLenMs is each storm's length (0: a twentieth of the run).
-	StormLenMs float64
-	// LoseIPIs converts IPI drops that exhaust the bounded retry budget
-	// into lost interrupts, parked in a ledger until the supervisor
-	// re-drives them. Requires IPIDropProb > 0 or Storms > 0.
-	LoseIPIs bool
-	// QuiesceAtMs, when positive, stops all fault firing at this point of
-	// the run, opening the convergence window MTTR is measured over.
-	QuiesceAtMs float64
-}
-
-func (f *FaultPlan) toConfig() fault.Config {
-	return fault.Config{
-		Seed:                  f.Seed,
-		OfflinePCPUs:          f.OfflinePCPUs,
-		PermanentOfflinePCPUs: f.PermanentOfflinePCPUs,
-		IPIDelayProb:          f.IPIDelayProb,
-		IPIDelayMax:           simtime.Duration(f.IPIDelayMaxUs * float64(simtime.Microsecond)),
-		IPIDropProb:           f.IPIDropProb,
-		LoseIPIs:              f.LoseIPIs,
-		TickJitter:            simtime.Duration(f.TickJitterUs * float64(simtime.Microsecond)),
-		LockStallProb:         f.LockStallProb,
-		LockStallFactor:       f.LockStallFactor,
-		Storms:                f.Storms,
-		StormLen:              simtime.Duration(f.StormLenMs * float64(simtime.Millisecond)),
-		QuiesceAt:             simtime.Duration(f.QuiesceAtMs * float64(simtime.Millisecond)),
-	}
-}
+// FaultPlan configures seeded, deterministic fault injection in ms and µs;
+// its fields are documented on fault.Spec. The zero value injects nothing.
+type FaultPlan = fault.Spec
 
 // RecoveryPlan arms the self-healing supervisor: a periodic deterministic
 // detector for starved vCPUs, lost IPIs and capacity loss, with escalating
 // bounded repairs (credit re-grant, unpin/re-home, forced dispatch, IPI
-// re-drive, micro-pool resize). The zero value uses the defaults.
-type RecoveryPlan struct {
-	// IntervalMs is the supervision walk period (0: the scheduler tick).
-	IntervalMs float64
-	// StarveBoundMs is how long a vCPU may sit runnable-but-undispatched
-	// before the supervisor declares starvation (0: 50ms).
-	StarveBoundMs float64
-}
+// re-drive, micro-pool resize). Its fields are documented on
+// recovery.Spec. The zero value uses the defaults.
+type RecoveryPlan = recovery.Spec
 
 // ScenarioError reports an invalid Scenario field.
 type ScenarioError struct {
@@ -270,7 +209,7 @@ func (s Scenario) Validate() error {
 				return err
 			}
 		}
-		if err := f.toConfig().Validate(); err != nil {
+		if err := f.Config().Validate(); err != nil {
 			return &ScenarioError{Field: "Faults", Reason: err.Error()}
 		}
 		if off := f.OfflinePCPUs + f.PermanentOfflinePCPUs; off > pcpus-1 {
@@ -354,14 +293,12 @@ func Simulate(s Scenario) (*Results, error) {
 		setup.VMs[i] = vm
 	}
 	if s.Faults != nil {
-		fc := s.Faults.toConfig()
+		fc := s.Faults.Config()
 		setup.Faults = &fc
 	}
 	if s.Recovery != nil {
-		setup.Recovery = &recovery.Config{
-			Interval:    simtime.Duration(s.Recovery.IntervalMs * float64(simtime.Millisecond)),
-			StarveBound: simtime.Duration(s.Recovery.StarveBoundMs * float64(simtime.Millisecond)),
-		}
+		rc := s.Recovery.Config()
+		setup.Recovery = &rc
 	}
 	if s.Seconds > 0 {
 		setup.Duration = simtime.Duration(s.Seconds * float64(simtime.Second))

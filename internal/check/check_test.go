@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -192,7 +193,7 @@ func TestInjectedRequestLeakCaught(t *testing.T) {
 	for seed := uint64(1); seed < 128 && !found; seed++ {
 		s := Generate(seed)
 		for _, vm := range s.VMs {
-			if vm.ServeRate > 0 {
+			if vm.Serve != nil {
 				sc, found = s, true
 				break
 			}
@@ -247,31 +248,44 @@ func TestGenerateProducesValidSetups(t *testing.T) {
 }
 
 // TestFixtureRoundTrip: a fixture survives the write/load cycle intact and
-// its scenario replays.
+// its scenario replays. The inputs cover a plain generated scenario, a
+// recovery scenario (the embedded recovery.Spec and DeadlineMs) and a
+// generated scenario with faults and a serving VM (fault.Spec's float
+// fields and experiment.ServeSpec).
 func TestFixtureRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	f := &Fixture{
-		Seed:     42,
-		Err:      "relation \"domain-relabel\" violated: hv counters differ",
-		Original: Generate(42),
-		Shrunk:   Generate(7),
+	var faultServe Scenario
+	serving := func(vm experiment.VMSpec) bool { return vm.Serve != nil }
+	for seed := uint64(1); seed < 256 && faultServe.Faults == nil; seed++ {
+		if sc := Generate(seed); sc.Faults != nil && slices.ContainsFunc(sc.VMs, serving) {
+			faultServe = sc
+		}
 	}
-	path, err := WriteFixture(dir, f)
-	if err != nil {
-		t.Fatal(err)
+	if faultServe.Faults == nil {
+		t.Fatal("generator produced no scenario with faults and a serving VM in 255 seeds")
 	}
-	if filepath.Dir(path) != dir {
-		t.Fatalf("fixture written to %s, want under %s", path, dir)
-	}
-	loaded, err := LoadFixture(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(f, loaded) {
-		t.Fatalf("round trip changed the fixture:\n%+v\n%+v", f, loaded)
-	}
-	if err := ReplayFixture(loaded); err != nil {
-		t.Fatalf("healthy fixture scenario fails on replay: %v", err)
+	for _, f := range []*Fixture{
+		{Seed: 42, Err: "relation \"domain-relabel\" violated: hv counters differ", Original: Generate(42), Shrunk: Generate(7)},
+		{Seed: 50, Err: "recovery: MTTR exceeds convergence deadline", Original: GenerateRecovery(50), Shrunk: GenerateRecovery(50)},
+		{Seed: faultServe.Seed, Err: "conservation: requests", Original: faultServe, Shrunk: faultServe},
+	} {
+		dir := t.TempDir()
+		path, err := WriteFixture(dir, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if filepath.Dir(path) != dir {
+			t.Fatalf("fixture written to %s, want under %s", path, dir)
+		}
+		loaded, err := LoadFixture(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(f, loaded) {
+			t.Fatalf("seed %d: round trip changed the fixture:\n%+v\n%+v", f.Seed, f, loaded)
+		}
+		if err := ReplayFixture(loaded); err != nil {
+			t.Fatalf("seed %d: healthy fixture scenario fails on replay: %v", f.Seed, err)
+		}
 	}
 }
 

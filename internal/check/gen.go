@@ -1,6 +1,8 @@
 package check
 
 import (
+	"github.com/microslicedcore/microsliced/internal/experiment"
+	"github.com/microslicedcore/microsliced/internal/fault"
 	"github.com/microslicedcore/microsliced/internal/rng"
 )
 
@@ -39,7 +41,7 @@ func Generate(seed uint64) Scenario {
 
 	nvms := 1 + r.Intn(3) // 1..3
 	for i := 0; i < nvms; i++ {
-		vm := VMSpec{
+		vm := experiment.VMSpec{
 			App:   genApps[r.Intn(len(genApps))],
 			VCPUs: 1 + r.Intn(4), // 1..4
 			Seed:  r.Uint64(),
@@ -57,27 +59,29 @@ func Generate(seed uint64) Scenario {
 			// Attach an open-loop serving workload: the request conservation
 			// law then runs over this VM's pipeline. Small rings make tail
 			// drops (the trickiest ledger path) common.
-			vm.ServeRate = 2000 + r.Intn(8001) // 2000..10000 req/s
-			vm.ServeSeed = r.Uint64()
-			vm.ServeRing = 4 + r.Intn(29) // 4..32 slots
+			vm.Serve = &experiment.ServeSpec{ // drawn in the order written
+				RatePerSec: 2000 + r.Intn(8001), // 2000..10000 req/s
+				Seed:       r.Uint64(),
+				RingCap:    4 + r.Intn(29), // 4..32 slots
+			}
 		}
 		sc.VMs = append(sc.VMs, vm)
 	}
 
 	if r.Bool(0.3) {
-		f := &FaultSpec{Seed: r.Uint64()}
+		f := &fault.Spec{Seed: r.Uint64()}
 		if r.Bool(0.4) && sc.PCPUs > 2 {
 			f.OfflinePCPUs = 1 + r.Intn(sc.PCPUs-2)
 		}
 		if r.Bool(0.5) {
 			f.IPIDelayProb = 0.05 + 0.3*r.Float64()
-			f.IPIDelayMaxUs = 1 + r.Intn(50)
+			f.IPIDelayMaxUs = float64(1 + r.Intn(50))
 		}
 		if r.Bool(0.4) {
 			f.IPIDropProb = 0.02 + 0.2*r.Float64()
 		}
 		if r.Bool(0.4) {
-			f.TickJitterUs = 1 + r.Intn(500)
+			f.TickJitterUs = float64(1 + r.Intn(500))
 		}
 		if r.Bool(0.4) {
 			f.LockStallProb = 0.02 + 0.2*r.Float64()
@@ -93,15 +97,15 @@ func Generate(seed uint64) Scenario {
 		// permanent ≤ PCPUs−1 (pCPU 0 is never unplugged).
 		f := sc.Faults
 		if f == nil {
-			f = &FaultSpec{Seed: r.Uint64()}
+			f = &fault.Spec{Seed: r.Uint64()}
 			sc.Faults = f
 		}
 		if room := sc.PCPUs - 1 - f.OfflinePCPUs; room >= 1 {
-			f.PermanentOffPCPUs = 1 + r.Intn(room)
+			f.PermanentOfflinePCPUs = 1 + r.Intn(room)
 		}
 		if r.Bool(0.3) {
 			f.Storms = 1 + r.Intn(3)
-			f.StormLenMs = 1 + r.Intn(5)
+			f.StormLenMs = float64(1 + r.Intn(5))
 		}
 	}
 	return sc

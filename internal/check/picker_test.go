@@ -90,7 +90,7 @@ type hookedYield struct {
 
 // wrapYieldHook runs hook under the hookedYield model.
 func (l *lockstep) wrapYieldHook(hook func(*hv.VCPU, hv.YieldReason)) func(*hv.VCPU, hv.YieldReason) {
-	migrations := l.h.Counters.Handle("migrate.micro")
+	migrations := l.h.Counters.Counter("migrate.micro")
 	return func(v *hv.VCPU, reason hv.YieldReason) {
 		y := &hookedYield{
 			v:        v,

@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"github.com/microslicedcore/microsliced/internal/experiment"
+	"github.com/microslicedcore/microsliced/internal/fault"
 	"github.com/microslicedcore/microsliced/internal/hv"
+	"github.com/microslicedcore/microsliced/internal/recovery"
 	"github.com/microslicedcore/microsliced/internal/rng"
 	"github.com/microslicedcore/microsliced/internal/simtime"
 )
@@ -48,7 +50,7 @@ func GenerateRecovery(seed uint64) Scenario {
 		// legitimately wait far longer than the runqueue-depth × slice
 		// estimate below, which would make the starve bound fire on healthy
 		// weighted fairness and keep the MTTR clock running forever.
-		vm := VMSpec{
+		vm := experiment.VMSpec{
 			App:   genApps[r.Intn(len(genApps))],
 			VCPUs: 1 + r.Intn(3), // 1..3
 			Seed:  r.Uint64(),
@@ -64,7 +66,7 @@ func GenerateRecovery(seed uint64) Scenario {
 		sc.VMs = append(sc.VMs, vm)
 	}
 
-	f := &FaultSpec{Seed: r.Uint64()}
+	f := &fault.Spec{Seed: r.Uint64()}
 	permOff := 0
 	switch r.Intn(3) {
 	case 0: // permanent capacity loss only
@@ -73,14 +75,14 @@ func GenerateRecovery(seed uint64) Scenario {
 		f.Storms = 1 + r.Intn(2)
 		f.IPIDropProb = 0.1 + 0.2*r.Float64()
 		f.LoseIPIs = true
-		f.TickJitterUs = 1 + r.Intn(500)
+		f.TickJitterUs = float64(1 + r.Intn(500))
 	default: // both
 		permOff = 1 + r.Intn(sc.PCPUs-3)
 		f.Storms = 1
 		f.IPIDropProb = 0.1 + 0.15*r.Float64()
 		f.LoseIPIs = true
 	}
-	f.PermanentOffPCPUs = permOff
+	f.PermanentOfflinePCPUs = permOff
 	if r.Bool(0.3) {
 		f.LockStallProb = 0.02 + 0.1*r.Float64()
 		f.LockStallFactor = 2 + 4*r.Float64()
@@ -107,13 +109,12 @@ func GenerateRecovery(seed uint64) Scenario {
 	starve := legitMs + 15 + r.Intn(16)
 	deadline := starve + 20 + r.Intn(11)
 	quiesce := 20 + r.Intn(21)
-	f.QuiesceAtMs = quiesce
+	f.QuiesceAtMs = float64(quiesce)
 	sc.DurationMs = quiesce + deadline + 10 + r.Intn(11)
 	sc.Faults = f
 	sc.Recovery = &RecoverySpec{
-		IntervalMs:    2,
-		StarveBoundMs: starve,
-		DeadlineMs:    deadline,
+		Spec:       recovery.Spec{IntervalMs: 2, StarveBoundMs: float64(starve)},
+		DeadlineMs: deadline,
 	}
 	return sc
 }
@@ -124,7 +125,7 @@ func GenerateRecovery(seed uint64) Scenario {
 func recoveryShaped(sc Scenario) bool {
 	return sc.Recovery != nil && sc.Faults != nil &&
 		sc.Faults.QuiesceAtMs > 0 && sc.Recovery.DeadlineMs > 0 &&
-		sc.Faults.QuiesceAtMs+sc.Recovery.DeadlineMs <= sc.DurationMs
+		sc.Faults.QuiesceAtMs+float64(sc.Recovery.DeadlineMs) <= float64(sc.DurationMs)
 }
 
 // CheckRecovery runs a recovery-shaped scenario twice and verifies the
@@ -178,13 +179,14 @@ func CheckRecovery(sc Scenario) error {
 
 // recoveryPostCheck builds the convergence-law PostCheck for sc.
 func recoveryPostCheck(sc Scenario) func(*experiment.PostRun) error {
-	quiesce := simtime.Duration(sc.Faults.QuiesceAtMs) * simtime.Millisecond
+	quiesce := sc.Faults.Config().QuiesceAt
 	deadline := simtime.Duration(sc.Recovery.DeadlineMs) * simtime.Millisecond
-	starve := simtime.Duration(sc.Recovery.StarveBoundMs) * simtime.Millisecond
+	rc := sc.Recovery.Config()
+	starve := rc.StarveBound
 	if starve <= 0 {
 		starve = 50 * simtime.Millisecond // recovery.Config default
 	}
-	interval := simtime.Duration(sc.Recovery.IntervalMs) * simtime.Millisecond
+	interval := rc.Interval
 	return func(pr *experiment.PostRun) error {
 		if err := conservation(pr, simtime.Time(quiesce+deadline)); err != nil {
 			return err

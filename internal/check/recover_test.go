@@ -86,7 +86,7 @@ func TestRecoveryCheckRejectsMalformedScenario(t *testing.T) {
 		"no-faults":   func(s *Scenario) { s.Faults = nil },
 		"no-quiesce":  func(s *Scenario) { s.Faults.QuiesceAtMs = 0 },
 		"deadline-past-end": func(s *Scenario) {
-			s.DurationMs = s.Faults.QuiesceAtMs + s.Recovery.DeadlineMs - 1
+			s.DurationMs = int(s.Faults.QuiesceAtMs) + s.Recovery.DeadlineMs - 1
 		},
 	} {
 		c := sc.clone()

@@ -39,8 +39,11 @@ type Scenario struct {
 	NoReturnHome   bool `json:"no_return_home,omitempty"`
 	BoostOff       bool `json:"boost_off,omitempty"`
 
-	VMs    []VMSpec   `json:"vms"`
-	Faults *FaultSpec `json:"faults,omitempty"`
+	// VMs leave Name empty: ToSetup names VM i "vm<i>". A VM with Serve
+	// set runs an open-loop request-serving workload, which exercises the
+	// request conservation law in Conservation.
+	VMs    []experiment.VMSpec `json:"vms"`
+	Faults *fault.Spec         `json:"faults,omitempty"`
 
 	// Recovery, when non-nil, arms the self-healing supervisor and marks
 	// the scenario as a recovery-conformance run (checked by CheckRecovery
@@ -48,53 +51,18 @@ type Scenario struct {
 	Recovery *RecoverySpec `json:"recovery,omitempty"`
 }
 
-// VMSpec is one VM of a scenario.
-type VMSpec struct {
-	App    string `json:"app"`
-	VCPUs  int    `json:"vcpus"`
-	Seed   uint64 `json:"seed"`
-	Weight int    `json:"weight,omitempty"`
-	Pins   []int  `json:"pins,omitempty"`
-	// ServeRate, when positive, attaches an open-loop request-serving
-	// workload at that offered load (req/s); ServeSeed drives its arrival
-	// process and ServeRing bounds the NIC RX ring (0: default). Serving
-	// scenarios exercise the request conservation law in Conservation.
-	ServeRate int    `json:"serve_rate,omitempty"`
-	ServeSeed uint64 `json:"serve_seed,omitempty"`
-	ServeRing int    `json:"serve_ring,omitempty"`
-}
-
-// FaultSpec is the scenario's fault-injection plan (nil: fault-free).
-type FaultSpec struct {
-	Seed              uint64  `json:"seed"`
-	OfflinePCPUs      int     `json:"offline_pcpus,omitempty"`
-	PermanentOffPCPUs int     `json:"permanent_off_pcpus,omitempty"`
-	IPIDelayProb      float64 `json:"ipi_delay_prob,omitempty"`
-	IPIDelayMaxUs     int     `json:"ipi_delay_max_us,omitempty"`
-	IPIDropProb       float64 `json:"ipi_drop_prob,omitempty"`
-	LoseIPIs          bool    `json:"lose_ipis,omitempty"`
-	TickJitterUs      int     `json:"tick_jitter_us,omitempty"`
-	LockStallProb     float64 `json:"lock_stall_prob,omitempty"`
-	LockStallFactor   float64 `json:"lock_stall_factor,omitempty"`
-	Storms            int     `json:"storms,omitempty"`
-	StormLenMs        int     `json:"storm_len_ms,omitempty"`
-	QuiesceAtMs       int     `json:"quiesce_at_ms,omitempty"`
-}
-
 // RecoverySpec configures the supervisor for a recovery-conformance run.
 type RecoverySpec struct {
-	// IntervalMs is the supervisor walk period (0: scheduler tick).
-	IntervalMs int `json:"interval_ms,omitempty"`
-	// StarveBoundMs is the runnable wait that counts as starvation.
-	StarveBoundMs int `json:"starve_bound_ms"`
+	recovery.Spec
 	// DeadlineMs is the convergence window after the fault quiesce point:
 	// past quiesce+deadline no starvation, violation or repair may occur.
 	DeadlineMs int `json:"deadline_ms"`
 }
 
 // ToSetup lowers the scenario to an experiment Setup, rejecting an unknown
-// Mode. Each call builds a fresh hv.Config, so callers may perturb the
-// returned Setup (trace capacity, observer, relabelling) without aliasing.
+// Mode. Each call builds a fresh hv.Config and fresh VM specs, so callers
+// may perturb the returned Setup (trace capacity, observer, relabelling)
+// without aliasing.
 func (sc Scenario) ToSetup() (experiment.Setup, error) {
 	cc, err := experiment.CoreConfig(sc.Mode, sc.StaticCores)
 	if err != nil {
@@ -105,55 +73,24 @@ func (sc Scenario) ToSetup() (experiment.Setup, error) {
 	cfg.MicroReturnHome = !sc.NoReturnHome
 	cfg.BoostEnabled = !sc.BoostOff
 
-	vms := make([]experiment.VMSpec, len(sc.VMs))
-	for i, vm := range sc.VMs {
-		vms[i] = experiment.VMSpec{
-			Name:   fmt.Sprintf("vm%d", i),
-			App:    vm.App,
-			VCPUs:  vm.VCPUs,
-			Seed:   vm.Seed,
-			Weight: vm.Weight,
-			Pins:   append([]int(nil), vm.Pins...),
-		}
-		if vm.ServeRate > 0 {
-			vms[i].Serve = &experiment.ServeSpec{
-				RatePerSec: vm.ServeRate,
-				RingCap:    vm.ServeRing,
-				Seed:       vm.ServeSeed,
-			}
-		}
-	}
-
 	s := experiment.Setup{
 		PCPUs:        sc.PCPUs,
-		VMs:          vms,
+		VMs:          cloneVMs(sc.VMs),
 		Core:         cc,
 		Duration:     simtime.Duration(sc.DurationMs) * simtime.Millisecond,
 		StaggerStart: sc.Stagger,
 		HVConfig:     &cfg,
 	}
-	if f := sc.Faults; f != nil {
-		s.Faults = &fault.Config{
-			Seed:                  f.Seed,
-			OfflinePCPUs:          f.OfflinePCPUs,
-			PermanentOfflinePCPUs: f.PermanentOffPCPUs,
-			IPIDelayProb:          f.IPIDelayProb,
-			IPIDelayMax:           simtime.Duration(f.IPIDelayMaxUs) * simtime.Microsecond,
-			IPIDropProb:           f.IPIDropProb,
-			LoseIPIs:              f.LoseIPIs,
-			TickJitter:            simtime.Duration(f.TickJitterUs) * simtime.Microsecond,
-			LockStallProb:         f.LockStallProb,
-			LockStallFactor:       f.LockStallFactor,
-			Storms:                f.Storms,
-			StormLen:              simtime.Duration(f.StormLenMs) * simtime.Millisecond,
-			QuiesceAt:             simtime.Duration(f.QuiesceAtMs) * simtime.Millisecond,
-		}
+	for i := range s.VMs {
+		s.VMs[i].Name = fmt.Sprintf("vm%d", i)
 	}
-	if r := sc.Recovery; r != nil {
-		s.Recovery = &recovery.Config{
-			Interval:    simtime.Duration(r.IntervalMs) * simtime.Millisecond,
-			StarveBound: simtime.Duration(r.StarveBoundMs) * simtime.Millisecond,
-		}
+	if sc.Faults != nil {
+		fc := sc.Faults.Config()
+		s.Faults = &fc
+	}
+	if sc.Recovery != nil {
+		rc := sc.Recovery.Config()
+		s.Recovery = &rc
 	}
 	return s, nil
 }
@@ -161,11 +98,7 @@ func (sc Scenario) ToSetup() (experiment.Setup, error) {
 // clone deep-copies the scenario (the shrinker mutates candidates freely).
 func (sc Scenario) clone() Scenario {
 	c := sc
-	c.VMs = make([]VMSpec, len(sc.VMs))
-	for i, vm := range sc.VMs {
-		c.VMs[i] = vm
-		c.VMs[i].Pins = append([]int(nil), vm.Pins...)
-	}
+	c.VMs = cloneVMs(sc.VMs)
 	if sc.Faults != nil {
 		f := *sc.Faults
 		c.Faults = &f
@@ -175,4 +108,18 @@ func (sc Scenario) clone() Scenario {
 		c.Recovery = &r
 	}
 	return c
+}
+
+// cloneVMs deep-copies VM specs: pins and serving spec included.
+func cloneVMs(vms []experiment.VMSpec) []experiment.VMSpec {
+	out := make([]experiment.VMSpec, len(vms))
+	for i, vm := range vms {
+		vm.Pins = append([]int(nil), vm.Pins...)
+		if vm.Serve != nil {
+			sv := *vm.Serve
+			vm.Serve = &sv
+		}
+		out[i] = vm
+	}
+	return out
 }

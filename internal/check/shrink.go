@@ -58,8 +58,8 @@ func shrinkCandidates(sc Scenario) []Scenario {
 				}
 			})
 		}
-		if sc.Faults.PermanentOffPCPUs > 0 {
-			add(func(c *Scenario) { c.Faults.PermanentOffPCPUs-- })
+		if sc.Faults.PermanentOfflinePCPUs > 0 {
+			add(func(c *Scenario) { c.Faults.PermanentOfflinePCPUs-- })
 		}
 		if sc.Faults.LoseIPIs {
 			add(func(c *Scenario) { c.Faults.LoseIPIs = false })

@@ -239,15 +239,15 @@ func Attach(h *hv.Hypervisor, cfg Config) (*Controller, error) {
 		h.Obs.Decisions = &c.Decisions
 	}
 	c.hot = ctrlHot{
-		yieldIPI:    h.Counters.Handle("yield.ipi"),
-		yieldPLE:    h.Counters.Handle("yield.ple"),
-		virqSent:    h.Counters.Handle("virq.sent"),
-		triggerPLE:  c.Counters.Handle("trigger.ple"),
-		triggerIPI:  c.Counters.Handle("trigger.ipi"),
-		triggerVIRQ: c.Counters.Handle("trigger.virq"),
-		triggerVIPI: c.Counters.Handle("trigger.vipi"),
-		migrAttempt: c.Counters.Handle("migrate.attempt"),
-		migrOK:      c.Counters.Handle("migrate.ok"),
+		yieldIPI:    h.Counters.Counter("yield.ipi"),
+		yieldPLE:    h.Counters.Counter("yield.ple"),
+		virqSent:    h.Counters.Counter("virq.sent"),
+		triggerPLE:  c.Counters.Counter("trigger.ple"),
+		triggerIPI:  c.Counters.Counter("trigger.ipi"),
+		triggerVIRQ: c.Counters.Counter("trigger.virq"),
+		triggerVIPI: c.Counters.Counter("trigger.vipi"),
+		migrAttempt: c.Counters.Counter("migrate.attempt"),
+		migrOK:      c.Counters.Counter("migrate.ok"),
 	}
 	for _, d := range h.Domains() {
 		if len(d.SymbolMap) == 0 {

@@ -107,6 +107,70 @@ type Config struct {
 	QuiesceAt simtime.Duration
 }
 
+// Spec is a fault plan in the units a scenario is written in: ms and µs
+// as float64s. The public facade exposes it as microsliced.FaultPlan, and
+// the conformance harness's scenarios carry it. Config lowers it. The zero
+// value injects nothing; the same Spec on the same scenario always
+// reproduces identical results.
+type Spec struct {
+	// Seed seeds the fault plan's RNG streams.
+	Seed uint64 `json:"seed"`
+	// OfflinePCPUs hot-unplugs this many pCPUs mid-run and brings them
+	// back later; the scheduler and micro-pool controller must rebalance.
+	OfflinePCPUs int `json:"offline_pcpus,omitempty"`
+	// IPIDelayProb delays a virtual IPI with this probability by up to
+	// IPIDelayMaxUs microseconds.
+	IPIDelayProb  float64 `json:"ipi_delay_prob,omitempty"`
+	IPIDelayMaxUs float64 `json:"ipi_delay_max_us,omitempty"`
+	// IPIDropProb drops an IPI delivery attempt with this probability
+	// (dropped IPIs are retried with bounded backoff, never lost).
+	IPIDropProb float64 `json:"ipi_drop_prob,omitempty"`
+	// TickJitterUs perturbs scheduler ticks by up to ±TickJitterUs
+	// microseconds.
+	TickJitterUs float64 `json:"tick_jitter_us,omitempty"`
+	// LockStallProb amplifies a guest critical section with this
+	// probability by LockStallFactor.
+	LockStallProb   float64 `json:"lock_stall_prob,omitempty"`
+	LockStallFactor float64 `json:"lock_stall_factor,omitempty"`
+	// PermanentOfflinePCPUs hot-unplugs this many additional pCPUs that
+	// never come back — permanent capacity loss the recovery supervisor
+	// reacts to by re-homing vCPUs and shrinking the micro pool.
+	PermanentOfflinePCPUs int `json:"permanent_offline_pcpus,omitempty"`
+	// Storms overlays this many correlated fault bursts: inside each storm
+	// window the IPI drop/delay probabilities, tick jitter and lock-stall
+	// amplification are raised to harsh floors simultaneously.
+	Storms int `json:"storms,omitempty"`
+	// StormLenMs is each storm's length (0: a twentieth of the run).
+	StormLenMs float64 `json:"storm_len_ms,omitempty"`
+	// LoseIPIs converts IPI drops that exhaust the bounded retry budget
+	// into lost interrupts, parked in a ledger until the supervisor
+	// re-drives them. Requires IPIDropProb > 0 or Storms > 0.
+	LoseIPIs bool `json:"lose_ipis,omitempty"`
+	// QuiesceAtMs, when positive, stops all fault firing at this point of
+	// the run, opening the convergence window MTTR is measured over.
+	QuiesceAtMs float64 `json:"quiesce_at_ms,omitempty"`
+}
+
+// Config lowers the spec to a Config, converting each ms or µs field to a
+// simtime.Duration.
+func (s Spec) Config() Config {
+	return Config{
+		Seed:                  s.Seed,
+		OfflinePCPUs:          s.OfflinePCPUs,
+		PermanentOfflinePCPUs: s.PermanentOfflinePCPUs,
+		IPIDelayProb:          s.IPIDelayProb,
+		IPIDelayMax:           simtime.Duration(s.IPIDelayMaxUs * float64(simtime.Microsecond)),
+		IPIDropProb:           s.IPIDropProb,
+		LoseIPIs:              s.LoseIPIs,
+		TickJitter:            simtime.Duration(s.TickJitterUs * float64(simtime.Microsecond)),
+		LockStallProb:         s.LockStallProb,
+		LockStallFactor:       s.LockStallFactor,
+		Storms:                s.Storms,
+		StormLen:              simtime.Duration(s.StormLenMs * float64(simtime.Millisecond)),
+		QuiesceAt:             simtime.Duration(s.QuiesceAtMs * float64(simtime.Millisecond)),
+	}
+}
+
 // ConfigError describes one rejected Config field (or a field/run-shape
 // combination rejected at New time).
 type ConfigError struct {

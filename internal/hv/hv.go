@@ -641,31 +641,43 @@ type Hypervisor struct {
 }
 
 // hvHot holds the hypervisor-wide counters incremented per scheduling event,
-// resolved once in New. Cold paths (pool resizing, error cases) keep using
-// the string-keyed Counters registry via count().
+// resolved once in New. The events in tallied have no field here: the trace
+// tally counts them. yield.* and migrate.* stay because one trace kind
+// (KindYield, KindMigrate) covers several named counts; the cold pool.* and
+// hotplug.* counts, likewise finer than KindPoolResize and KindHotplug, go
+// through the string-keyed Counters registry via count().
 type hvHot struct {
 	yieldBy     [4]*metrics.Counter // indexed by YieldReason
 	yieldTotal  *metrics.Counter
-	dispatch    *metrics.Counter
 	steal       *metrics.Counter
-	preempt     *metrics.Counter
-	boost       *metrics.Counter
-	vipiSent    *metrics.Counter
-	virqSent    *metrics.Counter
-	pirq        *metrics.Counter
 	irqDeferred *metrics.Counter
 	migrMicro   *metrics.Counter
 	migrHome    *metrics.Counter
 	vipiDropped *metrics.Counter
 	vipiRetried *metrics.Counter
-	vipiLost    *metrics.Counter
-	// microFull is resolved on its first fire, not in New: an eager handle
+	// microFull is resolved on its first fire, not in New: an eager lookup
 	// would add a zero-valued key to every counter snapshot.
 	microFull *metrics.Counter
 }
 
 // yieldName maps a YieldReason to its counter name (matches YieldReason.String).
 var yieldName = [4]string{"yield.ple", "yield.ipi", "yield.halt", "yield.other"}
+
+// tallied names the trace kinds whose per-kind tally (Trace.Count) is also
+// a named hypervisor counter: New registers the tally's counter under the
+// name, so each event of the kind is counted once and read in both views.
+var tallied = [...]struct {
+	kind trace.Kind
+	name string
+}{
+	{trace.KindSchedule, "sched.dispatch"},
+	{trace.KindPreempt, "sched.preempt"},
+	{trace.KindBoost, "boost"},
+	{trace.KindVIPI, "vipi.sent"},
+	{trace.KindVIRQ, "virq.sent"},
+	{trace.KindPIRQ, "pirq"},
+	{trace.KindIPILost, "vipi.lost"},
+}
 
 // New constructs a hypervisor. All pCPUs start in the normal pool; the
 // micro pool starts empty and is grown via GrowMicro (adaptive mode) or
@@ -705,22 +717,18 @@ func New(clock *simtime.Clock, cfg Config) *Hypervisor {
 		h.normal.pcpus = append(h.normal.pcpus, p)
 	}
 	for r := range yieldName {
-		h.hot.yieldBy[r] = h.Counters.Handle(yieldName[r])
+		h.hot.yieldBy[r] = h.Counters.Counter(yieldName[r])
 	}
-	h.hot.yieldTotal = h.Counters.Handle("yield.total")
-	h.hot.dispatch = h.Counters.Handle("sched.dispatch")
-	h.hot.steal = h.Counters.Handle("sched.steal")
-	h.hot.preempt = h.Counters.Handle("sched.preempt")
-	h.hot.boost = h.Counters.Handle("boost")
-	h.hot.vipiSent = h.Counters.Handle("vipi.sent")
-	h.hot.virqSent = h.Counters.Handle("virq.sent")
-	h.hot.pirq = h.Counters.Handle("pirq")
-	h.hot.irqDeferred = h.Counters.Handle("irq.deferred")
-	h.hot.migrMicro = h.Counters.Handle("migrate.micro")
-	h.hot.migrHome = h.Counters.Handle("migrate.home")
-	h.hot.vipiDropped = h.Counters.Handle("vipi.dropped")
-	h.hot.vipiRetried = h.Counters.Handle("vipi.retried")
-	h.hot.vipiLost = h.Counters.Handle("vipi.lost")
+	h.hot.yieldTotal = h.Counters.Counter("yield.total")
+	for _, t := range tallied {
+		h.Counters.Bind(t.name, h.Trace.Counter(t.kind))
+	}
+	h.hot.steal = h.Counters.Counter("sched.steal")
+	h.hot.irqDeferred = h.Counters.Counter("irq.deferred")
+	h.hot.migrMicro = h.Counters.Counter("migrate.micro")
+	h.hot.migrHome = h.Counters.Counter("migrate.home")
+	h.hot.vipiDropped = h.Counters.Counter("vipi.dropped")
+	h.hot.vipiRetried = h.Counters.Counter("vipi.retried")
 	return h
 }
 
@@ -823,13 +831,13 @@ func (h *Hypervisor) NewDomain(name string, symbolMap []byte) *Domain {
 		SymbolMap: symbolMap,
 	}
 	for r := range yieldName {
-		d.hot.yieldBy[r] = d.Counters.Handle(yieldName[r])
+		d.hot.yieldBy[r] = d.Counters.Counter(yieldName[r])
 	}
-	d.hot.yieldTotal = d.Counters.Handle("yield.total")
-	d.hot.vipiSent = d.Counters.Handle("vipi.sent")
-	d.hot.virqSent = d.Counters.Handle("virq.sent")
-	d.hot.irqDeferred = d.Counters.Handle("irq.deferred")
-	d.hot.migrMicro = d.Counters.Handle("migrate.micro")
+	d.hot.yieldTotal = d.Counters.Counter("yield.total")
+	d.hot.vipiSent = d.Counters.Counter("vipi.sent")
+	d.hot.virqSent = d.Counters.Counter("virq.sent")
+	d.hot.irqDeferred = d.Counters.Counter("irq.deferred")
+	d.hot.migrMicro = d.Counters.Counter("migrate.micro")
 	h.domains = append(h.domains, d)
 	return d
 }

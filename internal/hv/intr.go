@@ -21,7 +21,6 @@ func (h *Hypervisor) SendVIPI(src, dst *VCPU, vec Vector, data uint64) {
 	if src.Dom != dst.Dom {
 		panic(fmt.Sprintf("hv: cross-domain IPI %v -> %v", src, dst))
 	}
-	h.hot.vipiSent.Inc()
 	src.Dom.hot.vipiSent.Inc()
 	h.emit(trace.KindVIPI, src, uint64(vec), uint64(dst.Idx))
 	if h.Hooks.OnVIPIRelay != nil {
@@ -86,7 +85,6 @@ func (h *Hypervisor) sendVIPIFaulty(dst *VCPU, vec Vector, data uint64, attempt,
 			Dst: dst, Vec: vec, Data: data, Redrives: redrives,
 			span: span,
 		})
-		h.hot.vipiLost.Inc()
 		h.emit(trace.KindIPILost, dst, uint64(vec), uint64(redrives))
 		return
 	}
@@ -141,7 +139,6 @@ func (h *Hypervisor) RedriveLostIPI(seq uint64) bool {
 // then forwards a virtual IRQ to the domain's designated IRQ vCPU, which it
 // resolves when the cost has elapsed.
 func (h *Hypervisor) InjectPIRQ(d *Domain, vec Vector, data uint64) {
-	h.hot.pirq.Inc()
 	h.emit(trace.KindPIRQ, nil, uint64(vec), uint64(d.ID))
 	r := h.takeIRQ(irqPIRQ)
 	r.dom, r.dst, r.vec, r.data = d, nil, vec, data
@@ -153,7 +150,6 @@ func (h *Hypervisor) InjectPIRQ(d *Domain, vec Vector, data uint64) {
 // CPU) — applying the same hypervisor handling cost and relay hook as
 // InjectPIRQ.
 func (h *Hypervisor) InjectPIRQTo(target *VCPU, vec Vector, data uint64) {
-	h.hot.pirq.Inc()
 	h.emit(trace.KindPIRQ, target, uint64(vec), uint64(target.DomID))
 	r := h.takeIRQ(irqPIRQ)
 	r.dom, r.dst, r.vec, r.data = nil, target, vec, data
@@ -170,7 +166,6 @@ func (h *Hypervisor) relayVIRQ(d *Domain, target *VCPU, vec Vector, data uint64)
 		target = d.VCPUs[d.IRQVCPU]
 	}
 	target.virqRecv++
-	h.hot.virqSent.Inc()
 	target.Dom.hot.virqSent.Inc()
 	h.emit(trace.KindVIRQ, target, uint64(vec), 0)
 	if h.Hooks.OnVIRQRelay != nil {

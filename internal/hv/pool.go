@@ -42,7 +42,7 @@ func (h *Hypervisor) MigrateToMicro(v *VCPU) bool {
 	}
 	if idle == nil && queued == nil {
 		if h.hot.microFull == nil {
-			h.hot.microFull = h.Counters.Handle("migrate.micro_full")
+			h.hot.microFull = h.Counters.Counter("migrate.micro_full")
 		}
 		h.hot.microFull.Inc()
 		return false

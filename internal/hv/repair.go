@@ -19,7 +19,6 @@ func (h *Hypervisor) RegrantCredits(v *VCPU, boost bool) {
 	if boost && h.Cfg.BoostEnabled && v.pool != nil && !v.pool.NoBoost && v.state == StateRunnable {
 		prio = PrioBoost
 		v.boosted = true
-		h.hot.boost.Inc()
 		h.emit(trace.KindBoost, v, 0, 0)
 		if h.Obs != nil {
 			h.Obs.Transition(v.ID, obs.StateBoosted, h.Clock.Now())

@@ -269,7 +269,6 @@ func (h *Hypervisor) dispatch(p *PCPU, v *VCPU) {
 		// new vCPU's credits.
 		h.unparkTick(p)
 	}
-	h.hot.dispatch.Inc()
 	stolen := h.stoleNext
 	h.stoleNext = false
 	if h.Obs != nil {
@@ -381,7 +380,6 @@ func (h *Hypervisor) sliceExpired(p *PCPU) {
 	if v == nil {
 		return // stale timer (should have been cancelled)
 	}
-	h.hot.preempt.Inc()
 	h.emit(trace.KindPreempt, v, 0, 0)
 	h.descheduleCurrent(p)
 	h.setRunnable(v)
@@ -518,7 +516,6 @@ func (h *Hypervisor) Wake(v *VCPU, boost bool) {
 	if boost && h.Cfg.BoostEnabled && !v.pool.NoBoost {
 		v.prio = PrioBoost
 		v.boosted = true
-		h.hot.boost.Inc()
 		h.emit(trace.KindBoost, v, 0, 0)
 		if h.Obs != nil {
 			h.Obs.Transition(v.ID, obs.StateBoosted, h.Clock.Now())

@@ -35,14 +35,14 @@ func TestMicroSliceAfterNormalSlice(t *testing.T) {
 	if a.v.state != StateRunnable || !h.MigrateToMicro(a.v) || a.v.pcpu != p1 {
 		t.Fatal("a was not re-dispatched on the micro pCPU")
 	}
-	preempts := h.hot.preempt.Value()
+	preempts := h.Counters.Value("sched.preempt")
 	due := clock.Now() + h.Cfg.MicroSlice
 	clock.RunUntil(due - 1)
-	if a.v.pcpu != p1 || h.hot.preempt.Value() != preempts {
+	if a.v.pcpu != p1 || h.Counters.Value("sched.preempt") != preempts {
 		t.Fatal("micro slice expired early")
 	}
 	clock.RunUntil(due)
-	if h.hot.preempt.Value() != preempts+1 || a.v.pcpu == p1 {
+	if h.Counters.Value("sched.preempt") != preempts+1 || a.v.pcpu == p1 {
 		t.Fatalf("no preemption at %v, 0.1 ms after the micro dispatch", due)
 	}
 }
@@ -99,11 +99,11 @@ func TestYieldRedispatchAllocFree(t *testing.T) {
 				t.Fatalf("behind=%v: %d yields, vCPU on %v, slice armed %v", behind, g.yields-yields, g.v.pcpu, p.slice.Pending())
 			}
 		}
-		dispatches := h.hot.dispatch.Value()
+		dispatches := h.Counters.Value("sched.dispatch")
 		if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
 			t.Errorf("behind=%v: %v allocs per yield and re-dispatch, want 0", behind, allocs)
 		}
-		if n := h.hot.dispatch.Value() - dispatches; n != 1001 {
+		if n := h.Counters.Value("sched.dispatch") - dispatches; n != 1001 {
 			t.Fatalf("behind=%v: %d dispatches over 1001 cycles", behind, n)
 		}
 		if over != nil && (over.queuedOn != p || over.prio != PrioOver) {

@@ -331,7 +331,10 @@ func NewSet() *Set {
 	return &Set{counters: make(map[string]*Counter)}
 }
 
-// Counter returns the counter with the given name, creating it on first use.
+// Counter returns the interned counter with the given name, creating it on
+// first use. On a hot path, resolve the counter once at construction time
+// and call Inc on it directly, so the steady state pays no map lookup or
+// string hashing per increment.
 func (s *Set) Counter(name string) *Counter {
 	if c, ok := s.counters[name]; ok {
 		return c
@@ -341,13 +344,9 @@ func (s *Set) Counter(name string) *Counter {
 	return c
 }
 
-// Handle returns an interned *Counter for name, creating it on first use.
-// It is the documented accessor for hot paths: resolve the handle once at
-// construction time and call Inc on it directly, so the steady state
-// pays no map lookup or string hashing per increment.
-func (s *Set) Handle(name string) *Counter {
-	return s.Counter(name)
-}
+// Bind registers c, a counter owned elsewhere, under name, so one count
+// serves both its owner and the registry. name must not be registered yet.
+func (s *Set) Bind(name string, c *Counter) { s.counters[name] = c }
 
 // Value returns the value of a named counter (0 if absent).
 func (s *Set) Value(name string) uint64 {

@@ -234,6 +234,16 @@ func TestSetRegistry(t *testing.T) {
 	if s.Value("a") != 2 || s.Value("b") != 2 {
 		t.Fatalf("a=%d b=%d", s.Value("a"), s.Value("b"))
 	}
+	var owned Counter
+	s.Bind("c", &owned)
+	owned.Inc()
+	if s.Counter("c") != &owned || s.Value("c") != 1 {
+		t.Fatalf("bound counter not shared: Value(c)=%d", s.Value("c"))
+	}
+	s.Counter("c").Inc()
+	if owned.Value() != 2 {
+		t.Fatalf("owner sees %d after an increment through the set, want 2", owned.Value())
+	}
 	if s.Value("missing") != 0 {
 		t.Fatal("missing counter should read 0")
 	}
@@ -241,7 +251,7 @@ func TestSetRegistry(t *testing.T) {
 	if snap["a"] != 2 {
 		t.Fatalf("snapshot=%v", snap)
 	}
-	if got := s.String(); got != "a=2 b=2" {
+	if got := s.String(); got != "a=2 b=2 c=2" {
 		t.Fatalf("String()=%q", got)
 	}
 }
@@ -271,23 +281,23 @@ func BenchmarkHistogramObserve(b *testing.B) {
 
 func TestHandleIsInterned(t *testing.T) {
 	s := NewSet()
-	h := s.Handle("x")
+	h := s.Counter("x")
 	h.Inc()
 	h.Inc()
 	if s.Value("x") != 2 {
 		t.Fatalf("Value(x)=%d, want 2", s.Value("x"))
 	}
-	if s.Handle("x") != h || s.Counter("x") != h {
-		t.Fatal("Handle/Counter did not return the interned counter")
+	if s.Counter("x") != h {
+		t.Fatal("Counter did not return the interned counter")
 	}
 }
 
-// BenchmarkCounterInc is the regression check for the interned-handle path:
+// BenchmarkCounterInc is the regression check for the interned-counter path:
 // incrementing through a resolved *Counter must not allocate or touch the
 // registry map.
 func BenchmarkCounterInc(b *testing.B) {
 	s := NewSet()
-	h := s.Handle("yield.total")
+	h := s.Counter("yield.total")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Inc()

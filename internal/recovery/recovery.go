@@ -23,7 +23,7 @@
 //     tug-of-war with the adaptive pool controller.
 //
 // Every detection and repair is a structured trace.Repair: counted through
-// interned metrics handles, emitted as a trace.KindRepair record, retained
+// interned metrics counters, emitted as a trace.KindRepair record, retained
 // in a bounded ring that the flight recorder includes in its dumps, and a
 // starvation episode carries an obs SpanRecover span measuring detection→
 // reconvergence. The walk is strictly deterministic — simtime-driven with
@@ -50,6 +50,26 @@ type Config struct {
 	// starvation (default 50ms — far above any healthy dispatch latency,
 	// far below the auditor's 1s horizon so repair precedes report).
 	StarveBound simtime.Duration
+}
+
+// Spec is a supervisor configuration in ms as float64s. The public facade
+// exposes it as microsliced.RecoveryPlan, and the conformance harness's
+// recovery scenarios embed it. Config lowers it. The zero value uses the
+// defaults.
+type Spec struct {
+	// IntervalMs is the supervision walk period (0: the scheduler tick).
+	IntervalMs float64 `json:"interval_ms,omitempty"`
+	// StarveBoundMs is how long a vCPU may sit runnable-but-undispatched
+	// before the supervisor declares starvation (0: 50ms).
+	StarveBoundMs float64 `json:"starve_bound_ms"`
+}
+
+// Config lowers the spec to a Config.
+func (s Spec) Config() Config {
+	return Config{
+		Interval:    simtime.Duration(s.IntervalMs * float64(simtime.Millisecond)),
+		StarveBound: simtime.Duration(s.StarveBoundMs * float64(simtime.Millisecond)),
+	}
 }
 
 const (
@@ -127,7 +147,7 @@ func Attach(h *hv.Hypervisor, cfg Config) *Supervisor {
 		Repairs:        trace.NewRing[trace.Repair](repairDepth),
 	}
 	for k := trace.RepairKind(0); k < trace.NumRepairKinds; k++ {
-		s.hot[k] = h.Counters.Handle("recovery." + k.String())
+		s.hot[k] = h.Counters.Counter("recovery." + k.String())
 	}
 	if h.Obs != nil {
 		h.Obs.Repairs = &s.Repairs

@@ -13,6 +13,7 @@ package trace
 import (
 	"fmt"
 
+	"github.com/microslicedcore/microsliced/internal/metrics"
 	"github.com/microslicedcore/microsliced/internal/simtime"
 )
 
@@ -93,7 +94,7 @@ func (r Record) String() string {
 // regardless of ring wrap.
 type Buffer struct {
 	ring   Ring[Record]
-	counts [kindCount]uint64
+	counts [kindCount]metrics.Counter
 }
 
 // NewBuffer returns a ring holding up to capacity records. Capacity 0
@@ -109,7 +110,7 @@ func NewBuffer(capacity int) *Buffer {
 // Emit appends one record.
 func (b *Buffer) Emit(r Record) {
 	if int(r.Kind) < len(b.counts) {
-		b.counts[r.Kind]++
+		b.counts[r.Kind].Inc()
 	}
 	b.ring.Push(r)
 }
@@ -123,7 +124,7 @@ func (b *Buffer) Retains() bool { return b.ring.bound > 0 }
 // a ring that retains nothing.
 func (b *Buffer) Tally(k Kind) {
 	if int(k) < len(b.counts) {
-		b.counts[k]++
+		b.counts[k].Inc()
 	}
 	b.ring.total++
 }
@@ -133,8 +134,12 @@ func (b *Buffer) Count(k Kind) uint64 {
 	if int(k) >= len(b.counts) {
 		return 0
 	}
-	return b.counts[k]
+	return b.counts[k].Value()
 }
+
+// Counter returns the counter behind Count(k), for registering in a
+// metrics.Set: the trace tally then is the named count, not a copy of it.
+func (b *Buffer) Counter(k Kind) *metrics.Counter { return &b.counts[k] }
 
 // Records returns the held records oldest-first.
 func (b *Buffer) Records() []Record { return b.ring.All() }
