@@ -30,7 +30,9 @@ const (
 // empty Name to the App name and a zero Seed to a per-index constant;
 // VCPUs defaults to 12 (the paper's configuration). Serve, when non-nil,
 // attaches an open-loop request-serving workload whose read-out lands in
-// the VM's VMStats.Requests.
+// the VM's VMStats.Requests. Stream ("udp" or "tcp") attaches the paper's
+// iPerf server and stream, whose read-out lands in VMStats.Stream; App may
+// then be empty.
 type VM = experiment.VMSpec
 
 // ServeConfig configures a VM's open-loop request-serving workload
@@ -129,7 +131,11 @@ func (s Scenario) Validate() error {
 				Reason: fmt.Sprintf("%d is negative (0 selects the default)", vm.Weight),
 			}
 		}
-		if !workload.Known(vm.App) {
+		if err := experiment.CheckStream(vm); err != nil {
+			return &ScenarioError{Field: fmt.Sprintf("VMs[%d].Stream", i), Reason: err.Error()}
+		}
+		pureStream := vm.App == "" && vm.Stream != ""
+		if !pureStream && !workload.Known(vm.App) {
 			return &ScenarioError{
 				Field:  fmt.Sprintf("VMs[%d].App", i),
 				Reason: fmt.Sprintf("unknown application %q (have %v)", vm.App, workload.Catalog()),
@@ -254,6 +260,7 @@ type (
 	Results            = experiment.Results            // the outcome of Simulate
 	VMStats            = experiment.VMStats            // one VM's outcome
 	RequestStats       = experiment.ServeStats         // a VM's request-serving outcome
+	StreamStats        = experiment.IOMeasure          // a VM's iPerf stream outcome
 	Telemetry          = experiment.Telemetry          // the observability read-out
 	SpanStats          = experiment.SpanStats          // one latency span kind
 	StageStats         = experiment.StageStats         // one stage of a span kind
@@ -313,33 +320,6 @@ func Simulate(s Scenario) (*Results, error) {
 		return nil, err
 	}
 	return res.View(), nil
-}
-
-// IPerfResult is the outcome of an iPerf scenario.
-type IPerfResult struct {
-	Mbps     float64
-	JitterMs float64
-	Loss     float64
-}
-
-// SimulateIPerf runs the paper's I/O scenario (§3.3, Figure 9): an iPerf
-// server VM — mixed with a CPU hog on the same vCPU when mixed is true,
-// and co-located with a lookbusy VM on one pCPU — measuring the
-// application-level stream. proto is "tcp" or "udp".
-func SimulateIPerf(proto string, mixed bool, mode Mode, staticCores int, seconds float64) (*IPerfResult, error) {
-	cc, err := experiment.CoreConfig(string(mode), staticCores)
-	if err != nil {
-		return nil, fmt.Errorf("microsliced: %w", err)
-	}
-	dur := simtime.Duration(seconds * float64(simtime.Second))
-	if dur <= 0 {
-		dur = experiment.DefaultDuration
-	}
-	m, err := experiment.RunIO(proto, mixed, cc, dur)
-	if err != nil {
-		return nil, err
-	}
-	return &IPerfResult{Mbps: m.Mbps, JitterMs: m.JitterMs, Loss: m.Loss}, nil
 }
 
 // experiments are the reproducible artefacts of the paper's evaluation, in

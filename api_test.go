@@ -219,44 +219,58 @@ func TestVMDefaults(t *testing.T) {
 	}
 }
 
+// iperf simulates the paper's I/O scenario through Simulate: an iPerf VM
+// on a 2-pCPU host; mixed adds a lookbusy thread on its vCPU and a lookbusy
+// VM on its pCPU.
+func iperf(t *testing.T, proto string, mixed bool, mode Mode, staticCores int, seconds float64) *StreamStats {
+	t.Helper()
+	stagger := false
+	s := Scenario{
+		PCPUs:       2,
+		VMs:         []VM{{Name: "iperf", VCPUs: 1, Stream: proto}},
+		Mode:        mode,
+		StaticCores: staticCores,
+		Seconds:     seconds,
+		Stagger:     &stagger,
+	}
+	if mixed {
+		s.VMs[0].App = "lookbusy"
+		s.VMs[0].Pins = []int{0}
+		s.VMs = append(s.VMs, VM{Name: "hog", App: "lookbusy", VCPUs: 1, Seed: 9, Pins: []int{0}})
+	}
+	res, err := Simulate(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.VM("iperf").Stream
+}
+
 func TestSimulateIPerfSoloVsMixed(t *testing.T) {
-	solo, err := SimulateIPerf("udp", false, Off, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mixed, err := SimulateIPerf("udp", true, Off, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	solo := iperf(t, "udp", false, Off, 0, 1)
+	mixed := iperf(t, "udp", true, Off, 0, 1)
 	if mixed.Mbps >= solo.Mbps {
 		t.Fatalf("mixed %.1f vs solo %.1f — no degradation", mixed.Mbps, solo.Mbps)
 	}
 	if mixed.JitterMs < 0.5 || solo.JitterMs > 0.1 {
 		t.Fatalf("jitter solo=%.4f mixed=%.4f", solo.JitterMs, mixed.JitterMs)
 	}
-	fixed, err := SimulateIPerf("udp", true, Static, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fixed := iperf(t, "udp", true, Static, 1, 1)
 	if fixed.Mbps < solo.Mbps*0.95 || fixed.Loss > 0.01 {
 		t.Fatalf("u-slicing did not rescue the mixed vCPU: %+v", fixed)
 	}
 }
 
 func TestSimulateIPerfValidation(t *testing.T) {
-	if _, err := SimulateIPerf("sctp", false, Off, 0, 1); err == nil {
+	if _, err := Simulate(Scenario{VMs: []VM{{Stream: "sctp"}}, Seconds: 1}); err == nil {
 		t.Fatal("unknown proto accepted")
 	}
-	if _, err := SimulateIPerf("udp", false, "weird", 0, 1); err == nil {
+	if _, err := Simulate(Scenario{VMs: []VM{{Stream: "udp"}}, Mode: "weird", Seconds: 1}); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
 }
 
 func TestSimulateIPerfTCPDynamic(t *testing.T) {
-	r, err := SimulateIPerf("tcp", true, Dynamic, 0, 1.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := iperf(t, "tcp", true, Dynamic, 0, 1.5)
 	if r.Mbps <= 0 {
 		t.Fatalf("no TCP progress: %+v", r)
 	}

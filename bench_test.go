@@ -107,15 +107,11 @@ func BenchmarkTable4b_TLBSync(b *testing.B) {
 func BenchmarkTable4c_IperfSoloVsMixed(b *testing.B) {
 	var frac float64
 	for i := 0; i < b.N; i++ {
-		solo, err := experiment.RunIO("udp", false, off(), benchDur)
+		r, err := experiment.Table4c(benchDur)
 		if err != nil {
 			b.Fatal(err)
 		}
-		mixed, err := experiment.RunIO("udp", true, off(), benchDur)
-		if err != nil {
-			b.Fatal(err)
-		}
-		frac = mixed.Mbps / solo.Mbps
+		frac = r.Mixed.Mbps / r.Solo.Mbps
 	}
 	b.ReportMetric(frac, "mixed/solo-throughput")
 }
@@ -207,15 +203,11 @@ func BenchmarkFigure8_Overhead(b *testing.B) {
 func BenchmarkFigure9_MixedIO(b *testing.B) {
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		base, err := experiment.RunIO("tcp", true, off(), benchDur)
+		r, err := experiment.Figure9(benchDur)
 		if err != nil {
 			b.Fatal(err)
 		}
-		fix, err := experiment.RunIO("tcp", true, core.StaticConfig(1), benchDur)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gain = fix.Mbps / base.Mbps
+		gain = r.MicroTCP.Mbps / r.BaselineTCP.Mbps
 	}
 	b.ReportMetric(gain, "usliced/baseline-tcp")
 }

@@ -14,12 +14,30 @@ import (
 	microsliced "github.com/microslicedcore/microsliced"
 )
 
-func measure(proto string, mixed bool, mode microsliced.Mode) *microsliced.IPerfResult {
-	r, err := microsliced.SimulateIPerf(proto, mixed, mode, 1, 2)
+// measure runs iPerf over proto on a 2-pCPU host for 2 simulated seconds.
+// Mixed adds the lookbusy thread on the server's vCPU and the lookbusy VM,
+// both pinned to pCPU 0; Static mode dedicates the other pCPU as the micro
+// core.
+func measure(proto string, mixed bool, mode microsliced.Mode) *microsliced.StreamStats {
+	stagger := false
+	s := microsliced.Scenario{
+		PCPUs:       2,
+		VMs:         []microsliced.VM{{Name: "iperf", VCPUs: 1, Stream: proto}},
+		Mode:        mode,
+		StaticCores: 1,
+		Seconds:     2,
+		Stagger:     &stagger,
+	}
+	if mixed {
+		s.VMs[0].App = "lookbusy"
+		s.VMs[0].Pins = []int{0}
+		s.VMs = append(s.VMs, microsliced.VM{Name: "hog", App: "lookbusy", VCPUs: 1, Seed: 9, Pins: []int{0}})
+	}
+	r, err := microsliced.Simulate(s)
 	if err != nil {
 		log.Fatal(err)
 	}
-	return r
+	return r.VM("iperf").Stream
 }
 
 func main() {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 
 	"github.com/microslicedcore/microsliced/internal/core"
@@ -21,6 +22,18 @@ import (
 // rather than the scenario. The cases cover set-up (every kernel formats
 // its System.map), Algorithm 1, and the harsh-fault supervisor, which
 // labels every detection and repair with a detail string.
+//
+// Three other things move an allocation count between identical runs, and
+// the test shuts each out, so every run is counted exactly once:
+//   - A collection wakes the runtime's background scavenger, which re-arms
+//     its timer and can grow a timer heap inside the next run. So the
+//     count is simAllocs, not MemStats.Mallocs.
+//   - The allocation profile counts a tiny allocation (pointer-free, under
+//     16 bytes) only when it opens a new 16-byte block, so the count
+//     depends on the block a run starts in. ReadMemStats before each run
+//     flushes the allocation caches, so no run starts in one.
+//   - A run that moves to another P opens a new block there, so the test
+//     runs on one P.
 func TestRunAllocationsIndependentOfGC(t *testing.T) {
 	const dur = 200 * simtime.Millisecond
 	harsh := corunSetup("dedup", core.StaticConfig(2), dur)
@@ -37,7 +50,10 @@ func TestRunAllocationsIndependentOfGC(t *testing.T) {
 	harsh.Audit = true
 	harsh.Obs = &obs.Config{}
 
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1 // profile every allocation
 	for _, tc := range []struct {
 		name  string
 		setup Setup
@@ -46,39 +62,67 @@ func TestRunAllocationsIndependentOfGC(t *testing.T) {
 		{"harsh-faults", harsh},
 	} {
 		var res *Result
-		mallocs := func() uint64 {
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
+		var ms runtime.MemStats
+		run := func() {
+			runtime.ReadMemStats(&ms)
 			r, err := Run(tc.setup)
-			runtime.ReadMemStats(&m1)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
 			res = r
-			return m1.Mallocs - m0.Mallocs
 		}
-		mallocs() // the first run initialises package-level state
-		// The runtime's own background work (the scavenger a collection
-		// wakes, say) now and then adds an allocation to the window; it
-		// never removes one. So one attempt in three must agree exactly,
-		// while a run that depends on the pools is off on every attempt.
-		for attempt := 1; ; attempt++ {
+		// settled empties the pools (the second collection drops their
+		// victim caches) and reads the profile, which a collection
+		// publishes.
+		settled := func() int64 {
 			runtime.GC()
-			runtime.GC() // the second collection drops the pools' victim caches
-			cold := mallocs()
-			warm := mallocs()
-			if cold == warm {
-				break
-			}
-			if attempt == 3 {
-				t.Errorf("%s: %d allocations after a collection, %d without one", tc.name, cold, warm)
-				break
-			}
+			runtime.GC()
+			return simAllocs(t)
+		}
+		run() // the first run initialises package-level state
+		before := settled()
+		run()
+		afterCold := settled()
+		run()
+		run()
+		afterPair := settled()
+		// The second pair's first run is cold again, so its second run,
+		// the warm one, allocated (afterPair-afterCold) - cold.
+		cold := afterCold - before
+		warm := afterPair - afterCold - cold
+		if cold != warm {
+			t.Errorf("%s: %d allocations after a collection, %d without one", tc.name, cold, warm)
 		}
 		if tc.setup.Recovery != nil && res.RepairCount == 0 {
 			t.Errorf("%s: the supervisor recorded nothing; the case does not exercise its details", tc.name)
 		}
 	}
+}
+
+// simAllocs returns how many objects this module's non-test code has
+// allocated, as of the last collection: the allocation profile's objects
+// whose stack runs through such a function. The runtime's own background
+// goroutines never do, and neither does the test's bookkeeping.
+func simAllocs(t *testing.T) int64 {
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	n, ok := runtime.MemProfile(recs, true)
+	if !ok {
+		t.Fatal("allocation profile grew past its buffer")
+	}
+	var total int64
+	for _, r := range recs[:n] {
+		frames := runtime.CallersFrames(r.Stack())
+		for more := true; more; {
+			var f runtime.Frame
+			f, more = frames.Next()
+			if strings.HasPrefix(f.Function, "github.com/microslicedcore/microsliced/") && !strings.HasSuffix(f.File, "_test.go") {
+				total += r.AllocObjects
+				break
+			}
+		}
+	}
+	return total
 }
 
 // TestServeCellAllocFree: once a serving cell has run a simulated second,

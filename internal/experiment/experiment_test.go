@@ -231,9 +231,13 @@ func TestFigure8ShapeNoOverhead(t *testing.T) {
 	}
 }
 
+// TestRunIORejectsUnknownProto: an iPerf stream with a protocol other than
+// udp or tcp is rejected by Run before anything is built.
 func TestRunIORejectsUnknownProto(t *testing.T) {
-	if _, err := RunIO("sctp", false, offConfig(), quick); err == nil {
-		t.Fatal("unknown proto accepted")
+	sctp := ioSetup("udp", false, offConfig(), quick)
+	sctp.VMs[0].Stream = "sctp"
+	if _, err := Run(sctp); err == nil || !strings.Contains(err.Error(), "sctp") {
+		t.Fatalf("unknown proto accepted: %v", err)
 	}
 }
 

@@ -56,6 +56,13 @@ type VMSpec struct {
 	// app's threads co-run inside the same VM, the paper's Figure 9 mixed
 	// shape. App may be empty for a pure serving VM.
 	Serve *ServeSpec
+	// Stream attaches the paper's iPerf server (§3.3, §6.2): a virtual NIC,
+	// a socket and a server thread on vCPU 0, fed by a bulk "udp" or "tcp"
+	// stream over a 1 Gbit link. The server thread is created before the
+	// App's threads, so App "lookbusy" on a 1-vCPU VM is the paper's mixed
+	// vCPU. App may be empty for a pure iPerf VM. A VM has one NIC, so
+	// Stream and Serve exclude each other.
+	Stream string `json:",omitempty"`
 }
 
 // DefaultServeSLO is the end-to-end latency objective when ServeSpec.SLOMs
@@ -176,6 +183,8 @@ type VMResult struct {
 	// Requests is the serving read-out (nil unless the VM had a Serve
 	// spec).
 	Requests *RequestStats
+	// Stream is the iPerf read-out (nil unless the VM had a Stream).
+	Stream *IOMeasure `json:",omitempty"`
 }
 
 // RequestStats is the end-of-run read-out of a VM's serving workload. The
@@ -299,6 +308,9 @@ func Run(s Setup) (res *Result, err error) {
 				return nil, fmt.Errorf("experiment: VM %s: vCPU %d pinned to pCPU %d of %d", vm.Name, j, pin, s.PCPUs)
 			}
 		}
+		if err := CheckStream(vm); err != nil {
+			return nil, fmt.Errorf("experiment: VM %s: %v", vm.Name, err)
+		}
 	}
 	if s.Obs == nil {
 		s.Obs = defaultObs.Load()
@@ -371,7 +383,7 @@ func Run(s Setup) (res *Result, err error) {
 	kernels := make([]*guest.Kernel, len(s.VMs))
 	apps := make([]*workload.App, len(s.VMs))
 	disks := make([]*vdisk.Disk, len(s.VMs))
-	rigs := make([]serveRig, len(s.VMs))
+	rigs := make([]nicRig, len(s.VMs))
 	for i, vm := range s.VMs {
 		n := vm.VCPUs
 		if n == 0 {
@@ -382,9 +394,22 @@ func Run(s Setup) (res *Result, err error) {
 			disks[i] = vdisk.New(clock, 5000+vm.Seed)
 			kernels[i].AttachDisk(disks[i])
 		}
-		if vm.App == "" && vm.Serve != nil {
+		if vm.Stream != "" {
+			// The server thread is created before the App's threads: a
+			// vCPU queues its threads in creation order, and the order
+			// moves the stream's jitter.
+			stream, serr := buildStream(clock, h, kernels[i], vm.Stream)
+			if serr != nil {
+				return nil, fmt.Errorf("experiment: VM %s: %v", vm.Name, serr)
+			}
+			rigs[i].stream = stream
+		}
+		switch {
+		case vm.App == "" && rigs[i].stream != nil:
+			apps[i] = rigs[i].stream.app
+		case vm.App == "" && vm.Serve != nil:
 			apps[i] = workload.Empty("serve", kernels[i])
-		} else {
+		default:
 			app, aerr := workload.New(vm.App, kernels[i], vm.Seed)
 			if aerr != nil {
 				return nil, fmt.Errorf("experiment: VM %s: %v", vm.Name, aerr)
@@ -432,6 +457,11 @@ func Run(s Setup) (res *Result, err error) {
 	if err != nil {
 		return nil, err
 	}
+	if s.Core.UserCS {
+		for _, k := range kernels {
+			ctrl.RegisterUserRegions(k.Dom.ID, k.UserRegions())
+		}
+	}
 	var rivalStart func()
 	if s.Rival != RivalNone {
 		rivalStart, err = attachRival(h, s.Rival)
@@ -448,14 +478,18 @@ func Run(s Setup) (res *Result, err error) {
 		rivalStart()
 	}
 	for i, k := range kernels {
-		// A serving VM's arrival process starts with its kernel, riding the
-		// same stagger.
+		// A serving VM's arrival process and an iPerf stream start with
+		// their kernel, riding the same stagger.
 		start := k.StartAll
 		if flow := rigs[i].flow; flow != nil {
-			k := k
 			start = func() {
 				k.StartAll()
 				flow.Start()
+			}
+		} else if stream := rigs[i].stream; stream != nil {
+			start = func() {
+				k.StartAll()
+				stream.start()
 			}
 		}
 		if s.StaggerStart && i > 0 {
@@ -528,18 +562,20 @@ func Run(s Setup) (res *Result, err error) {
 	return res, nil
 }
 
-// serveRig bundles one VM's serving composition for start and collection.
-type serveRig struct {
+// nicRig bundles one VM's NIC-fed workload for start and collection: a
+// serving composition (nic, flow, pool, kernel) or an iPerf stream.
+type nicRig struct {
 	nic    *vnet.NIC
 	flow   *vnet.RequestFlow
 	pool   *workload.ServerPool
 	kernel *guest.Kernel
+	stream *streamRig
 }
 
 // buildServe composes a VM's serving workload: NIC, per-vCPU sockets and
 // server threads, and the open-loop arrival flow. The NIC reads its
 // domain's ID dynamically, so building before a DomRelabel is safe.
-func buildServe(clock *simtime.Clock, h *hv.Hypervisor, k *guest.Kernel, app *workload.App, sv *ServeSpec, vcpus int) (serveRig, error) {
+func buildServe(clock *simtime.Clock, h *hv.Hypervisor, k *guest.Kernel, app *workload.App, sv *ServeSpec, vcpus int) (nicRig, error) {
 	nic := vnet.NewNIC(h, k.Dom, sv.RingCap)
 	k.AttachNIC(nic)
 	slo := simtime.Duration(sv.SLOMs * float64(simtime.Millisecond))
@@ -548,15 +584,15 @@ func buildServe(clock *simtime.Clock, h *hv.Hypervisor, k *guest.Kernel, app *wo
 	}
 	flow, err := vnet.NewRequestFlow(clock, nic, sv.RatePerSec, sv.ReqBytes, slo, vcpus, sv.Seed)
 	if err != nil {
-		return serveRig{}, err
+		return nicRig{}, err
 	}
 	pool := workload.RequestServer(app, flow, sv.Seed+1)
-	return serveRig{nic: nic, flow: flow, pool: pool, kernel: k}, nil
+	return nicRig{nic: nic, flow: flow, pool: pool, kernel: k}, nil
 }
 
 // requestStats builds the end-of-run serving read-out from the rig's
 // independent ledgers.
-func requestStats(rig serveRig, dur simtime.Duration) *RequestStats {
+func requestStats(rig nicRig, dur simtime.Duration) *RequestStats {
 	f := rig.flow
 	st := &RequestStats{
 		Offered:         f.Offered,
@@ -588,7 +624,7 @@ func requestStats(rig serveRig, dur simtime.Duration) *RequestStats {
 	return st
 }
 
-func collect(s Setup, h *hv.Hypervisor, ctrl *core.Controller, kernels []*guest.Kernel, apps []*workload.App, rigs []serveRig) *Result {
+func collect(s Setup, h *hv.Hypervisor, ctrl *core.Controller, kernels []*guest.Kernel, apps []*workload.App, rigs []nicRig) *Result {
 	res := &Result{
 		HV:         h.Counters.Snapshot(),
 		Core:       ctrl.Counters.Snapshot(),
@@ -608,13 +644,18 @@ func collect(s Setup, h *hv.Hypervisor, ctrl *core.Controller, kernels []*guest.
 			perVCPU = append(perVCPU, v.RanTotal())
 		}
 		var reqs *RequestStats
-		if rigs != nil && rigs[i].flow != nil {
+		if rigs[i].flow != nil {
 			reqs = requestStats(rigs[i], s.Duration)
+		}
+		var stream *IOMeasure
+		if rigs[i].stream != nil {
+			stream = rigs[i].stream.measure()
 		}
 		res.VMs = append(res.VMs, VMResult{
 			Name:     s.VMs[i].Name,
 			App:      s.VMs[i].App,
 			Requests: reqs,
+			Stream:   stream,
 			Units:    apps[i].Units(),
 			Yields: YieldBreakdown{
 				IPI:   d.Counters.Value("yield.ipi"),

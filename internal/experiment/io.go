@@ -7,7 +7,6 @@ import (
 	"github.com/microslicedcore/microsliced/internal/core"
 	"github.com/microslicedcore/microsliced/internal/guest"
 	"github.com/microslicedcore/microsliced/internal/hv"
-	"github.com/microslicedcore/microsliced/internal/ksym"
 	"github.com/microslicedcore/microsliced/internal/report"
 	"github.com/microslicedcore/microsliced/internal/simtime"
 	"github.com/microslicedcore/microsliced/internal/vnet"
@@ -27,99 +26,89 @@ const (
 	ioRingCap = 48
 )
 
-// IOMeasure is one iPerf measurement.
+// IOMeasure is one iPerf stream's read-out. The public facade exposes it
+// as microsliced.StreamStats.
 type IOMeasure struct {
-	Proto    string
-	Mbps     float64
-	JitterMs float64
-	Loss     float64
+	Proto    string  // "udp" or "tcp"
+	Mbps     float64 // application-level goodput
+	JitterMs float64 // peak RFC 1889 transit jitter
+	Loss     float64 // fraction of datagrams dropped at the full NIC ring (udp)
 }
 
-// RunIO builds the paper's I/O scenario: VM-1 hosts the iPerf server
-// (optionally mixed with a lookbusy thread on the same vCPU), VM-2 hosts
-// lookbusy, and in the mixed configuration both vCPUs are pinned to the
-// same pCPU (Figure 9b).
-func RunIO(proto string, mixed bool, cc core.Config, dur simtime.Duration) (*IOMeasure, error) {
-	return RunIORival(proto, mixed, cc, RivalNone, dur)
+// CheckStream rejects a VM's Stream that Run cannot build: an unknown
+// protocol, or a Stream next to a Serve spec (a VM has one NIC).
+func CheckStream(vm VMSpec) error {
+	switch {
+	case vm.Stream == "":
+	case vm.Stream != "udp" && vm.Stream != "tcp":
+		return fmt.Errorf("unknown stream protocol %q (want udp or tcp)", vm.Stream)
+	case vm.Serve != nil:
+		return fmt.Errorf("stream %q and Serve both need the VM's one NIC", vm.Stream)
+	}
+	return nil
 }
 
-// RunIORival is RunIO with a prior-work system installed instead of (or in
-// addition to) the paper's mechanism.
-func RunIORival(proto string, mixed bool, cc core.Config, rival Rival, dur simtime.Duration) (*IOMeasure, error) {
-	clock := simtime.NewClock()
-	cfg := hv.DefaultConfig()
-	cfg.PCPUs = 2
-	h := hv.New(clock, cfg)
+// streamRig is one VM's iPerf stream: the server thread's app, whose units
+// count consumed packets, and the flow's start and read-out.
+type streamRig struct {
+	app     *workload.App
+	start   func()
+	measure func() *IOMeasure
+}
 
-	k := guest.NewKernel(h, "vm1", 1, ksym.Generate(5), guest.DefaultParams())
+// buildStream composes a VM's iPerf stream: NIC, socket, server thread on
+// vCPU 0 and the sender, which starts with the kernel. proto has passed
+// CheckStream.
+func buildStream(clock *simtime.Clock, h *hv.Hypervisor, k *guest.Kernel, proto string) (*streamRig, error) {
 	nic := vnet.NewNIC(h, k.Dom, ioRingCap)
 	k.AttachNIC(nic)
 	sock := k.NewSocket(0)
-	app := workload.Empty("iperf", k)
-	workload.IperfServer(app, 0, sock)
-
-	var hog *guest.Kernel
-	if mixed {
-		workload.LookbusyThread(app, 0)
-		hog = guest.NewKernel(h, "vm2", 1, ksym.Generate(6), guest.DefaultParams())
-		if _, err := workload.New("lookbusy", hog, 9); err != nil {
-			return nil, err
-		}
-		k.VCPUs[0].HV().Pin(0)
-		hog.VCPUs[0].HV().Pin(0)
-	}
-
-	ctrl, err := core.Attach(h, cc)
-	if err != nil {
-		return nil, err
-	}
-	var rivalStart func()
-	if rival != RivalNone {
-		rivalStart, err = attachRival(h, rival)
+	rig := &streamRig{app: workload.Empty("iperf", k)}
+	if proto == "udp" {
+		f, err := vnet.NewUDPFlow(clock, nic, 0, ioUDPBytes, ioLinkBps)
 		if err != nil {
 			return nil, err
 		}
-	}
-	h.Start()
-	ctrl.Start()
-	if rivalStart != nil {
-		rivalStart()
-	}
-	k.StartAll()
-	if hog != nil {
-		hog.StartAll()
-	}
-
-	out := &IOMeasure{Proto: proto}
-	switch proto {
-	case "udp":
-		flow, err := vnet.NewUDPFlow(clock, nic, 0, ioUDPBytes, ioLinkBps)
+		f.Attach(sock)
+		rig.start = f.Start
+		rig.measure = func() *IOMeasure {
+			return &IOMeasure{Proto: proto, Mbps: f.GoodputBps() / 1e6, JitterMs: f.Jitter.PeakMillis(), Loss: f.LossRate()}
+		}
+	} else {
+		f, err := vnet.NewTCPFlow(clock, nic, 0, ioTCPBytes, ioTCPWindow, ioLinkBps, ioWireDelay)
 		if err != nil {
 			return nil, err
 		}
-		flow.Attach(sock)
-		flow.Start()
-		clock.RunUntil(dur)
-		flow.Stop()
-		out.Mbps = flow.GoodputBps() / 1e6
-		out.JitterMs = flow.Jitter.PeakMillis()
-		out.Loss = flow.LossRate()
-	case "tcp":
-		flow, err := vnet.NewTCPFlow(clock, nic, 0, ioTCPBytes, ioTCPWindow, ioLinkBps, ioWireDelay)
-		if err != nil {
-			return nil, err
+		f.Attach(sock)
+		rig.start = f.Start
+		rig.measure = func() *IOMeasure {
+			return &IOMeasure{Proto: proto, Mbps: f.GoodputBps() / 1e6, JitterMs: f.Jitter.PeakMillis()}
 		}
-		flow.Attach(sock)
-		flow.Start()
-		clock.RunUntil(dur)
-		flow.Stop()
-		out.Mbps = flow.GoodputBps() / 1e6
-		out.JitterMs = flow.Jitter.PeakMillis()
-	default:
-		return nil, fmt.Errorf("experiment: unknown protocol %q", proto)
 	}
-	return out, nil
+	workload.IperfServer(rig.app, 0, sock)
+	return rig, nil
 }
+
+// ioSetup is the paper's I/O scenario on a 2-pCPU host: a 1-vCPU VM named
+// "iperf" runs the iPerf server. When mixed, a lookbusy thread shares its
+// vCPU and a lookbusy VM shares its pCPU (Figure 9b).
+func ioSetup(proto string, mixed bool, cc core.Config, dur simtime.Duration) Setup {
+	s := Setup{
+		PCPUs:    2,
+		VMs:      []VMSpec{{Name: "iperf", VCPUs: 1, Stream: proto}},
+		Core:     cc,
+		Duration: dur,
+	}
+	if mixed {
+		s.VMs[0].App = "lookbusy"
+		s.VMs[0].Pins = []int{0}
+		s.VMs = append(s.VMs, VMSpec{Name: "hog", App: "lookbusy", VCPUs: 1, Seed: 9, Pins: []int{0}})
+	}
+	return s
+}
+
+// iperf returns the stream read-out of an ioSetup run.
+func iperf(r *Result) IOMeasure { return *r.VM("iperf").Stream }
 
 // ---------------------------------------------------------------------------
 // Table 4c — iPerf latency and throughput, solo vs mixed co-run
@@ -134,23 +123,14 @@ type Table4cResult struct {
 // Table4c measures iPerf (UDP) jitter and throughput solo vs mixed co-run
 // on the vanilla hypervisor.
 func Table4c(dur simtime.Duration) (*Table4cResult, error) {
-	out := &Table4cResult{}
-	err := parallelDo(2, func(i int) error {
-		m, err := RunIO("udp", i == 1, offConfig(), dur)
-		if err != nil {
-			return err
-		}
-		if i == 0 {
-			out.Solo = *m
-		} else {
-			out.Mixed = *m
-		}
-		return nil
+	results, err := RunAll([]Setup{
+		ioSetup("udp", false, offConfig(), dur),
+		ioSetup("udp", true, offConfig(), dur),
 	})
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return &Table4cResult{Solo: iperf(results[0]), Mixed: iperf(results[1])}, nil
 }
 
 // Render implements report.Renderer.
@@ -183,29 +163,21 @@ type Figure9Result struct {
 // the other one) with I/O acceleration enabled.
 func Figure9(dur simtime.Duration) (*Figure9Result, error) {
 	micro := core.StaticConfig(1)
-	out := &Figure9Result{}
-	grid := []struct {
-		dst   *IOMeasure
-		proto string
-		cc    core.Config
-	}{
-		{&out.BaselineTCP, "tcp", offConfig()},
-		{&out.BaselineUDP, "udp", offConfig()},
-		{&out.MicroTCP, "tcp", micro},
-		{&out.MicroUDP, "udp", micro},
-	}
-	err := parallelDo(len(grid), func(i int) error {
-		m, err := RunIO(grid[i].proto, true, grid[i].cc, dur)
-		if err != nil {
-			return err
-		}
-		*grid[i].dst = *m
-		return nil
+	results, err := RunAll([]Setup{
+		ioSetup("tcp", true, offConfig(), dur),
+		ioSetup("udp", true, offConfig(), dur),
+		ioSetup("tcp", true, micro, dur),
+		ioSetup("udp", true, micro, dur),
 	})
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return &Figure9Result{
+		BaselineTCP: iperf(results[0]),
+		BaselineUDP: iperf(results[1]),
+		MicroTCP:    iperf(results[2]),
+		MicroUDP:    iperf(results[3]),
+	}, nil
 }
 
 // Render implements report.Renderer.

@@ -72,88 +72,42 @@ type Table1Result struct {
 	Rows []Table1Row
 }
 
-// runRivalCorun runs a co-run scenario under a rival system.
-func runRivalCorun(app string, r Rival, dur simtime.Duration) (*Result, error) {
-	s := corunSetup(app, offConfig(), dur)
-	s.Rival = r
-	if r == RivalFixed {
-		cfg := rivals.ShortSliceConfig(100 * simtime.Microsecond)
-		s.HVConfig = &cfg
-	}
-	return Run(s)
-}
-
 // Table1 measures baseline, the three implemented rivals, and the paper's
 // mechanism (static best and dynamic) on the lock, TLB and mixed-I/O
 // symptom scenarios.
 func Table1(dur simtime.Duration) (*Table1Result, error) {
-	type sysCfg struct {
-		name  string
-		rival Rival
-		cc    *core.Config
-	}
-	static := core.StaticConfig(1)
-	staticTLB := core.StaticConfig(3)
 	dynamic := core.DefaultConfig()
-	systems := []sysCfg{
-		{"baseline", RivalNone, nil},
-		{"cosched", RivalCoSched, nil},
-		{"fixed-usliced", RivalFixed, nil},
-		{"vturbo", RivalVTurbo, nil},
-		{"vtrs", RivalVTRS, nil},
-		{"usliced-static", RivalNone, &static},
-		{"usliced-dynamic", RivalNone, &dynamic},
+	systems := []struct {
+		name    string
+		rival   Rival
+		cc, tlb core.Config // the TLB scenario's controller is tlb
+	}{
+		{"baseline", RivalNone, offConfig(), offConfig()},
+		{"cosched", RivalCoSched, offConfig(), offConfig()},
+		{"fixed-usliced", RivalFixed, offConfig(), offConfig()},
+		{"vturbo", RivalVTurbo, offConfig(), offConfig()},
+		{"vtrs", RivalVTRS, offConfig(), offConfig()},
+		{"usliced-static", RivalNone, core.StaticConfig(1), core.StaticConfig(3)},
+		{"usliced-dynamic", RivalNone, dynamic, dynamic},
 	}
 
-	// Each system contributes three independent measurements (lock, TLB,
-	// mixed I/O). Run the whole (system x scenario) grid on the worker pool
-	// and assemble the baseline-normalized rows serially afterwards.
-	runOne := func(sys sysCfg, app string, tlb bool) (*Result, error) {
-		if sys.rival != RivalNone {
-			return runRivalCorun(app, sys.rival, dur)
+	// Each system contributes three cells, lock (exim), TLB (dedup) and
+	// mixed I/O (iPerf TCP), run as one grid; the baseline-normalized rows
+	// are assembled afterwards.
+	var setups []Setup
+	for _, sys := range systems {
+		lock, tlb := corunSetup("exim", sys.cc, dur), corunSetup("dedup", sys.tlb, dur)
+		mixedIO := ioSetup("tcp", true, sys.cc, dur)
+		lock.Rival, tlb.Rival, mixedIO.Rival = sys.rival, sys.rival, sys.rival
+		if sys.rival == RivalFixed {
+			// Global short slicing applies to the co-runs; the I/O cell
+			// keeps the default slice.
+			cfg := rivals.ShortSliceConfig(100 * simtime.Microsecond)
+			lock.HVConfig, tlb.HVConfig = &cfg, &cfg
 		}
-		cc := offConfig()
-		if sys.cc != nil {
-			cc = *sys.cc
-			if tlb && sys.name == "usliced-static" {
-				cc = staticTLB
-			}
-		}
-		return Run(corunSetup(app, cc, dur))
+		setups = append(setups, lock, tlb, mixedIO)
 	}
-	type t1cell struct {
-		lock *Result
-		tlb  *Result
-		io   *IOMeasure
-	}
-	cells := make([]t1cell, len(systems))
-	err := parallelDo(3*len(systems), func(idx int) error {
-		sys := systems[idx/3]
-		cell := &cells[idx/3]
-		switch idx % 3 {
-		case 0:
-			r, err := runOne(sys, "exim", false)
-			cell.lock = r
-			return err
-		case 1:
-			r, err := runOne(sys, "dedup", true)
-			cell.tlb = r
-			return err
-		default:
-			var ioCC core.Config
-			switch {
-			case sys.rival != RivalNone:
-				ioCC = offConfig() // rival installed by RunIORival itself
-			case sys.cc != nil:
-				ioCC = *sys.cc
-			default:
-				ioCC = offConfig()
-			}
-			m, err := RunIORival("tcp", true, ioCC, sys.rival, dur)
-			cell.io = m
-			return err
-		}
-	})
+	results, err := RunAll(setups)
 	if err != nil {
 		return nil, err
 	}
@@ -161,18 +115,19 @@ func Table1(dur simtime.Duration) (*Table1Result, error) {
 	out := &Table1Result{}
 	var baseLock, baseTLB, baseCo, baseIO float64
 	for i, sys := range systems {
-		cell := cells[i]
-		lockUnits := float64(cell.lock.VM("exim").Units)
-		tlbUnits := float64(cell.tlb.VM("dedup").Units)
-		coUnits := float64(cell.lock.VM("swaptions").Units)
+		lock, tlb, mixedIO := results[3*i], results[3*i+1], results[3*i+2]
+		lockUnits := float64(lock.VM("exim").Units)
+		tlbUnits := float64(tlb.VM("dedup").Units)
+		coUnits := float64(lock.VM("swaptions").Units)
+		ioMbps := iperf(mixedIO).Mbps
 		if sys.name == "baseline" {
-			baseLock, baseTLB, baseCo, baseIO = lockUnits, tlbUnits, coUnits, cell.io.Mbps
+			baseLock, baseTLB, baseCo, baseIO = lockUnits, tlbUnits, coUnits, ioMbps
 		}
 		out.Rows = append(out.Rows, Table1Row{
 			System:       sys.name,
 			LockGain:     lockUnits / baseLock,
 			TLBGain:      tlbUnits / baseTLB,
-			MixedIOGain:  cell.io.Mbps / baseIO,
+			MixedIOGain:  ioMbps / baseIO,
 			CoRunnerCost: baseCo / coUnits,
 		})
 	}

@@ -220,6 +220,11 @@ func TestRunValidatesSetup(t *testing.T) {
 	if _, err := Run(Setup{VMs: []VMSpec{{Name: "x", App: "exim", VCPUs: -2}}}); err == nil {
 		t.Fatal("negative VCPUs accepted")
 	}
+	both := ioSetup("tcp", true, offConfig(), quick)
+	both.VMs[0].Serve = &ServeSpec{RatePerSec: 1000}
+	if _, err := Run(both); err == nil || !strings.Contains(err.Error(), "one NIC") {
+		t.Fatalf("stream next to a serving workload: %v", err)
+	}
 }
 
 // TestRunAllSettledIsolatesPoisonedJob is the regression test: one bad job

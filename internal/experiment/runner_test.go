@@ -44,6 +44,7 @@ func TestRunAllMatchesSerial(t *testing.T) {
 		soloSetup("gmake", quick),
 		corunSetup("dedup", offConfig(), quick),
 		corunSetup("exim", core.DefaultConfig(), quick),
+		ioSetup("udp", true, core.StaticConfig(1), quick),
 	}
 	serial := make([]*Result, len(grid))
 	for i, s := range grid {

@@ -20,6 +20,8 @@ type VMStats struct {
 	// Requests is the serving read-out (nil unless the VM had a Serve
 	// config).
 	Requests *ServeStats
+	// Stream is the iPerf read-out (nil unless the VM had a Stream).
+	Stream *IOMeasure
 }
 
 // ServeStats is the end-to-end outcome of a VM's request-serving
@@ -190,8 +192,8 @@ func (r *Results) VM(name string) *VMStats {
 // microsliced) returns from Simulate under aliased type names. It is the
 // one place where the harness's nanoseconds become seconds, milliseconds
 // or microseconds, and it leaves the internal ledgers out. The counter
-// maps and FaultErrors are shared with r. Nothing is stored in r, so r's
-// JSON encoding stays the harness's own.
+// maps, FaultErrors and the Stream read-outs are shared with r. Nothing is
+// stored in r, so r's JSON encoding stays the harness's own.
 func (r *Result) View() *Results {
 	out := &Results{
 		MicroCoresAvg:      r.MicroAvg,
@@ -223,6 +225,7 @@ func (r *Result) View() *Results {
 			YieldsOther:    vm.Yields.Other,
 			CPUSeconds:     vm.RanTotal.Seconds(),
 			LockWaitAvgUs:  map[string]float64{},
+			Stream:         vm.Stream,
 		}
 		if vm.TLB.Count() > 0 {
 			st.TLBSyncAvgUs = us(vm.TLB.Mean())

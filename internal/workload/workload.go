@@ -2,7 +2,8 @@
 // programs: PARSEC (swaptions, dedup, vips, blackscholes, bodytrack,
 // streamcluster, raytrace), MOSBENCH (exim, gmake, psearchy), the memclone
 // microbenchmark, SPECCPU-style single-threaded applications (perlbench,
-// sjeng, bzip2), and the iPerf/lookbusy pair of the I/O experiments.
+// sjeng, bzip2), the iPerf/lookbusy pair of the I/O experiments, and the
+// user-spinlock game server of the §4.4 extension with its hog.
 //
 // Each application is characterised — following §3 and §6.1 of the paper —
 // by its dominant kernel interaction: pure user computation (swaptions,
@@ -61,6 +62,8 @@ var registry = map[string]builder{
 	"sjeng":         buildSjeng,
 	"bzip2":         buildBzip2,
 	"fileserver":    buildFileserver,
+	"usergame":      buildUserGame,
+	"usergame-hog":  buildUserGameHog,
 }
 
 // Catalog returns the available application names, sorted.
@@ -425,6 +428,45 @@ func buildFileserver(a *App, r *rng.Source) {
 }
 
 // ---------------------------------------------------------------------------
+// User-level critical sections (paper §4.4)
+// ---------------------------------------------------------------------------
+
+// buildUserGame: a latency-critical game server whose contention is
+// entirely in user-space spinlocks, one per world shard. Each shard's
+// critical section is a user region the kernel records for the §4.4
+// interface (guest.Kernel.UserRegions). Every op is one work unit.
+func buildUserGame(a *App, r *rng.Source) {
+	var shards [3]*guest.SpinLock
+	for i := range shards {
+		shards[i] = a.Kernel.UserLock("world-shard-"+strconv.Itoa(i), "User")
+	}
+	for i := range a.Kernel.VCPUs {
+		r, shard := r.Fork(uint64(i)), shards[i%len(shards)]
+		a.Kernel.NewThread(i, "game-"+strconv.Itoa(i), newCycleProg(a, func(ops []guest.Op) []guest.Op {
+			if r.Bool(0.5) {
+				return append(ops, guest.Op{Kind: guest.OpCompute, Dur: exp(r, 12*us)})
+			}
+			return append(ops, guest.Op{Kind: guest.OpLock, Lock: shard, Dur: exp(r, 2*us)})
+		}))
+	}
+}
+
+// buildUserGameHog: the game server's co-runner, 4-11 ms CPU bursts with
+// short sleeps. Its streams fork at 1000+i, so it can share the game's
+// seed without sharing its draws.
+func buildUserGameHog(a *App, r *rng.Source) {
+	for i := range a.Kernel.VCPUs {
+		r, burst := r.Fork(1000+uint64(i)), simtime.Duration(4+i%8)*simtime.Millisecond
+		a.Kernel.NewThread(i, "hog", newCycleProg(a, func(ops []guest.Op) []guest.Op {
+			if r.Bool(0.12) {
+				return append(ops, guest.Op{Kind: guest.OpSleep, Dur: 200 * us})
+			}
+			return append(ops, guest.Op{Kind: guest.OpCompute, Dur: burst})
+		}))
+	}
+}
+
+// ---------------------------------------------------------------------------
 // I/O applications
 // ---------------------------------------------------------------------------
 
@@ -443,16 +485,8 @@ func IperfServer(a *App, vcpu int, sock *guest.Socket) *guest.Thread {
 	}))
 }
 
-// Empty creates an app shell with no threads (for manual composition such
-// as the iPerf scenarios).
+// Empty creates an app shell with no threads, which the experiment
+// harness fills with an iPerf or request server.
 func Empty(name string, k *guest.Kernel) *App {
 	return &App{Name: name, Kernel: k}
-}
-
-// LookbusyThread adds a single CPU-burning thread on one vCPU (the mixed
-// vCPU of the paper's Figure 9 setup).
-func LookbusyThread(a *App, vcpu int) *guest.Thread {
-	return a.Kernel.NewThread(vcpu, "lookbusy", guest.ProgramFunc(func(now simtime.Time) guest.Op {
-		return guest.Op{Kind: guest.OpCompute, Dur: 1000 * us}
-	}))
 }

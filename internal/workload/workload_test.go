@@ -25,7 +25,7 @@ func TestCatalogComplete(t *testing.T) {
 	want := []string{
 		"blackscholes", "bodytrack", "bzip2", "dedup", "exim", "fileserver",
 		"gmake", "lookbusy", "memclone", "perlbench", "psearchy", "raytrace",
-		"sjeng", "streamcluster", "swaptions", "vips",
+		"sjeng", "streamcluster", "swaptions", "usergame", "usergame-hog", "vips",
 	}
 	got := Catalog()
 	if len(got) != len(want) {
@@ -170,7 +170,9 @@ func TestIperfServerCountsUnits(t *testing.T) {
 	app := Empty("iperf", k)
 	sock := k.NewSocket(0)
 	IperfServer(app, 0, sock)
-	LookbusyThread(app, 0)
+	k.NewThread(0, "lookbusy", guest.ProgramFunc(func(now simtime.Time) guest.Op {
+		return guest.Op{Kind: guest.OpCompute, Dur: 1000 * us}
+	}))
 	h.Start()
 	k.StartAll()
 	clock.RunUntil(simtime.Millisecond)

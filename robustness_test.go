@@ -88,6 +88,10 @@ func TestValidateTypedErrors(t *testing.T) {
 			Faults: &FaultPlan{IPIDropProb: 2}}, "Faults"},
 		{"fault-unplugs-host", Scenario{PCPUs: 2, VMs: []VM{{App: "exim"}},
 			Faults: &FaultPlan{OfflinePCPUs: 2}}, "Faults.OfflinePCPUs"},
+		{"unknown-stream", Scenario{VMs: []VM{{App: "exim"}, {Stream: "sctp"}}}, "VMs[1].Stream"},
+		{"stream-with-serve", Scenario{VMs: []VM{{App: "exim", Stream: "udp",
+			Serve: &ServeConfig{RatePerSec: 1000}}}}, "VMs[0].Stream"},
+		{"no-app-no-stream", Scenario{VMs: []VM{{Name: "empty"}}}, "VMs[0].App"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -108,9 +112,13 @@ func TestValidateTypedErrors(t *testing.T) {
 			}
 		})
 	}
-	ok := Scenario{VMs: []VM{{App: "exim"}}, Mode: Static, StaticCores: 2}
-	if err := ok.Validate(); err != nil {
-		t.Fatalf("valid scenario rejected: %v", err)
+	for _, ok := range []Scenario{
+		{VMs: []VM{{App: "exim"}}, Mode: Static, StaticCores: 2},
+		{VMs: []VM{{Name: "iperf", Stream: "tcp"}}},
+	} {
+		if err := ok.Validate(); err != nil {
+			t.Fatalf("valid scenario rejected: %v", err)
+		}
 	}
 }
 
