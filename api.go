@@ -31,8 +31,8 @@ const (
 // VCPUs defaults to 12 (the paper's configuration). Serve, when non-nil,
 // attaches an open-loop request-serving workload whose read-out lands in
 // the VM's VMStats.Requests. Stream ("udp" or "tcp") attaches the paper's
-// iPerf server and stream, whose read-out lands in VMStats.Stream; App may
-// then be empty.
+// iPerf server and stream, whose read-out lands in VMStats.Stream. With
+// either one, App may be empty.
 type VM = experiment.VMSpec
 
 // ServeConfig configures a VM's open-loop request-serving workload
@@ -134,8 +134,8 @@ func (s Scenario) Validate() error {
 		if err := experiment.CheckStream(vm); err != nil {
 			return &ScenarioError{Field: fmt.Sprintf("VMs[%d].Stream", i), Reason: err.Error()}
 		}
-		pureStream := vm.App == "" && vm.Stream != ""
-		if !pureStream && !workload.Known(vm.App) {
+		appless := vm.App == "" && (vm.Stream != "" || vm.Serve != nil)
+		if !appless && !workload.Known(vm.App) {
 			return &ScenarioError{
 				Field:  fmt.Sprintf("VMs[%d].App", i),
 				Reason: fmt.Sprintf("unknown application %q (have %v)", vm.App, workload.Catalog()),

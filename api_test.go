@@ -2,6 +2,7 @@ package microsliced
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -148,6 +149,24 @@ func TestSimulateServing(t *testing.T) {
 		VMs: []VM{{App: "exim", Serve: &ServeConfig{RatePerSec: 100, SLOMs: -1}}},
 	}); err == nil {
 		t.Fatal("negative SLO accepted")
+	}
+}
+
+// TestSimulatePureServingVM runs a VM with a Serve spec and no App, as
+// the Figure-9 harness builds one; a VM with neither (and no Stream) is
+// still rejected.
+func TestSimulatePureServingVM(t *testing.T) {
+	res, err := Simulate(Scenario{VMs: []VM{{Name: "srv", Serve: &ServeConfig{RatePerSec: 1000}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rq := res.VM("srv").Requests; rq == nil || rq.Completed == 0 {
+		t.Fatalf("pure serving VM served nothing: %+v", rq)
+	}
+	err = Scenario{VMs: []VM{{Name: "empty"}}}.Validate()
+	var se *ScenarioError
+	if !errors.As(err, &se) || se.Field != "VMs[0].App" {
+		t.Fatalf("VM with no App, Serve or Stream: got %v, want a VMs[0].App error", err)
 	}
 }
 

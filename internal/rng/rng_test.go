@@ -107,11 +107,11 @@ func TestExpMean(t *testing.T) {
 	sum := 0.0
 	const n = 200000
 	for i := 0; i < n; i++ {
-		sum += r.Exp(100)
+		sum += float64(r.ExpDur(100))
 	}
 	mean := sum / n
 	if mean < 98 || mean > 102 {
-		t.Fatalf("Exp(100) mean=%v, want ~100", mean)
+		t.Fatalf("ExpDur(100) mean=%v, want ~100", mean)
 	}
 }
 
@@ -200,9 +200,21 @@ func BenchmarkUint64(b *testing.B) {
 	}
 }
 
+// BenchmarkExpDur measures throughput: independent draws overlap, so the
+// CPU hides much of a draw's latency.
 func BenchmarkExpDur(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = r.ExpDur(1000)
+	}
+}
+
+// BenchmarkExpDurChained measures latency, as a simulator sees it: each
+// draw's result feeds the next draw's mean, so draws cannot overlap.
+func BenchmarkExpDurChained(b *testing.B) {
+	r := New(1)
+	d := int64(0)
+	for i := 0; i < b.N; i++ {
+		d = r.ExpDur(1000 + d&1)
 	}
 }
