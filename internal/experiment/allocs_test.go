@@ -20,8 +20,9 @@ import (
 // formats with fmt allocates more right after a collection, and an
 // allocation count taken around Run would follow the collector's timing
 // rather than the scenario. The cases cover set-up (every kernel formats
-// its System.map), Algorithm 1, and the harsh-fault supervisor, which
-// labels every detection and repair with a detail string.
+// its System.map), Algorithm 1, and a harsh-fault run with the supervisor,
+// the auditor and the observer on, where the auditor formats each
+// violation's detail with fmt.
 //
 // Three other things move an allocation count between identical runs, and
 // the test shuts each out, so every run is counted exactly once:

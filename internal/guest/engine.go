@@ -84,15 +84,9 @@ type VCPU struct {
 	irqStart simtime.Time
 	savedRIP uint64
 
-	// Pre-bound progress callbacks, created once in NewKernel so the hot
-	// paths arm the progress event without allocating a closure per fire.
-	// armEv stashes its target in evFn, which fireEv, the event's bound
-	// callback, runs.
-	evFn           func()
-	opDoneFn       func()
-	irqStageDoneFn func()
-	pleFireFn      func()
-	ackSpinFireFn  func()
+	// evK is what the armed progress event completes; fireEv, the
+	// event's one bound callback, switches on it.
+	evK evKind
 
 	Yields uint64 // guest-visible count of PLE + voluntary yields
 }
@@ -107,8 +101,18 @@ func (v *VCPU) now() simtime.Time { return v.k.Clock.Now() }
 
 func (v *VCPU) setRIP(a uint64) { v.rip = a }
 
+// evKind names the activity the progress event completes when it fires.
+type evKind uint8
+
+const (
+	evOpDone       evKind = iota // the current thread's op (opDone)
+	evIRQStageDone               // one interrupt-handler stage (irqStageDone)
+	evPLE                        // a pause-loop window (pleFire)
+	evAckSpin                    // an ack-wait spin window (ackSpinFire)
+)
+
 // armEv schedules the single progress event of the vCPU.
-func (v *VCPU) armEv(d simtime.Duration, fn func()) {
+func (v *VCPU) armEv(d simtime.Duration, k evKind) {
 	if v.ev.Pending() {
 		panic(fmt.Sprintf("guest: vCPU %d double-armed", v.idx))
 	}
@@ -116,15 +120,22 @@ func (v *VCPU) armEv(d simtime.Duration, fn func()) {
 		panic(fmt.Sprintf("guest: vCPU %d armed while descheduled", v.idx))
 	}
 	v.phaseStart = v.now()
-	v.evFn = fn
+	v.evK = k
 	v.ev.Arm(d)
 }
 
-// fireEv is the progress event's callback: it runs the armed target.
+// fireEv is the progress event's callback: it completes the armed kind.
 func (v *VCPU) fireEv() {
-	fn := v.evFn
-	v.evFn = nil
-	fn()
+	switch v.evK {
+	case evOpDone:
+		v.opDone()
+	case evIRQStageDone:
+		v.irqStageDone()
+	case evPLE:
+		v.pleFire()
+	case evAckSpin:
+		v.ackSpinFire()
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -250,12 +261,12 @@ func (v *VCPU) runIRQStage() {
 	default:
 		panic(fmt.Sprintf("guest: unknown vector %v", c.vec))
 	}
-	v.armEv(c.remaining, v.irqStageDoneFn)
+	v.armEv(c.remaining, evIRQStageDone)
 }
 
 // resumeIRQ re-arms an interrupted handler after rescheduling.
 func (v *VCPU) resumeIRQ() {
-	v.armEv(v.irq.remaining, v.irqStageDoneFn)
+	v.armEv(v.irq.remaining, evIRQStageDone)
 }
 
 // irqStageDone applies the handler's effects and advances.
@@ -412,7 +423,7 @@ func (v *VCPU) advance() {
 		v.nextOp()
 	case phaseOp:
 		v.setRIP(v.opRIP(t))
-		v.armEv(t.remaining, v.opDoneFn)
+		v.armEv(t.remaining, evOpDone)
 	case phaseSpin:
 		if t.lock != nil && t.lock.user {
 			v.setRIP(UserSpinRIP)
@@ -425,12 +436,12 @@ func (v *VCPU) advance() {
 			// preemption, not spinning.
 			o.Stage(t.lockSpan, obs.LockStagePreempt, v.now())
 		}
-		v.armEv(v.k.Params.PLEWindow, v.pleFireFn)
+		v.armEv(v.k.Params.PLEWindow, evPLE)
 	case phaseGranted:
 		v.enterCS(t)
 	case phaseAcks:
 		v.setRIP(v.k.addr.callMany)
-		v.armEv(v.k.Params.AckSpinYield, v.ackSpinFireFn)
+		v.armEv(v.k.Params.AckSpinYield, evAckSpin)
 	case phaseAcksDone:
 		v.finishShootdown(t)
 	case phaseRestart:
@@ -581,13 +592,13 @@ func (v *VCPU) enterCS(t *Thread) {
 		t.opStage = 1
 		t.remaining = v.k.Params.TLBInitCost
 		v.setRIP(v.k.addr.flushOthers)
-		v.armEv(t.remaining, v.opDoneFn)
+		v.armEv(t.remaining, evOpDone)
 		return
 	}
 	t.opStage = 1
 	t.remaining = t.lock.holdDuration(t.op.Dur)
 	v.setRIP(t.lock.body)
-	v.armEv(t.remaining, v.opDoneFn)
+	v.armEv(t.remaining, evOpDone)
 }
 
 // opDone applies the completed operation's effects.

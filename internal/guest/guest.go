@@ -225,14 +225,9 @@ func NewKernel(h *hv.Hypervisor, name string, nvcpus int, sym *ksym.Table, p Par
 	}
 	for i := 0; i < nvcpus; i++ {
 		vc := &VCPU{k: k, idx: i, rip: k.addr.halt}
-		// Bind the progress event and callbacks once; armEv and the IRQ/op
-		// paths reuse these instead of allocating a closure or method value
-		// per fire.
+		// Bind the progress event once; armEv re-arms it in place with the
+		// kind fireEv dispatches on, so no fire allocates.
 		k.Clock.Bind(&vc.ev, "", vc.fireEv)
-		vc.opDoneFn = vc.opDone
-		vc.irqStageDoneFn = vc.irqStageDone
-		vc.pleFireFn = vc.pleFire
-		vc.ackSpinFireFn = vc.ackSpinFire
 		vc.hvv = h.AddVCPU(dom, vc)
 		k.VCPUs = append(k.VCPUs, vc)
 	}

@@ -274,7 +274,7 @@ func TestFlightRecorder(t *testing.T) {
 	ref := o.Begin(SpanIPIDeliver, 0, 0, 9, 5*us)
 	_ = ref
 	repairs := trace.NewRing[trace.Repair](4)
-	repairs.Push(trace.Repair{Time: 7 * us, Kind: trace.RepairUnpin, Dom: 0, VCPU: 1, Detail: "pin p3 broken"})
+	repairs.Push(trace.Repair{Time: 7 * us, Kind: trace.RepairUnpin, Dom: 0, VCPU: 1, Arg0: 3})
 	decisions := trace.NewRing[trace.Decision](4)
 	decisions.Push(trace.Decision{Time: 4 * us, Epoch: 1, Reason: trace.DecisionSingle, Chosen: 1, Ceiling: 3,
 		Sample: trace.Sample{PLEs: 26}})
@@ -400,8 +400,8 @@ func TestFlightDumpIncludesRepairTail(t *testing.T) {
 	o := New(Config{})
 	repairs := trace.NewRing[trace.Repair](2)
 	repairs.Push(trace.Repair{Time: 3 * us, Kind: trace.DetectLostIPI, Dom: -1, VCPU: -1})
-	repairs.Push(trace.Repair{Time: 5 * us, Kind: trace.DetectStarve, Dom: 0, VCPU: 1, Detail: "runnable 60ms"})
-	repairs.Push(trace.Repair{Time: 7 * us, Kind: trace.RepairUnpin, Dom: 0, VCPU: 1, Detail: "pin p3 broken"})
+	repairs.Push(trace.Repair{Time: 5 * us, Kind: trace.DetectStarve, Dom: 0, VCPU: 1, Arg0: int64(60 * simtime.Millisecond), Arg1: int64(50 * simtime.Millisecond)})
+	repairs.Push(trace.Repair{Time: 7 * us, Kind: trace.RepairUnpin, Dom: 0, VCPU: 1, Arg0: 3})
 	o.Repairs = &repairs
 	o.Flight(10*us, "invariant:starvation", "d0v1 starved", nil)
 
@@ -410,7 +410,7 @@ func TestFlightDumpIncludesRepairTail(t *testing.T) {
 		t.Fatalf("retained flights = %d, want 1", len(fl))
 	}
 	d := fl[0]
-	if len(d.Repairs) != 2 || d.Repairs[0].Kind != trace.DetectStarve || d.Repairs[1].Detail != "pin p3 broken" {
+	if len(d.Repairs) != 2 || d.Repairs[0].Kind != trace.DetectStarve || d.Repairs[1].Detail() != "unpinned from unreachable p3" {
 		t.Fatalf("dump repairs = %+v, want the ring's newest 2 records", d.Repairs)
 	}
 	if d.Decisions != nil {
@@ -453,5 +453,54 @@ func TestStateStrings(t *testing.T) {
 	}
 	if State(99).String() != "state(?)" {
 		t.Errorf("out-of-range state = %q", State(99).String())
+	}
+}
+
+// TestFlightDumpRepairsJSON: a dump written to FlightDir encodes each
+// repair with its formatted detail, escaped and indented as encoding/json
+// writes a record that stores the detail as text.
+func TestFlightDumpRepairsJSON(t *testing.T) {
+	dir := t.TempDir()
+	o := New(Config{FlightDir: dir, Label: "r"})
+	repairs := trace.NewRing[trace.Repair](4)
+	repairs.Push(trace.Repair{Time: 5 * us, Kind: trace.DetectStarve, Dom: 0, VCPU: 1,
+		Arg0: int64(60 * simtime.Millisecond), Arg1: int64(50 * simtime.Millisecond)})
+	repairs.Push(trace.Repair{Time: 7 * us, Kind: trace.RepairUnpin, Dom: 0, VCPU: 1, Arg0: 3})
+	repairs.Push(trace.Repair{Time: 9 * us, Kind: trace.RepairShrinkMicro, Dom: -1, VCPU: -1, Arg0: 2, Arg1: 1})
+	o.Repairs = &repairs
+	o.Flight(10*us, "fault", "hotplug-off p3", nil)
+	if err := o.FlightErr(); err != nil {
+		t.Fatal(err)
+	}
+	buf, err := os.ReadFile(o.flights[0].File)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `  "repairs": [
+    {
+      "t_ns": 5000,
+      "kind": "detect.starve",
+      "dom": 0,
+      "vcpu": 1,
+      "detail": "runnable for 60.000ms (\u003e bound 50.000ms)"
+    },
+    {
+      "t_ns": 7000,
+      "kind": "repair.unpin",
+      "dom": 0,
+      "vcpu": 1,
+      "detail": "unpinned from unreachable p3"
+    },
+    {
+      "t_ns": 9000,
+      "kind": "repair.shrink_micro",
+      "dom": -1,
+      "vcpu": -1,
+      "detail": "micro 2 -\u003e 1"
+    }
+  ]
+`
+	if !strings.Contains(string(buf), want) {
+		t.Errorf("flight dump:\n%s\nwant its repairs encoded as\n%s", buf, want)
 	}
 }

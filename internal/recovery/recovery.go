@@ -3,7 +3,8 @@
 //
 // Where the auditor (internal/hv/audit.go) only *reports* damage, the
 // supervisor repairs it. Each walk — an owned simtime event re-armed in
-// place, zero-alloc while the machine is healthy — looks for
+// place, allocation-free, repairs included, once its episode table,
+// re-drive list and repair ring have grown — looks for
 // three damage classes the harsh fault plans inflict:
 //
 //   - starved runnable vCPUs: runnable-but-undispatched beyond StarveBound
@@ -33,8 +34,6 @@
 package recovery
 
 import (
-	"strconv"
-
 	"github.com/microslicedcore/microsliced/internal/hv"
 	"github.com/microslicedcore/microsliced/internal/metrics"
 	"github.com/microslicedcore/microsliced/internal/obs"
@@ -170,13 +169,14 @@ func (s *Supervisor) MTTR(quiesce simtime.Time) simtime.Duration {
 	return 0
 }
 
-// event records one detection/repair: ring, counter, trace.
-func (s *Supervisor) event(now simtime.Time, kind trace.RepairKind, v *hv.VCPU, detail string) {
+// event records one detection/repair: ring, counter, trace. arg0 and arg1
+// are the kind's numbers (trace.Repair.Arg0, Arg1).
+func (s *Supervisor) event(now simtime.Time, kind trace.RepairKind, v *hv.VCPU, arg0, arg1 int64) {
 	s.hot[kind].Inc()
 	if kind.IsRepair() {
 		s.lastRepair = now
 	}
-	ev := trace.Repair{Time: now, Kind: kind, Dom: -1, VCPU: -1, Detail: detail}
+	ev := trace.Repair{Time: now, Kind: kind, Dom: -1, VCPU: -1, Arg0: arg0, Arg1: arg1}
 	var dom, vcpu int16 = -1, -1
 	if v != nil {
 		ev.Dom, ev.VCPU = v.DomID, v.Idx
@@ -221,8 +221,7 @@ func (s *Supervisor) checkStarvation(now simtime.Time) {
 			if s.h.Obs != nil {
 				e.span = s.h.Obs.Begin(obs.SpanRecover, int16(v.DomID), int16(v.Idx), 0, now)
 			}
-			s.event(now, trace.DetectStarve, v, "runnable for "+(now-v.RunnableSince()).String()+
-				" (> bound "+s.cfg.StarveBound.String()+")")
+			s.event(now, trace.DetectStarve, v, int64(now-v.RunnableSince()), int64(s.cfg.StarveBound))
 		}
 		if e.repairs < maxEpisodeRepairs {
 			s.repairStarved(now, v, e)
@@ -250,7 +249,7 @@ func (s *Supervisor) repairStarved(now simtime.Time, v *hv.VCPU, e *episode) {
 	case 0:
 		s.h.RegrantCredits(v, true)
 		e.step, e.repairs = 1, e.repairs+1
-		s.event(now, trace.RepairCredit, v, "credits re-granted, boosted")
+		s.event(now, trace.RepairCredit, v, 0, 0)
 		return
 	case 1:
 		e.step = 2
@@ -259,7 +258,7 @@ func (s *Supervisor) repairStarved(now simtime.Time, v *hv.VCPU, e *episode) {
 			if target.Offline() || target.Pool() != v.Pool() {
 				s.h.RePin(v, -1)
 				e.repairs++
-				s.event(now, trace.RepairUnpin, v, "unpinned from unreachable p"+strconv.Itoa(pin))
+				s.event(now, trace.RepairUnpin, v, int64(pin), 0)
 				return
 			}
 		}
@@ -273,7 +272,7 @@ func (s *Supervisor) repairStarved(now simtime.Time, v *hv.VCPU, e *episode) {
 		for _, p := range pool.PCPUs() {
 			if s.h.ForceDispatch(p, v) {
 				e.repairs++
-				s.event(now, trace.RepairForceDispatch, v, "forced onto p"+strconv.Itoa(p.ID))
+				s.event(now, trace.RepairForceDispatch, v, int64(p.ID), 0)
 				return
 			}
 		}
@@ -293,7 +292,7 @@ func (s *Supervisor) checkLostIPIs(now simtime.Time) {
 			if e.Redrives == 0 {
 				// Announce each interrupt once; re-losses of the same one
 				// only grow their backoff.
-				s.event(now, trace.DetectLostIPI, e.Dst, "vec "+strconv.Itoa(int(e.Vec))+" lost at "+e.Time.String())
+				s.event(now, trace.DetectLostIPI, e.Dst, int64(e.Vec), int64(e.Time))
 			}
 		}
 		if now >= e.Time+simtime.Time(backoff(e.Redrives)) {
@@ -312,15 +311,10 @@ func (s *Supervisor) checkLostIPIs(now simtime.Time) {
 			}
 		}
 		if s.h.RedriveLostIPI(seq) {
-			s.event(now, trace.RepairIPIRedrive, dst, "redrive #"+strconv.Itoa(redrives+1))
+			s.event(now, trace.RepairIPIRedrive, dst, int64(redrives+1), 0)
 		}
 		lost = s.h.LostIPIs()
 	}
-}
-
-// microResize is the detail of a micro-pool repair.
-func microResize(before, after int) string {
-	return "micro " + strconv.Itoa(before) + " -> " + strconv.Itoa(after)
 }
 
 // backoff returns the redrive delay after the given number of completed
@@ -342,8 +336,7 @@ func (s *Supervisor) checkCapacity(now simtime.Time) {
 	case online < s.baselineOnline:
 		if !s.capLost {
 			s.capLost = true
-			s.event(now, trace.DetectCapacityLoss, nil, strconv.Itoa(online)+" of "+
-				strconv.Itoa(s.baselineOnline)+" pCPUs online")
+			s.event(now, trace.DetectCapacityLoss, nil, int64(online), int64(s.baselineOnline))
 		}
 		// Auto-shrink: under capacity loss the micro pool must not out-size
 		// the normal pool (micro cores are reserved for sub-ms critical
@@ -354,7 +347,7 @@ func (s *Supervisor) checkCapacity(now simtime.Time) {
 			s.poolBudget--
 			if got := s.h.SetMicroCount(before - 1); got < before {
 				s.shrunk++
-				s.event(now, trace.RepairShrinkMicro, nil, microResize(before, got))
+				s.event(now, trace.RepairShrinkMicro, nil, int64(before), int64(got))
 			}
 		}
 	default:
@@ -365,7 +358,7 @@ func (s *Supervisor) checkCapacity(now simtime.Time) {
 			s.poolBudget--
 			if got := s.h.SetMicroCount(before + 1); got > before {
 				s.shrunk--
-				s.event(now, trace.RepairRegrowMicro, nil, microResize(before, got))
+				s.event(now, trace.RepairRegrowMicro, nil, int64(before), int64(got))
 			} else {
 				s.shrunk = 0 // cannot regrow (pool constraints); stop trying
 			}

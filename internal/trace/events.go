@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"github.com/microslicedcore/microsliced/internal/simtime"
 )
@@ -117,17 +119,66 @@ func (k RepairKind) MarshalText() ([]byte, error) { return []byte(k.String()), n
 // IsRepair reports whether the kind is a repair action (vs a detection).
 func (k RepairKind) IsRepair() bool { return k >= RepairCredit }
 
-// Repair is one structured recovery-supervisor detection or repair.
+// Repair is one structured recovery-supervisor detection or repair. It
+// keeps its kind's numbers, not text, so recording one allocates nothing;
+// Detail formats them when a reader asks.
 type Repair struct {
-	Time simtime.Time `json:"t_ns"`
-	Kind RepairKind   `json:"kind"`
+	Time simtime.Time
+	Kind RepairKind
 	// Dom/VCPU identify the repaired vCPU (-1 for machine-level events
 	// such as capacity loss and pool resizes).
-	Dom    int    `json:"dom"`
-	VCPU   int    `json:"vcpu"`
-	Detail string `json:"detail,omitempty"`
+	Dom  int
+	VCPU int
+	// Arg0 and Arg1 are the kind's numbers:
+	//
+	//	DetectStarve         runnable wait (ns), starvation bound (ns)
+	//	DetectLostIPI        vector, loss time (ns)
+	//	DetectCapacityLoss   online pCPUs, pCPUs online at attach
+	//	RepairUnpin          the unreachable pinned pCPU
+	//	RepairForceDispatch  the pCPU forced onto
+	//	RepairIPIRedrive     redrive count, this one included
+	//	RepairShrinkMicro    micro pool size before, after
+	//	RepairRegrowMicro    micro pool size before, after
+	Arg0, Arg1 int64
+}
+
+// Detail formats the kind's numbers as the repair's one-line explanation.
+func (e Repair) Detail() string {
+	itoa := func(n int64) string { return strconv.FormatInt(n, 10) }
+	switch e.Kind {
+	case DetectStarve:
+		return "runnable for " + simtime.Duration(e.Arg0).String() +
+			" (> bound " + simtime.Duration(e.Arg1).String() + ")"
+	case DetectLostIPI:
+		return "vec " + itoa(e.Arg0) + " lost at " + simtime.Time(e.Arg1).String()
+	case DetectCapacityLoss:
+		return itoa(e.Arg0) + " of " + itoa(e.Arg1) + " pCPUs online"
+	case RepairCredit:
+		return "credits re-granted, boosted"
+	case RepairUnpin:
+		return "unpinned from unreachable p" + itoa(e.Arg0)
+	case RepairForceDispatch:
+		return "forced onto p" + itoa(e.Arg0)
+	case RepairIPIRedrive:
+		return "redrive #" + itoa(e.Arg0)
+	case RepairShrinkMicro, RepairRegrowMicro:
+		return "micro " + itoa(e.Arg0) + " -> " + itoa(e.Arg1)
+	}
+	return ""
+}
+
+// MarshalJSON encodes the repair with its formatted detail, in the key
+// order and escaping of a record that stores the detail as text.
+func (e Repair) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		Time   simtime.Time `json:"t_ns"`
+		Kind   RepairKind   `json:"kind"`
+		Dom    int          `json:"dom"`
+		VCPU   int          `json:"vcpu"`
+		Detail string       `json:"detail,omitempty"`
+	}{e.Time, e.Kind, e.Dom, e.VCPU, e.Detail()})
 }
 
 func (e Repair) String() string {
-	return fmt.Sprintf("%v %s d%dv%d %s", e.Time, e.Kind, e.Dom, e.VCPU, e.Detail)
+	return fmt.Sprintf("%v %s d%dv%d %s", e.Time, e.Kind, e.Dom, e.VCPU, e.Detail())
 }
