@@ -9,6 +9,7 @@ import (
 	"github.com/microslicedcore/microsliced/internal/fault"
 	"github.com/microslicedcore/microsliced/internal/obs"
 	"github.com/microslicedcore/microsliced/internal/recovery"
+	"github.com/microslicedcore/microsliced/internal/report"
 	"github.com/microslicedcore/microsliced/internal/simtime"
 	"github.com/microslicedcore/microsliced/internal/workload"
 )
@@ -326,20 +327,20 @@ func Simulate(s Scenario) (*Results, error) {
 // the order Experiments lists them, each with the run that renders it.
 var experiments = []struct {
 	name string
-	run  func(simtime.Duration) (renderer, error)
+	run  func(simtime.Duration) (report.Renderer, error)
 }{
-	{"table1", func(d simtime.Duration) (renderer, error) { return experiment.Table1(d) }},
-	{"table2", func(d simtime.Duration) (renderer, error) { return experiment.Table2(d) }},
-	{"table3", func(d simtime.Duration) (renderer, error) { return experiment.Table3(d) }},
-	{"table4a", func(d simtime.Duration) (renderer, error) { return experiment.Table4a(d) }},
-	{"table4b", func(d simtime.Duration) (renderer, error) { return experiment.Table4b(d) }},
-	{"table4c", func(d simtime.Duration) (renderer, error) { return experiment.Table4c(d) }},
-	{"fig4", func(d simtime.Duration) (renderer, error) { return experiment.Figure4(d) }},
-	{"fig5", func(d simtime.Duration) (renderer, error) { return experiment.Figure5(d) }},
-	{"fig6", func(d simtime.Duration) (renderer, error) { return experiment.Figure6(d, nil) }},
-	{"fig7", func(d simtime.Duration) (renderer, error) { return experiment.Figure7(d, nil) }},
-	{"fig8", func(d simtime.Duration) (renderer, error) { return experiment.Figure8(d) }},
-	{"fig9", func(d simtime.Duration) (renderer, error) { return experiment.Figure9(d) }},
+	{"table1", func(d simtime.Duration) (report.Renderer, error) { return experiment.Table1(d) }},
+	{"table2", func(d simtime.Duration) (report.Renderer, error) { return experiment.Table2(d) }},
+	{"table3", func(d simtime.Duration) (report.Renderer, error) { return experiment.Table3(d) }},
+	{"table4a", func(d simtime.Duration) (report.Renderer, error) { return experiment.Table4a(d) }},
+	{"table4b", func(d simtime.Duration) (report.Renderer, error) { return experiment.Table4b(d) }},
+	{"table4c", func(d simtime.Duration) (report.Renderer, error) { return experiment.Table4c(d) }},
+	{"fig4", func(d simtime.Duration) (report.Renderer, error) { return experiment.Figure4(d) }},
+	{"fig5", func(d simtime.Duration) (report.Renderer, error) { return experiment.Figure5(d) }},
+	{"fig6", func(d simtime.Duration) (report.Renderer, error) { return experiment.Figure6(d, nil) }},
+	{"fig7", func(d simtime.Duration) (report.Renderer, error) { return experiment.Figure7(d, nil) }},
+	{"fig8", func(d simtime.Duration) (report.Renderer, error) { return experiment.Figure8(d) }},
+	{"fig9", func(d simtime.Duration) (report.Renderer, error) { return experiment.Figure9(d) }},
 }
 
 // Experiments lists the reproducible artefacts of the paper's evaluation.
@@ -371,5 +372,3 @@ func Reproduce(name string, seconds float64, w io.Writer) error {
 	}
 	return fmt.Errorf("microsliced: unknown experiment %q (have %v)", name, Experiments())
 }
-
-type renderer interface{ Render(io.Writer) }

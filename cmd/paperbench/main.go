@@ -35,7 +35,7 @@ func main() {
 		recov    = flag.Bool("recovery", false, "also run the recovery sweep: harsh faults, supervisor on, MTTR percentiles (shorthand for adding recoverysweep to -run)")
 		serve    = flag.Bool("serve", false, "also run the serving sweep: open-loop RPC under co-run, goodput-under-SLO and tail latency per mechanism (shorthand for adding serve to -run)")
 		serveOut = flag.String("serve-out", "", "write the serving sweep result as JSON to this file (implies -serve)")
-		verbose  = flag.Bool("v", false, "attach the observability layer and print one telemetry line per scenario, plus a per-kind dominant-stage blame line")
+		verbose  = flag.Bool("v", false, "attach the observability layer and print one telemetry line per scenario, its fired events by kind, plus a per-kind dominant-stage blame line")
 		checked  = flag.Bool("check", false, "run the conformance conservation checks after every scenario (fails fast on a scheduler accounting violation)")
 		traceOut = flag.String("trace-out", "", "run one demo consolidation scenario, write its Chrome trace-event JSON (Perfetto-loadable) to this file, and exit")
 		blameOut = flag.String("blame-out", "", "run one demo consolidation scenario, write its causal blame table as JSON to this file, and exit")
@@ -52,7 +52,8 @@ func main() {
 		var mu sync.Mutex
 		var lastMem runtime.MemStats
 		runtime.ReadMemStats(&lastMem)
-		experiment.SetRunHook(func(s experiment.Setup, r *experiment.Result) {
+		experiment.SetRunHook(func(pr *experiment.PostRun) {
+			s, r := *pr.Setup, pr.Result
 			mu.Lock()
 			defer mu.Unlock()
 			// Process-wide allocation delta since the previous line. With
@@ -64,6 +65,7 @@ func main() {
 			mb := float64(m.TotalAlloc-lastMem.TotalAlloc) / (1 << 20)
 			lastMem = m
 			fmt.Fprintf(os.Stderr, "%s | %d allocs/op %.1f MB/op\n", telemetryLine(s, r), allocs, mb)
+			fmt.Fprintln(os.Stderr, eventLine(s, pr.HV.Clock))
 			for _, line := range blameLines(s, r) {
 				fmt.Fprintln(os.Stderr, line)
 			}
@@ -232,15 +234,20 @@ func main() {
 	fmt.Fprintf(os.Stderr, "total wall-clock: %v\n", time.Since(start).Round(time.Millisecond))
 }
 
-// telemetryLine condenses one scenario's observability read-out: the
-// scenario's VMs, the three slowest span kinds by p99, and the busiest pCPU.
-func telemetryLine(s experiment.Setup, r *experiment.Result) string {
-	var b strings.Builder
+// vmNames labels a scenario by its VMs.
+func vmNames(s experiment.Setup) string {
 	names := make([]string, len(s.VMs))
 	for i, vm := range s.VMs {
 		names[i] = vm.Name
 	}
-	fmt.Fprintf(&b, "telemetry [%s]:", strings.Join(names, "+"))
+	return strings.Join(names, "+")
+}
+
+// telemetryLine condenses one scenario's observability read-out: the
+// scenario's VMs, the three slowest span kinds by p99, and the busiest pCPU.
+func telemetryLine(s experiment.Setup, r *experiment.Result) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "telemetry [%s]:", vmNames(s))
 	if r.Telemetry == nil {
 		b.WriteString(" (no observer)")
 		return b.String()
@@ -271,10 +278,6 @@ func decisionLines(s experiment.Setup, r *experiment.Result) []string {
 	if r.DecisionCount == 0 {
 		return nil
 	}
-	names := make([]string, len(s.VMs))
-	for i, vm := range s.VMs {
-		names[i] = vm.Name
-	}
 	decs := r.Decisions
 	if len(decs) > 4 {
 		decs = decs[len(decs)-4:]
@@ -285,7 +288,32 @@ func decisionLines(s experiment.Setup, r *experiment.Result) []string {
 			simtime.Duration(d.Time), d.Reason, d.Chosen, d.IPIs, d.PLEs, d.IRQs))
 	}
 	return []string{fmt.Sprintf("  decisions [%s] %d total: %s",
-		strings.Join(names, "+"), r.DecisionCount, strings.Join(parts, "; "))}
+		vmNames(s), r.DecisionCount, strings.Join(parts, "; "))}
+}
+
+// eventLine reports where a scenario's simulated events went: the total
+// the clock fired and the four kinds that fired most, with their shares.
+func eventLine(s experiment.Setup, c *simtime.Clock) string {
+	byKind := c.FiredByKind()
+	kinds := make([]simtime.Kind, len(byKind))
+	for k := range kinds {
+		kinds[k] = simtime.Kind(k)
+	}
+	sort.SliceStable(kinds, func(i, j int) bool { return byKind[kinds[i]] > byKind[kinds[j]] })
+	total := c.Fired()
+	var b strings.Builder
+	fmt.Fprintf(&b, "  events [%s] %d fired:", vmNames(s), total)
+	for _, k := range kinds[:min(4, len(kinds))] {
+		if byKind[k] == 0 {
+			break
+		}
+		name := k.String()
+		if name == "" {
+			name = "unkinded"
+		}
+		fmt.Fprintf(&b, " %s %.1f%%", name, 100*float64(byKind[k])/float64(total))
+	}
+	return b.String()
 }
 
 // demoScenario labels the fixed consolidation demo shared by -trace-out,
@@ -336,11 +364,7 @@ func blameLines(s experiment.Setup, r *experiment.Result) []string {
 	if r.Telemetry == nil {
 		return nil
 	}
-	names := make([]string, len(s.VMs))
-	for i, vm := range s.VMs {
-		names[i] = vm.Name
-	}
-	label := strings.Join(names, "+")
+	label := vmNames(s)
 	var out []string
 	for i := range r.Telemetry.Spans {
 		sp := &r.Telemetry.Spans[i]

@@ -150,9 +150,9 @@ func CoreConfig(mode string, staticCores int) (core.Config, error) {
 }
 
 // PostRun is the post-run view handed to Setup.PostCheck and the
-// process-wide check hook (SetCheckHook): the settled Setup and Result plus
-// the live hypervisor, the observer (nil when the run had none) and the
-// final virtual time.
+// process-wide check and run hooks (SetCheckHook, SetRunHook): the settled
+// Setup and Result plus the live hypervisor, the observer (nil when the run
+// had none) and the final virtual time.
 type PostRun struct {
 	Setup  *Setup
 	Result *Result
@@ -557,7 +557,7 @@ func Run(s Setup) (res *Result, err error) {
 		}
 	}
 	if fn := runHook.Load(); fn != nil {
-		(*fn)(s, res)
+		(*fn)(pr)
 	}
 	return res, nil
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -40,6 +41,87 @@ func TestFaultPlanReproducible(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("identical fault plans produced different Results")
+	}
+}
+
+// Tick jitter reaches every scheduler-tick and accounting arm, and only
+// those, with the same draws in the same order. The event count and
+// counters of a tick-jitter run and a storm run are pinned: an arm site
+// that skips hv.Hooks.TickJitter, or a timer that wrongly takes it, moves
+// them.
+func TestTickJitterRunsPinned(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  fault.Config
+		want string
+	}{
+		{"tick-jitter", fault.Config{Seed: 1, TickJitter: 2 * simtime.Millisecond},
+			"fired=68998 dispatch=29566 preempt=157 yield=29133 units=[1263 714]"},
+		{"storms", fault.Config{Seed: 5, Storms: 2},
+			"fired=77618 dispatch=28734 preempt=287 yield=27744 units=[1903 705]"},
+	} {
+		s := faultSetup("dedup", c.cfg)
+		var fired, sum uint64
+		s.PostCheck = func(pr *PostRun) error {
+			fired = pr.HV.Clock.Fired()
+			for _, n := range pr.HV.Clock.FiredByKind() {
+				sum += n
+			}
+			return nil
+		}
+		res, err := Run(s)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var units []uint64
+		for _, vm := range res.VMs {
+			units = append(units, vm.Units)
+		}
+		got := fmt.Sprintf("fired=%d dispatch=%d preempt=%d yield=%d units=%v", fired,
+			res.HV["sched.dispatch"], res.HV["sched.preempt"], res.HV["yield.total"], units)
+		if got != c.want || sum != fired {
+			t.Errorf("%s: %s (per-kind sum %d)\n want %s", c.name, got, sum, c.want)
+		}
+	}
+}
+
+// On co-runs, the clock's per-kind counts sum to its total, which stays
+// the pinned event count, and the guest's progress event counts under each
+// activity it completes. TestTickJitterRunsPinned checks the sum on fault
+// runs.
+func TestFiredByKindSplitsGuestEvent(t *testing.T) {
+	guest := map[string]uint64{}
+	for _, c := range []struct {
+		name  string
+		s     Setup
+		fired uint64
+	}{
+		{"dedup co-run", corunSetup("dedup", core.DefaultConfig(), robustDur), 79589},
+		{"gmake co-run", corunSetup("gmake", core.DefaultConfig(), robustDur), 55186},
+	} {
+		var total, sum uint64
+		c.s.PostCheck = func(pr *PostRun) error {
+			total = pr.HV.Clock.Fired()
+			for k, n := range pr.HV.Clock.FiredByKind() {
+				sum += n
+				switch name := simtime.Kind(k).String(); name {
+				case "op-done", "irq-stage", "ple", "ack-spin":
+					guest[name] += n
+				}
+			}
+			return nil
+		}
+		if _, err := Run(c.s); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if sum != total || total != c.fired {
+			t.Errorf("%s: per-kind counts sum to %d, Fired is %d, want %d", c.name, sum, total, c.fired)
+		}
+	}
+	for _, name := range []string{"op-done", "irq-stage", "ple", "ack-spin"} {
+		if guest[name] == 0 {
+			t.Errorf("no guest progress event counted as %s (%v)", name, guest)
+		}
 	}
 }
 

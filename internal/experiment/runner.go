@@ -45,16 +45,16 @@ var defaultObs atomic.Pointer[obs.Config]
 // observability config consulted by Run when Setup.Obs is nil.
 func SetDefaultObs(cfg *obs.Config) { defaultObs.Store(cfg) }
 
-// runHook, when set, fires after every successful Run with the settled
-// Setup and Result. Callers needing mutual exclusion (e.g. printing)
-// synchronize inside the hook; Run invokes it from whichever worker
-// goroutine executed the scenario.
-var runHook atomic.Pointer[func(Setup, *Result)]
+// runHook, when set, fires after every successful Run with its post-run
+// view. Callers needing mutual exclusion (e.g. printing) synchronize inside
+// the hook; Run invokes it from whichever worker goroutine executed the
+// scenario.
+var runHook atomic.Pointer[func(*PostRun)]
 
 // SetRunHook installs (or, with nil, removes) a callback observing every
 // completed scenario. The experiment grids stay oblivious; paperbench uses
 // this for its per-scenario telemetry read-out.
-func SetRunHook(fn func(Setup, *Result)) {
+func SetRunHook(fn func(*PostRun)) {
 	if fn == nil {
 		runHook.Store(nil)
 		return

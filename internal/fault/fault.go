@@ -388,9 +388,9 @@ func New(cfg Config, pcpus int, duration simtime.Duration) (*Plan, error) {
 	return p, nil
 }
 
-// Attach installs the plan's hypervisor-side injectors: the IPI fault hook,
-// the tick-jitter hook on the clock, and the hotplug schedule as clock
-// events. Call once, before hv.Start / clock.Run.
+// Attach installs the plan's hypervisor-side injectors: the IPI fault and
+// tick-jitter hooks, and the hotplug schedule as a clock event. Call once,
+// before hv.Start / clock.Run.
 func (p *Plan) Attach(h *hv.Hypervisor) {
 	cfg := p.Cfg
 	p.clock = h.Clock
@@ -424,10 +424,7 @@ func (p *Plan) Attach(h *hv.Hypervisor) {
 		h.Hooks.IPILoss = func(vec hv.Vector) bool { return true }
 	}
 	if cfg.TickJitter > 0 || cfg.Storms > 0 {
-		h.Clock.SetDelayJitter(func(label string, d simtime.Duration) simtime.Duration {
-			if label != "tick" && label != "acct" {
-				return d
-			}
+		h.Hooks.TickJitter = func(d simtime.Duration) simtime.Duration {
 			if p.quiesced() {
 				return d
 			}
@@ -439,16 +436,16 @@ func (p *Plan) Attach(h *hv.Hypervisor) {
 				return d
 			}
 			return d + simtime.Duration(p.tick.UniformDur(-j, j))
-		})
+		}
 	}
 	if len(p.Hotplug) > 0 {
 		// One owned event walks the whole time-sorted action list instead
 		// of pre-registering two closures per hotplug event: each fire
 		// applies its action and re-arms the same event for the next one.
-		// The clock jitters only tick and acct delays, so arming at
-		// at-now lands exactly at at. The stable sort keeps the original
-		// creation order (off before on, schedule order) for same-instant
-		// actions.
+		// Tick jitter reaches only the scheduler's tick and accounting
+		// timers (hv.Hooks.TickJitter), so arming at at-now lands exactly
+		// at at. The stable sort keeps the original creation order (off
+		// before on, schedule order) for same-instant actions.
 		actions := make([]hotplugAction, 0, 2*len(p.Hotplug))
 		for _, ev := range p.Hotplug {
 			actions = append(actions, hotplugAction{at: ev.Off, pcpu: ev.PCPU, online: false})
@@ -459,7 +456,7 @@ func (p *Plan) Attach(h *hv.Hypervisor) {
 		sort.SliceStable(actions, func(i, j int) bool { return actions[i].at < actions[j].at })
 		next := 0
 		ev := new(simtime.Event)
-		h.Clock.Bind(ev, "hotplug", func() {
+		h.Clock.Bind(ev, kindHotplug, func() {
 			a := actions[next]
 			next++
 			p.applyHotplug(h, a)
@@ -470,6 +467,9 @@ func (p *Plan) Attach(h *hv.Hypervisor) {
 		ev.Arm(actions[0].at - h.Clock.Now())
 	}
 }
+
+// kindHotplug is the event kind of the plan's hotplug walk.
+var kindHotplug = simtime.NewKind("hotplug")
 
 // hotplugAction is one entry of the flattened, time-sorted hotplug walk.
 type hotplugAction struct {

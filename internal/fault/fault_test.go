@@ -3,8 +3,10 @@ package fault
 import (
 	"errors"
 	"reflect"
+	"sort"
 	"testing"
 
+	"github.com/microslicedcore/microsliced/internal/hv"
 	"github.com/microslicedcore/microsliced/internal/simtime"
 )
 
@@ -218,5 +220,35 @@ func TestHarshScheduleDeterministic(t *testing.T) {
 	b, _ := New(cfg, 8, simtime.Second)
 	if !reflect.DeepEqual(a.Hotplug, b.Hotplug) || !reflect.DeepEqual(a.Storms, b.Storms) {
 		t.Fatal("same config, different harsh schedules")
+	}
+}
+
+// Tick jitter reaches only the scheduler's tick and accounting timers: under
+// it, every hotplug action still lands exactly at its scheduled instant.
+func TestHotplugIgnoresTickJitter(t *testing.T) {
+	const dur = 3 * simtime.Second
+	p, err := New(Config{Seed: 42, OfflinePCPUs: 3, TickJitter: 2 * simtime.Millisecond}, 12, dur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := simtime.NewClock()
+	cfg := hv.DefaultConfig()
+	cfg.PCPUs = 12
+	h := hv.New(clock, cfg)
+	var got []simtime.Time
+	h.Hooks.OnCapacityChange = func(int) { got = append(got, clock.Now()) }
+	p.Attach(h)
+	if h.Hooks.TickJitter == nil {
+		t.Fatal("plan with TickJitter installed no hook")
+	}
+	h.Start()
+	clock.RunUntil(dur)
+	var want []simtime.Time
+	for _, ev := range p.Hotplug {
+		want = append(want, ev.Off, ev.On)
+	}
+	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+	if len(p.HotplugErrs) != 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("capacity changed at %v (errors %v), want %v", got, p.HotplugErrs, want)
 	}
 }

@@ -84,10 +84,6 @@ type VCPU struct {
 	irqStart simtime.Time
 	savedRIP uint64
 
-	// evK is what the armed progress event completes; fireEv, the
-	// event's one bound callback, switches on it.
-	evK evKind
-
 	Yields uint64 // guest-visible count of PLE + voluntary yields
 }
 
@@ -101,18 +97,17 @@ func (v *VCPU) now() simtime.Time { return v.k.Clock.Now() }
 
 func (v *VCPU) setRIP(a uint64) { v.rip = a }
 
-// evKind names the activity the progress event completes when it fires.
-type evKind uint8
-
-const (
-	evOpDone       evKind = iota // the current thread's op (opDone)
-	evIRQStageDone               // one interrupt-handler stage (irqStageDone)
-	evPLE                        // a pause-loop window (pleFire)
-	evAckSpin                    // an ack-wait spin window (ackSpinFire)
+// The progress event's kinds name the activity it completes when it fires;
+// fireEv, the event's one bound callback, switches on the armed kind.
+var (
+	evOpDone       = simtime.NewKind("op-done")   // the current thread's op (opDone)
+	evIRQStageDone = simtime.NewKind("irq-stage") // one interrupt-handler stage (irqStageDone)
+	evPLE          = simtime.NewKind("ple")       // a pause-loop window (pleFire)
+	evAckSpin      = simtime.NewKind("ack-spin")  // an ack-wait spin window (ackSpinFire)
 )
 
 // armEv schedules the single progress event of the vCPU.
-func (v *VCPU) armEv(d simtime.Duration, k evKind) {
+func (v *VCPU) armEv(d simtime.Duration, k simtime.Kind) {
 	if v.ev.Pending() {
 		panic(fmt.Sprintf("guest: vCPU %d double-armed", v.idx))
 	}
@@ -120,13 +115,12 @@ func (v *VCPU) armEv(d simtime.Duration, k evKind) {
 		panic(fmt.Sprintf("guest: vCPU %d armed while descheduled", v.idx))
 	}
 	v.phaseStart = v.now()
-	v.evK = k
-	v.ev.Arm(d)
+	v.ev.ArmKind(d, k)
 }
 
 // fireEv is the progress event's callback: it completes the armed kind.
 func (v *VCPU) fireEv() {
-	switch v.evK {
+	switch v.ev.Kind() {
 	case evOpDone:
 		v.opDone()
 	case evIRQStageDone:

@@ -227,7 +227,7 @@ func NewKernel(h *hv.Hypervisor, name string, nvcpus int, sym *ksym.Table, p Par
 		vc := &VCPU{k: k, idx: i, rip: k.addr.halt}
 		// Bind the progress event once; armEv re-arms it in place with the
 		// kind fireEv dispatches on, so no fire allocates.
-		k.Clock.Bind(&vc.ev, "", vc.fireEv)
+		k.Clock.Bind(&vc.ev, evOpDone, vc.fireEv)
 		vc.hvv = h.AddVCPU(dom, vc)
 		k.VCPUs = append(k.VCPUs, vc)
 	}

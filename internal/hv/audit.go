@@ -87,7 +87,7 @@ func (h *Hypervisor) EnableAudit(onViolation func(*InvariantError)) *Auditor {
 		onViolation: onViolation,
 		starved:     make(map[*VCPU]simtime.Time),
 	}
-	h.Clock.Bind(&a.walk, "audit", func() {
+	h.Clock.Bind(&a.walk, kindAudit, func() {
 		a.audit()
 		a.walk.Arm(h.Cfg.Tick)
 	})

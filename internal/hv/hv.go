@@ -568,6 +568,12 @@ type Hooks struct {
 	// (it enters the LostIPI ledger for the recovery supervisor to
 	// re-drive) instead of the deliver-anyway backstop.
 	IPILoss func(vec Vector) bool
+	// TickJitter, when non-nil, perturbs the delay of every scheduler-tick
+	// and credit-accounting arm (fault injection: timer-tick jitter): it
+	// receives the nominal delay and returns the one to use, and a result
+	// below zero fires at once. Slice, context-switch and interrupt timers
+	// are never jittered.
+	TickJitter func(d simtime.Duration) simtime.Duration
 	// OnCapacityChange fires after a pCPU hot-unplug or replug changes the
 	// machine-wide online count, with the new count. The adaptive
 	// controller re-syncs its pool-size gauge and re-profiles on it:
@@ -660,6 +666,16 @@ type hvHot struct {
 	microFull *metrics.Counter
 }
 
+// The kinds of the hypervisor's own timers: per pCPU, per machine and the
+// auditor's walk.
+var (
+	kindTick  = simtime.NewKind("tick")
+	kindAcct  = simtime.NewKind("acct")
+	kindSlice = simtime.NewKind("slice")
+	kindCtxsw = simtime.NewKind("ctxswitch")
+	kindAudit = simtime.NewKind("audit")
+)
+
 // yieldName maps a YieldReason to its counter name (matches YieldReason.String).
 var yieldName = [4]string{"yield.ple", "yield.ipi", "yield.halt", "yield.other"}
 
@@ -694,7 +710,7 @@ func New(clock *simtime.Clock, cfg Config) *Hypervisor {
 
 		nsPerCredit: int64(cfg.Tick) / int64(cfg.CreditDebitPerTick),
 	}
-	clock.Bind(&h.acct, "acct", h.acctTick)
+	clock.Bind(&h.acct, kindAcct, h.acctTick)
 	h.normal = &Pool{Name: "normal", Slice: cfg.NormalSlice}
 	h.micro = &Pool{
 		Name:       "micro",
@@ -710,9 +726,9 @@ func New(clock *simtime.Clock, cfg Config) *Hypervisor {
 		// Owned per-pCPU timers: dispatch and slice expiry are the hottest
 		// periodic paths, and binding here (once per machine, not once per
 		// dispatch) keeps them allocation-free and off the free list.
-		clock.BindTimer(&p.slice, "slice", func() { h.sliceExpired(p) })
-		clock.Bind(&p.ctxsw, "ctxswitch", func() { h.startCurrent(p) })
-		clock.Bind(&p.tick, "tick", func() { h.pcpuTick(p) })
+		clock.BindTimer(&p.slice, kindSlice, func() { h.sliceExpired(p) })
+		clock.Bind(&p.ctxsw, kindCtxsw, func() { h.startCurrent(p) })
+		clock.Bind(&p.tick, kindTick, func() { h.pcpuTick(p) })
 		h.pcpus = append(h.pcpus, p)
 		h.normal.pcpus = append(h.normal.pcpus, p)
 	}
@@ -892,9 +908,18 @@ func (h *Hypervisor) Start() {
 		p := p
 		offset := h.Cfg.Tick * simtime.Duration(i+1) / n
 		p.tickPhase = offset % h.Cfg.Tick
-		p.tick.Arm(offset)
+		h.armTick(&p.tick, offset)
 	}
-	h.acct.Arm(h.Cfg.Tick * simtime.Duration(h.Cfg.TicksPerAcct))
+	h.armTick(&h.acct, h.Cfg.Tick*simtime.Duration(h.Cfg.TicksPerAcct))
+}
+
+// armTick arms a scheduler-tick or accounting timer d from now, through
+// the TickJitter hook.
+func (h *Hypervisor) armTick(ev *simtime.Event, d simtime.Duration) {
+	if jitter := h.Hooks.TickJitter; jitter != nil {
+		d = max(jitter(d), 0)
+	}
+	ev.Arm(d)
 }
 
 func (h *Hypervisor) count(name string) { h.Counters.Counter(name).Inc() }

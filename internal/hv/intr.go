@@ -198,8 +198,8 @@ func (h *Hypervisor) deliver(dst *VCPU, vec Vector, data uint64, span obs.SpanRe
 }
 
 // irqKind names what a pendingIRQ is waiting for. Each kind has its own
-// event label and free list, so a record's owned event is bound once, to
-// its kind's label, for life.
+// event kind and free list, so a record's owned event is bound once, to
+// its kind's event kind, for life.
 type irqKind uint8
 
 const (
@@ -210,11 +210,11 @@ const (
 	numIRQKinds
 )
 
-var irqLabels = [numIRQKinds]string{
-	irqInject: "inject",
-	irqPIRQ:   "pirq",
-	irqRetry:  "ipi-retry",
-	irqDelay:  "ipi-delay",
+var irqEventKinds = [numIRQKinds]simtime.Kind{
+	irqInject: simtime.NewKind("inject"),
+	irqPIRQ:   simtime.NewKind("pirq"),
+	irqRetry:  simtime.NewKind("ipi-retry"),
+	irqDelay:  simtime.NewKind("ipi-delay"),
 }
 
 // pendingIRQ is an interrupt in flight between two steps of its delivery:
@@ -223,8 +223,8 @@ var irqLabels = [numIRQKinds]string{
 // live on the hypervisor's per-kind free lists, each with its own event
 // bound once to fire, so delivering device interrupts and IPIs, faulty or
 // not, allocates nothing in steady state. Arm draws the sequence number
-// AfterLabeled would have, so events fire in the same order as with a
-// fresh closure per interrupt.
+// After would have, so events fire in the same order as with a fresh
+// closure per interrupt.
 type pendingIRQ struct {
 	h    *Hypervisor
 	kind irqKind
@@ -253,7 +253,7 @@ func (h *Hypervisor) takeIRQ(k irqKind) *pendingIRQ {
 // newIRQ allocates a record of kind k and binds its event for life.
 func (h *Hypervisor) newIRQ(k irqKind) *pendingIRQ {
 	r := &pendingIRQ{h: h, kind: k}
-	h.Clock.Bind(&r.ev, irqLabels[k], r.fire)
+	h.Clock.Bind(&r.ev, irqEventKinds[k], r.fire)
 	return r
 }
 

@@ -609,7 +609,7 @@ func (h *Hypervisor) pcpuTick(p *PCPU) {
 		h.parkTick(p)
 		return
 	}
-	p.tick.Arm(h.Cfg.Tick)
+	h.armTick(&p.tick, h.Cfg.Tick)
 }
 
 // parkTick suppresses the tick of an idle pCPU (the tick event has already
@@ -637,7 +637,7 @@ func (h *Hypervisor) unparkTick(p *PCPU) {
 	}
 	now := h.Clock.Now()
 	delta := h.Cfg.Tick - (now-p.tickPhase)%h.Cfg.Tick
-	p.tick.Arm(delta)
+	h.armTick(&p.tick, delta)
 }
 
 // unparkPool re-arms every parked tick in the pool (new stealable work
@@ -681,7 +681,7 @@ func (h *Hypervisor) acctTick() {
 	for _, p := range h.pcpus {
 		h.refreshQueue(p)
 	}
-	h.acct.Arm(h.Cfg.Tick * simtime.Duration(h.Cfg.TicksPerAcct))
+	h.armTick(&h.acct, h.Cfg.Tick*simtime.Duration(h.Cfg.TicksPerAcct))
 }
 
 // refreshQueue re-derives queued priorities and picks up work on an idle

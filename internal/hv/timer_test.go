@@ -56,9 +56,11 @@ type pleGuest struct {
 	yields int
 }
 
+var kindTestPLE = simtime.NewKind("test-ple")
+
 func newPLEGuest(h *Hypervisor, d *Domain) *pleGuest {
 	g := &pleGuest{h: h}
-	h.Clock.Bind(&g.ev, "ple", func() {
+	h.Clock.Bind(&g.ev, kindTestPLE, func() {
 		g.yields++
 		g.h.Yield(g.v, YieldPLE)
 	})
@@ -210,5 +212,101 @@ func TestBurnCredits(t *testing.T) {
 		if v.credits != closed || v.debtNs != total%npc {
 			t.Errorf("%s: credits %d debt %d, closed form %d, %d", c.name, v.credits, v.debtNs, closed, total%npc)
 		}
+	}
+}
+
+// Hooks.TickJitter shifts every scheduler-tick and accounting arm: the
+// first ones at Start, a tick's and the accounting's re-arms, and the
+// re-arm of a parked tick on its stagger grid.
+func TestTickJitterShiftsTickAndAcctArms(t *testing.T) {
+	const ms = simtime.Millisecond
+	clock, h := setup(2)
+	h.Hooks.TickJitter = func(d simtime.Duration) simtime.Duration { return d + ms }
+	d := h.NewDomain("vm", nil)
+	a := newComputeGuest(h, d, simtime.Second)
+	b := newComputeGuest(h, d, simtime.Second)
+	p0, p1 := h.pcpus[0], h.pcpus[1]
+	h.Start()
+	// Nominal first ticks at 5 ms (p0) and 10 ms (p1), accounting at 30 ms.
+	if p0.tick.When() != 6*ms || p1.tick.When() != 11*ms || h.acct.When() != 31*ms {
+		t.Fatalf("first arms at %v, %v and %v, want 6, 11 and 31 ms", p0.tick.When(), p1.tick.When(), h.acct.When())
+	}
+	h.Wake(a.v, false)
+	clock.RunUntil(6 * ms)
+	if a.v.pcpu != p0 || p0.tick.When() != 17*ms {
+		t.Fatalf("a on %v, p0 tick re-armed for %v: want p0 and 17 ms", a.v.pcpu, p0.tick.When())
+	}
+	clock.RunUntil(11 * ms)
+	if !p1.parked {
+		t.Fatal("idle p1 did not park its tick")
+	}
+	clock.RunUntil(12 * ms)
+	h.Wake(b.v, false)
+	// The grid puts p1's next tick at 20 ms.
+	if b.v.pcpu != p1 || p1.parked || p1.tick.When() != 21*ms {
+		t.Fatalf("b on %v, p1 tick re-armed for %v: want p1 and 21 ms", b.v.pcpu, p1.tick.When())
+	}
+	clock.RunUntil(31 * ms)
+	if h.acct.When() != 62*ms {
+		t.Fatalf("accounting re-armed for %v, want 62 ms", h.acct.When())
+	}
+}
+
+// interruptedRun runs two vCPUs on one pCPU under jitter and reports when
+// the first one started (the context-switch timer), when the first slice
+// ran out (the slice timer) and when a physical IRQ sent at 5 ms reached
+// the running vCPU (the PIRQ and injection timers).
+func interruptedRun(jitter func(simtime.Duration) simtime.Duration) (start, preempt, intr simtime.Time) {
+	clock, h := setup(1)
+	h.Hooks.TickJitter = jitter
+	d := h.NewDomain("vm", nil)
+	a, b := newIntrGuest(h, d), newIntrGuest(h, d)
+	h.Start()
+	h.Wake(a.v, false)
+	h.Wake(b.v, false)
+	for !a.running && clock.Step() {
+	}
+	start = clock.Now()
+	clock.At(5*simtime.Millisecond, func() { h.InjectPIRQTo(a.v, 0x20, 0) })
+	for h.Counters.Value("sched.preempt") == 0 && clock.Step() {
+	}
+	preempt = clock.Now()
+	if len(a.intrAt) == 1 {
+		intr = a.intrAt[0]
+	}
+	return start, preempt, intr
+}
+
+// The context-switch, slice, PIRQ and injection timers ignore TickJitter.
+func TestTickJitterSparesOtherTimers(t *testing.T) {
+	s0, p0, i0 := interruptedRun(nil)
+	s1, p1, i1 := interruptedRun(func(d simtime.Duration) simtime.Duration { return d + simtime.Millisecond })
+	if i0 == 0 {
+		t.Fatal("the physical IRQ never reached the running vCPU")
+	}
+	if s1 != s0 || p1 != p0 || i1 != i0 {
+		t.Fatalf("start/preempt/interrupt at %v/%v/%v under jitter, %v/%v/%v without", s1, p1, i1, s0, p0, i0)
+	}
+}
+
+// A jittered delay below zero fires at once instead of panicking.
+func TestTickJitterNegativeFiresAtOnce(t *testing.T) {
+	clock, h := setup(1)
+	first := true
+	h.Hooks.TickJitter = func(d simtime.Duration) simtime.Duration {
+		if first {
+			first = false
+			return d - simtime.Second
+		}
+		return d
+	}
+	h.Start()
+	p := h.pcpus[0]
+	if p.tick.When() != 0 {
+		t.Fatalf("tick armed for %v, want now", p.tick.When())
+	}
+	clock.Step()
+	if clock.Now() != 0 || !p.parked {
+		t.Fatalf("tick fired at %v (parked %v), want at once on the idle pCPU", clock.Now(), p.parked)
 	}
 }

@@ -87,6 +87,9 @@ const (
 	repairDepth = 32
 )
 
+// kindWalk is the event kind of the supervisor's periodic walk.
+var kindWalk = simtime.NewKind("recover")
+
 func (c Config) withDefaults(hcfg hv.Config) Config {
 	if c.Interval <= 0 {
 		c.Interval = hcfg.Tick
@@ -151,7 +154,7 @@ func Attach(h *hv.Hypervisor, cfg Config) *Supervisor {
 	if h.Obs != nil {
 		h.Obs.Repairs = &s.Repairs
 	}
-	h.Clock.Bind(&s.tick, "recover", func() {
+	h.Clock.Bind(&s.tick, kindWalk, func() {
 		s.walk()
 		s.tick.Arm(s.cfg.Interval)
 	})

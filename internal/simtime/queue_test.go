@@ -3,6 +3,7 @@ package simtime
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -15,7 +16,7 @@ import (
 type refClock struct {
 	now      Time
 	seq      uint64
-	fired    uint64
+	fired    [maxKinds]uint64 // by kind
 	stopped  bool
 	queue    []*refEvent
 	tieLater bool
@@ -32,16 +33,32 @@ type refEvent struct {
 	when   Time
 	seq    uint64
 	fn     func()
+	kind   Kind
 	queued bool
 	c      *refClock
 }
 
-func (r *refClock) Now() Time        { return r.now }
-func (r *refClock) Fired() uint64    { return r.fired }
-func (r *refClock) Pending() int     { return len(r.queue) }
-func (r *refClock) Stop()            { r.stopped = true }
-func (e *refEvent) Pending() bool    { return e.queued }
-func (r *refClock) push(e *refEvent) { e.queued = true; r.queue = append(r.queue, e) }
+// The kinds the fuzz streams give their owned events and timers; At and
+// After events are unkinded.
+var (
+	kindFuzzOwned  = NewKind("fuzz-owned")
+	kindFuzzRekind = NewKind("fuzz-rekind")
+	kindFuzzTimer  = NewKind("fuzz-timer")
+)
+
+func (r *refClock) Now() Time { return r.now }
+func (r *refClock) Fired() uint64 {
+	var n uint64
+	for _, f := range r.fired {
+		n += f
+	}
+	return n
+}
+func (r *refClock) FiredByKind() []uint64 { return r.fired[:len(kindNames)] }
+func (r *refClock) Pending() int          { return len(r.queue) }
+func (r *refClock) Stop()                 { r.stopped = true }
+func (e *refEvent) Pending() bool         { return e.queued }
+func (r *refClock) push(e *refEvent)      { e.queued = true; r.queue = append(r.queue, e) }
 
 func (r *refClock) At(t Time, fn func()) fuzzEvent {
 	r.seq++
@@ -52,7 +69,7 @@ func (r *refClock) At(t Time, fn func()) fuzzEvent {
 
 func (r *refClock) After(d Duration, fn func()) fuzzEvent { return r.At(r.now+d, fn) }
 
-func (r *refClock) Owned(fn func()) fuzzOwned { return &refEvent{fn: fn, c: r} }
+func (r *refClock) Owned(fn func()) fuzzOwned { return &refEvent{fn: fn, kind: kindFuzzOwned, c: r} }
 
 func (e *refEvent) Arm(d Duration) {
 	if e.queued {
@@ -61,6 +78,11 @@ func (e *refEvent) Arm(d Duration) {
 	e.c.seq++
 	e.when, e.seq = e.c.now+d, e.c.seq
 	e.c.push(e)
+}
+
+func (e *refEvent) ArmKind(d Duration, k Kind) {
+	e.kind = k
+	e.Arm(d)
 }
 
 // refTimer models Timer: one queue entry and a live key.
@@ -74,7 +96,7 @@ type refTimer struct {
 
 func (r *refClock) Timer(fn func()) fuzzTimer {
 	t := &refTimer{fn: fn}
-	t.entry = &refEvent{fn: t.pop, c: r}
+	t.entry = &refEvent{fn: t.pop, kind: kindFuzzTimer, c: r}
 	return t
 }
 
@@ -143,7 +165,7 @@ func (r *refClock) Step() bool {
 	}
 	e := r.take(r.min())
 	r.now = e.when
-	r.fired++
+	r.fired[e.kind]++
 	e.fn()
 	return true
 }
@@ -193,6 +215,7 @@ type fuzzClock interface {
 	Pending() int
 	NextEventTime() Time
 	Fired() uint64
+	FiredByKind() []uint64
 }
 
 type fuzzEvent interface {
@@ -203,6 +226,7 @@ type fuzzEvent interface {
 type fuzzOwned interface {
 	fuzzEvent
 	Arm(d Duration)
+	ArmKind(d Duration, k Kind)
 }
 
 type fuzzTimer interface {
@@ -218,20 +242,18 @@ type realClock struct {
 	hints *[]bool
 }
 
-func (c realClock) At(t Time, fn func()) fuzzEvent { return c.Clock.At(t, fn) }
-func (c realClock) After(d Duration, fn func()) fuzzEvent {
-	return c.Clock.AfterLabeled(d, "fuzz", fn)
-}
+func (c realClock) At(t Time, fn func()) fuzzEvent        { return c.Clock.At(t, fn) }
+func (c realClock) After(d Duration, fn func()) fuzzEvent { return c.Clock.After(d, fn) }
 
 func (c realClock) Owned(fn func()) fuzzOwned {
 	e := new(Event)
-	c.Clock.Bind(e, "fuzz", fn)
+	c.Clock.Bind(e, kindFuzzOwned, fn)
 	return e
 }
 
 func (c realClock) Timer(fn func()) fuzzTimer {
 	t := new(Timer)
-	c.Clock.BindTimer(t, "fuzz", fn)
+	c.Clock.BindTimer(t, kindFuzzTimer, fn)
 	return realTimer{t, c.hints}
 }
 
@@ -422,9 +444,12 @@ func (w *fuzzWorld) schedule(t Time, a fuzzAction, after, owned bool) {
 		w.log = append(w.log, fuzzEntry{what: 'F', id: id, t: now})
 		switch a.kind {
 		case actRearm:
+			// An odd remaining budget re-kinds the event, as the guest's
+			// progress event does, so one event's fires count under two
+			// kinds.
 			if left > 0 && own != nil {
 				left--
-				own.Arm(min(a.delta, Infinity-now))
+				own.ArmKind(min(a.delta, Infinity-now), [2]Kind{kindFuzzOwned, kindFuzzRekind}[left%2])
 				w.alive[id] = true
 			}
 		case actCancel:
@@ -574,6 +599,9 @@ func compareWorlds(fast, ref *fuzzWorld) error {
 		return fmt.Errorf("now/pending/next/fired %v/%d/%v/%d, reference %v/%d/%v/%d",
 			a.Now(), a.Pending(), a.NextEventTime(), a.Fired(), b.Now(), b.Pending(), b.NextEventTime(), b.Fired())
 	}
+	if !slices.Equal(a.FiredByKind(), b.FiredByKind()) {
+		return fmt.Errorf("fired by kind %v, reference %v", a.FiredByKind(), b.FiredByKind())
+	}
 	for id, alive := range ref.alive {
 		if alive != fast.alive[id] || ref.evs[id].Pending() != alive {
 			return fmt.Errorf("event %d: queued %v, reference %v (reference Pending %v)", id, fast.alive[id], alive, ref.evs[id].Pending())
@@ -712,6 +740,14 @@ func TestNearTierCancelHeadMiddleTail(t *testing.T) {
 	}
 }
 
+// Kinds of the single-purpose tests and benchmarks below.
+var (
+	kindPeriodic = NewKind("periodic")
+	kindOwned    = NewKind("owned")
+	kindSlice    = NewKind("slice")
+	kindProgress = NewKind("progress")
+)
+
 // An owned event armed from its own callback goes back into the near tier
 // at its new (when, seq) place, behind an event at the same time scheduled
 // first.
@@ -722,7 +758,7 @@ func TestArmFromCallbackBackIntoNearTier(t *testing.T) {
 	c.At(30, func() { got = append(got, "late") })
 	var periodic Event
 	rearmed := false
-	c.Bind(&periodic, "periodic", func() {
+	c.Bind(&periodic, kindPeriodic, func() {
 		got = append(got, "periodic")
 		if !rearmed {
 			rearmed = true
@@ -753,7 +789,7 @@ func TestOwnedEventCancelAndRearm(t *testing.T) {
 	c := NewClock()
 	var got []string
 	var ev Event
-	c.Bind(&ev, "owned", func() { got = append(got, "owned") })
+	c.Bind(&ev, kindOwned, func() { got = append(got, "owned") })
 	ev.Arm(10)
 	if !ev.Cancel() || ev.Pending() || ev.Cancel() {
 		t.Fatal("cancel of an armed owned event")
@@ -762,10 +798,10 @@ func TestOwnedEventCancelAndRearm(t *testing.T) {
 	ev.Arm(10)
 	mustPanic(t, "Arm of a queued event", func() { ev.Arm(1) })
 	mustPanic(t, "Arm of an unbound event", func() { new(Event).Arm(1) })
-	mustPanic(t, "Bind of a bound event", func() { c.Bind(&ev, "again", func() {}) })
+	mustPanic(t, "Bind of a bound event", func() { c.Bind(&ev, kindOwned, func() {}) })
 	mustPanic(t, "negative Arm", func() {
 		var e Event
-		c.Bind(&e, "neg", func() {})
+		c.Bind(&e, kindOwned, func() {})
 		e.Arm(-1)
 	})
 	c.Run()
@@ -795,7 +831,7 @@ func TestTimerLazyStop(t *testing.T) {
 	c := NewClock()
 	var fired []Time
 	var tm Timer
-	c.BindTimer(&tm, "slice", func() { fired = append(fired, c.Now()) })
+	c.BindTimer(&tm, kindSlice, func() { fired = append(fired, c.Now()) })
 	c.At(0, func() {}) // opens the window [0, farWindow): the slice lands far
 
 	tm.Set(30 * Millisecond)
@@ -905,18 +941,18 @@ func BenchmarkClockSliceChurn(b *testing.B) {
 	var progress [near]Event
 	for i := range tickEv {
 		ev := &tickEv[i]
-		c.Bind(ev, "tick", func() { ev.Arm(10 * Millisecond) })
+		c.Bind(ev, kindPeriodic, func() { ev.Arm(10 * Millisecond) })
 		ev.Arm(Duration(i+1) * 10 * Millisecond / ticks)
 	}
 	for i := range sliceTm {
 		tm := &sliceTm[i]
-		c.BindTimer(tm, "slice", func() { tm.Set(30 * Millisecond) })
+		c.BindTimer(tm, kindSlice, func() { tm.Set(30 * Millisecond) })
 		tm.Set(30 * Millisecond)
 	}
 	rng, k := uint64(15), 0
 	for i := range progress {
 		ev := &progress[i]
-		c.Bind(ev, "", func() {
+		c.Bind(ev, kindProgress, func() {
 			sliceTm[k].Stop()
 			sliceTm[k].Set(30 * Millisecond)
 			k = (k + 1) % slices
@@ -962,7 +998,7 @@ func BenchmarkClockNearTier(b *testing.B) {
 			fired := 0
 			for i := range evs {
 				id := i
-				c.Bind(&evs[i], "", func() {
+				c.Bind(&evs[i], kindProgress, func() {
 					evs[id].Arm(delay())
 					if fired++; fired%8 == 0 {
 						if j := int(next() % uint64(n)); j != id {

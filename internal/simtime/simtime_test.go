@@ -4,16 +4,17 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
 )
 
-// An Event must stay in the 64-byte allocation size class: every queued
+// An Event must stay in the 48-byte allocation size class: every queued
 // At/After event and every holder that embeds an owned one pays for it.
 func TestEventSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(Event{}); n > 64 {
-		t.Fatalf("Event is %d bytes, past the 64-byte size class", n)
+	if n := unsafe.Sizeof(Event{}); n > 48 {
+		t.Fatalf("Event is %d bytes, past the 48-byte size class", n)
 	}
 }
 
@@ -203,14 +204,18 @@ func TestNegativeAfterPanics(t *testing.T) {
 	c.After(-5, func() {})
 }
 
-func TestNegativeAfterLabeledPanics(t *testing.T) {
+// A negative Arm panics with the event's kind in the message.
+func TestNegativeArmPanicNamesKind(t *testing.T) {
 	c := NewClock()
+	var ev Event
+	c.Bind(&ev, kindOwned, func() {})
 	defer func() {
-		if recover() == nil {
-			t.Fatal("negative AfterLabeled did not panic")
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, `"owned"`) {
+			t.Fatalf("negative Arm panicked with %q, want the kind named", msg)
 		}
 	}()
-	c.AfterLabeled(-1, "bad", func() {})
+	ev.Arm(-1)
 }
 
 func TestZeroAfterFiresAtNow(t *testing.T) {
@@ -226,10 +231,10 @@ func TestZeroAfterFiresAtNow(t *testing.T) {
 }
 
 // Fired and cancelled events are recycled; stale handles must stay inert and
-// reuse must not leak state (label, callback) between generations.
+// reuse must not leak state (callback) between generations.
 func TestEventRecycling(t *testing.T) {
 	c := NewClock()
-	ev1 := c.AfterLabeled(1, "first", func() {})
+	ev1 := c.After(1, func() {})
 	c.Run()
 	if ev1.Pending() {
 		t.Fatal("fired event still pending")
@@ -449,6 +454,55 @@ func TestFiredCounter(t *testing.T) {
 	c.Run()
 	if c.Fired() != 17 {
 		t.Fatalf("Fired=%d, want 17", c.Fired())
+	}
+}
+
+// Step counts every fire under its event's kind without allocating: owned
+// events, a re-kinded one, recycled At events and a timer that both fires
+// and pops stale, all after a warm-up.
+func TestStepCountsAllocFree(t *testing.T) {
+	c := NewClock()
+	var periodic, progress Event
+	var tm Timer
+	fn := func() {}
+	m := 0
+	c.Bind(&periodic, kindPeriodic, func() {
+		// Three sets in four periods: the moved deadlines leave stale
+		// entries, and the skipped period lets the timer fire.
+		if m++; m%4 != 0 {
+			tm.Set(15 * Microsecond)
+		}
+		periodic.Arm(10 * Microsecond)
+	})
+	n := 0
+	c.Bind(&progress, kindOwned, func() {
+		n++
+		c.At(c.Now()+3*Microsecond, fn) // recycled from the free list
+		progress.ArmKind(Duration(1+n%5)*Microsecond, [2]Kind{kindOwned, kindProgress}[n%2])
+	})
+	timerFires := 0
+	c.BindTimer(&tm, kindSlice, func() { timerFires++ })
+	periodic.Arm(1)
+	progress.Arm(1)
+	c.RunUntil(100 * Millisecond)
+	if allocs := testing.AllocsPerRun(100, func() { c.RunUntil(c.Now() + Millisecond) }); allocs != 0 {
+		t.Fatalf("stepping allocates %.1f objects per millisecond", allocs)
+	}
+	byKind := c.FiredByKind()
+	var sum uint64
+	for _, f := range byKind {
+		sum += f
+	}
+	if sum != c.Fired() {
+		t.Fatalf("per-kind counts sum to %d, Fired is %d", sum, c.Fired())
+	}
+	for _, k := range []Kind{0, kindPeriodic, kindOwned, kindProgress} {
+		if byKind[k] == 0 {
+			t.Errorf("no fires counted under kind %q", k)
+		}
+	}
+	if stale := byKind[kindSlice] - uint64(timerFires); timerFires == 0 || stale == 0 {
+		t.Errorf("timer fired %d times and popped %d stale entries, want both", timerFires, stale)
 	}
 }
 

@@ -15,9 +15,9 @@ func TestWatchdogFiresOnLivelock(t *testing.T) {
 	})
 	// Classic livelock: a zero-delay event rescheduling itself keeps the
 	// loop busy without the clock ever advancing.
-	var spin func()
-	spin = func() { c.AfterLabeled(0, "spin", spin) }
-	c.AfterLabeled(0, "spin", spin)
+	var spin Event
+	c.Bind(&spin, kindSpin, func() { spin.Arm(0) })
+	spin.Arm(0)
 	c.RunUntil(Second)
 	if info == nil {
 		t.Fatal("watchdog never fired on a livelocked loop")
@@ -42,10 +42,22 @@ func TestWatchdogFiresOnLivelock(t *testing.T) {
 	}
 }
 
-// RecentLabels holds exactly the last 16 labels in firing order, both when
-// the ring is written only near the limit (1000) and when every event
-// writes it (a limit below 16, where the ring reaches back past the
-// same-time run to events at earlier times).
+var kindSpin = NewKind("spin")
+
+// ringKinds are the kinds TestWatchdogRecentLabelsExact's events cycle
+// through. Seventeen does not divide the ring's sixteen slots, so a ring
+// read from the wrong slot names the wrong kinds.
+var ringKinds = func() (ks [17]Kind) {
+	for i := range ks {
+		ks[i] = NewKind("r" + strconv.Itoa(i))
+	}
+	return ks
+}()
+
+// RecentLabels holds exactly the names of the last 16 kinds in firing
+// order, both when the ring is written only near the limit (1000) and when
+// every event writes it (a limit below 16, where the ring reaches back past
+// the same-time run to events at earlier times).
 func TestWatchdogRecentLabelsExact(t *testing.T) {
 	for _, limit := range []uint64{1000, 5} {
 		c := NewClock()
@@ -55,25 +67,33 @@ func TestWatchdogRecentLabelsExact(t *testing.T) {
 			info = &i
 			c.Stop()
 		})
-		label := func(l string) (string, func()) { return l, func() { fired = append(fired, l) } }
+		// bind returns an owned event that logs its kind's name when it
+		// fires, then runs then.
+		bind := func(k Kind, then func()) *Event {
+			ev := new(Event)
+			c.Bind(ev, k, func() {
+				fired = append(fired, ev.Kind().String())
+				then()
+			})
+			return ev
+		}
 		// Twenty events at distinct times, then a same-time burst that
 		// stops short of the limit, then a livelock at a later time.
 		for i := 0; i < 20; i++ {
-			l, fn := label("p" + strconv.Itoa(i))
-			c.AtLabeled(Time(i+1), l, fn)
+			bind(ringKinds[i%17], func() {}).Arm(Time(i + 1))
 		}
 		for i := uint64(0); i+1 < limit; i++ {
-			l, fn := label("b" + strconv.FormatUint(i, 10))
-			c.AtLabeled(50, l, fn)
+			bind(ringKinds[(i+5)%17], func() {}).Arm(50)
 		}
+		// The livelock re-arms one owned event, each time under the
+		// next kind.
 		n := 0
-		var spin func()
-		spin = func() {
-			fired = append(fired, "s"+strconv.Itoa(n))
+		var spin *Event
+		spin = bind(ringKinds[0], func() {
 			n++
-			c.AfterLabeled(0, "s"+strconv.Itoa(n), spin)
-		}
-		c.AtLabeled(100, "s0", spin)
+			spin.ArmKind(0, ringKinds[n%17])
+		})
+		spin.Arm(100)
 		c.RunUntil(Second)
 		if info == nil {
 			t.Fatalf("limit %d: watchdog never fired", limit)
@@ -123,36 +143,5 @@ func TestWatchdogToleratesBurstsBelowLimit(t *testing.T) {
 	c.RunUntil(Second)
 	if fired {
 		t.Fatal("watchdog fired on a burst below its limit")
-	}
-}
-
-func TestDelayJitterPerturbsLabeledEvents(t *testing.T) {
-	c := NewClock()
-	c.SetDelayJitter(func(label string, d Duration) Duration {
-		if label == "tick" {
-			return d + Millisecond
-		}
-		return d
-	})
-	var tickAt, otherAt Time
-	c.AfterLabeled(10*Millisecond, "tick", func() { tickAt = c.Now() })
-	c.AfterLabeled(10*Millisecond, "other", func() { otherAt = c.Now() })
-	c.RunUntil(Second)
-	if tickAt != Time(11*Millisecond) {
-		t.Fatalf("jittered tick at %v, want 11ms", tickAt)
-	}
-	if otherAt != Time(10*Millisecond) {
-		t.Fatalf("unlabeled event moved to %v", otherAt)
-	}
-}
-
-func TestDelayJitterClampsNegative(t *testing.T) {
-	c := NewClock()
-	c.SetDelayJitter(func(label string, d Duration) Duration { return d - Second })
-	fired := false
-	c.After(Millisecond, func() { fired = true })
-	c.RunUntil(Second)
-	if !fired {
-		t.Fatal("negatively jittered event never fired")
 	}
 }

@@ -77,7 +77,7 @@ func NewNIC(h *hv.Hypervisor, dom *hv.Domain, ringCap int) *NIC {
 		ringCap = DefaultRingSize
 	}
 	n := &NIC{h: h, dom: dom, ringCap: ringCap, reassert: DefaultIRQReassert}
-	h.Clock.Bind(&n.reassertEv, "", n.fireReassert)
+	h.Clock.Bind(&n.reassertEv, kindReassert, n.fireReassert)
 	return n
 }
 
@@ -204,6 +204,9 @@ func (n *NIC) Transmit(bytes int, now simtime.Time) {
 }
 
 var _ guest.NetDevice = (*NIC)(nil)
+
+// kindReassert is the event kind of the NIC's IRQ re-assert timer.
+var kindReassert = simtime.NewKind("nic-reassert")
 
 // ---------------------------------------------------------------------------
 // UDP stream
